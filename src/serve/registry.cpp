@@ -446,28 +446,23 @@ TenantRegistry::dispatch(TenantHandle& tenant, ByteView blob, hw::CoreId core)
     if (config_.requireVerification && !tenant.verified) {
         return Err::AttestationFailed;
     }
-    Gateway& gateway = gateways_[tenant.gatewayIndex];
-    if (!gateway.outer) return Err::Unavailable;  // mid subtree rebuild
-    if (config_.topology == Topology::Cvm) {
-        // Depth-3 entry: EENTER the CVM root, NEENTER the gateway, and
-        // the gateway's dispatch body NEENTERs the tenant — the chain
-        // walk validates every adjacency on the way down.
-        return urts_->ecallChain({cvmRoot_, gateway.outer}, "gw_dispatch",
-                                 blob, core);
-    }
-    return urts_->ecall(gateway.outer, "gw_dispatch", blob, core);
+    std::vector<sdk::LoadedEnclave*> chain = dispatchChain(tenant);
+    if (chain.empty()) return Err::Unavailable;  // mid subtree rebuild
+    // Enter the chain down to the gateway (EENTER the root, NEENTER each
+    // deeper link, validating every adjacency on the way down); the
+    // gateway's dispatch body NEENTERs the tenant itself.
+    chain.pop_back();
+    return urts_->ecallChain(chain, "gw_dispatch", blob, core);
 }
 
 std::vector<sdk::LoadedEnclave*>
 TenantRegistry::dispatchChain(const TenantHandle& tenant)
 {
-    if (config_.topology != Topology::Cvm || cvmRoot_ == nullptr ||
-        tenant.inner == nullptr) {
-        return {};
-    }
-    Gateway& gateway = gateways_[tenant.gatewayIndex];
-    if (!gateway.outer) return {};
-    return {cvmRoot_, gateway.outer, tenant.inner};
+    sdk::LoadedEnclave* outer = gateways_[tenant.gatewayIndex].outer;
+    if (outer == nullptr || tenant.inner == nullptr) return {};
+    if (config_.topology != Topology::Cvm) return {outer, tenant.inner};
+    if (cvmRoot_ == nullptr) return {};
+    return {cvmRoot_, outer, tenant.inner};
 }
 
 Status

@@ -284,13 +284,13 @@ class TenantRegistry {
     sdk::LoadedEnclave* cvmRoot() { return cvmRoot_; }
 
     /**
-     * Root-first dispatch chain for the tenant's endpoint: {cvm,
-     * gateway, inner} under Cvm, empty under Flat (callers fall back to
-     * the classic {outer, inner} pair, keeping flat byte-identity).
+     * Root-first dispatch chain down to the tenant: {gateway, inner}
+     * under Flat, {cvm, gateway, inner} under Cvm. Empty while any link
+     * is missing (inner-less tenant, gateway mid subtree rebuild).
      */
     std::vector<sdk::LoadedEnclave*> dispatchChain(const TenantHandle& tenant);
 
-    /** Gateway outer enclave by index (switchless endpoint resolution). */
+    /** Gateway outer enclave by index. */
     sdk::LoadedEnclave* gatewayOuter(std::size_t index)
     {
         return index < gateways_.size() ? gateways_[index].outer : nullptr;

@@ -26,6 +26,18 @@ poisonedStatus(Status st)
     }
 }
 
+/** The switchless endpoint a tenant's batches ride: its full dispatch
+ *  chain, served by the leaf's serve_batch n-ecall. */
+switchless::Endpoint
+switchlessEndpoint(TenantRegistry& registry, const TenantHandle& tenant)
+{
+    switchless::Endpoint ep;
+    ep.chain = registry.dispatchChain(tenant);
+    ep.innerCall = "serve_batch";
+    ep.slot = tenant.slot;
+    return ep;
+}
+
 }  // namespace
 
 Status
@@ -184,15 +196,8 @@ WorkerPool::rebuildSubtree(std::size_t gatewayIndex)
 Result<Bytes>
 WorkerPool::dispatchVia(TenantHandle& tenant, ByteView blob, hw::CoreId core)
 {
-    if (engine_ != nullptr && tenant.inner != nullptr) {
-        switchless::Endpoint ep;
-        ep.outer = registry_->gatewayOuter(tenant.gatewayIndex);
-        ep.inner = tenant.inner;
-        ep.innerCall = "serve_batch";
-        ep.slot = tenant.slot;
-        // Cvm topology: route rings through the full ancestor chain
-        // (empty chain = the classic two-tier shape, flat unchanged).
-        ep.chain = registry_->dispatchChain(tenant);
+    if (engine_ != nullptr) {
+        const switchless::Endpoint ep = switchlessEndpoint(*registry_, tenant);
         if (engine_->ready(tenant.id, ep)) {
             return engine_->call(tenant.id, ep, blob, core);
         }
@@ -551,14 +556,9 @@ TenantService::armSwitchless()
     if (!switchless_) return 0;
     std::size_t armed = 0;
     for (const auto& [id, tenant] : registry_.tenants()) {
-        if (!tenant->inner) continue;
-        switchless::Endpoint ep;
-        ep.outer = registry_.gatewayOuter(tenant->gatewayIndex);
-        ep.inner = tenant->inner;
-        ep.innerCall = "serve_batch";
-        ep.slot = tenant->slot;
-        ep.chain = registry_.dispatchChain(*tenant);
-        if (switchless_->ready(id, ep)) ++armed;
+        if (switchless_->ready(id, switchlessEndpoint(registry_, *tenant))) {
+            ++armed;
+        }
     }
     return armed;
 }

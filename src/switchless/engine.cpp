@@ -8,6 +8,16 @@ namespace nesgx::switchless {
 
 namespace {
 
+/** The host side's core: it initialises, feeds and drains host-memory
+ *  rings from outside any enclave. */
+constexpr hw::CoreId kHostCore = 0;
+
+constexpr std::uint64_t
+pagesFor(std::uint64_t bytes)
+{
+    return (bytes + hw::kPageSize - 1) / hw::kPageSize;
+}
+
 /** Pops until this call's own descriptor surfaces; older ids are
  *  orphans of failed pumps that were already covered by a fallback —
  *  draining them here just recycles their slots. */
@@ -35,6 +45,12 @@ publishOcall(sgx::Machine& m, trace::EventKind kind, hw::CoreId core,
     event.core = core;
     event.text = name;
     bus.publish(event);
+}
+
+std::vector<sdk::LoadedEnclave*>
+prefixOf(const std::vector<sdk::LoadedEnclave*>& chain, std::size_t depth)
+{
+    return {chain.begin(), chain.begin() + long(depth)};
 }
 
 }  // namespace
@@ -87,410 +103,220 @@ SwitchlessEngine::releaseCore(hw::CoreId core)
 }
 
 bool
-SwitchlessEngine::armGateway(sdk::LoadedEnclave* outer)
+SwitchlessEngine::mapHostRings(Rings& rings)
 {
-    if (gateways_.count(outer) != 0) return true;
-
-    GatewayChannel gw;
-    gw.outer = outer;
-
-    sgx::Machine& m = machine();
-    os::Kernel& kernel = urts_.kernel();
-
-    // Tier-1 plumbing lives in host-shared untrusted memory: two rings
-    // plus the request/response staging buffer.
-    const std::uint64_t ringBytes = DescRing::bytesFor(config_.ringCapacity);
     const std::uint64_t ringPages =
-        (ringBytes + hw::kPageSize - 1) / hw::kPageSize;
-    const std::uint64_t stagingPages =
-        (config_.hostStagingBytes + hw::kPageSize - 1) / hw::kPageSize;
-    hw::Vaddr base =
-        kernel.mapUntrusted(urts_.pid(), 2 * ringPages + stagingPages);
-    if (base == 0) return false;
-
-    if (!takeCore(gw.pollerCore)) return false;
-    kernel.schedule(gw.pollerCore, urts_.pid());
-
-    // The host side initialises host-memory rings from outside.
-    hw::CoreId host = 0;
-    if (!gw.req.init(m, host, base, config_.ringCapacity)) {
-        releaseCore(gw.pollerCore);
+        pagesFor(DescRing::bytesFor(kRingCapacity));
+    hw::Vaddr base = 0;
+    if (!freeHostRegions_.empty()) {
+        base = freeHostRegions_.back();
+        freeHostRegions_.pop_back();
+    } else {
+        base = urts_.kernel().mapUntrusted(
+            urts_.pid(), 2 * ringPages + pagesFor(kStagingBytes));
+        if (base == 0) return false;
+    }
+    sgx::Machine& m = machine();
+    const hw::Vaddr respVa = base + ringPages * hw::kPageSize;
+    if (!rings.req.init(m, kHostCore, base, kRingCapacity) ||
+        !rings.resp.init(m, kHostCore, respVa, kRingCapacity)) {
+        freeHostRegions_.push_back(base);
         return false;
     }
-    if (!gw.resp.init(m, host, base + ringPages * hw::kPageSize,
-                      config_.ringCapacity)) {
-        releaseCore(gw.pollerCore);
-        return false;
-    }
-    gw.stagingVa = base + 2 * ringPages * hw::kPageSize;
-
-    // Park the gateway poller: ONE classic EENTER, after which it
-    // services the rings from inside the outer for as long as traffic
-    // keeps flowing.
-    auto tcs = urts_.idleTcs(*outer);
-    if (!tcs) {
-        releaseCore(gw.pollerCore);
-        return false;
-    }
-    kernel.touchEnclave(outer->secsPage());
-    if (!m.eenter(gw.pollerCore, tcs.value())) {
-        releaseCore(gw.pollerCore);
-        return false;
-    }
-    gw.parkTcs = tcs.value();
-    gw.parked = true;
-    gw.lastActive = now();
-    ++stats_.armings;
-    gateways_[outer] = gw;
+    rings.reqVa = base;
+    rings.respVa = respVa;
+    rings.stagingVa = base + 2 * ringPages * hw::kPageSize;
     return true;
 }
 
-bool
-SwitchlessEngine::armMid(const std::vector<sdk::LoadedEnclave*>& prefix)
+void
+SwitchlessEngine::freeRings(Rings& rings, const Chain& prefix)
 {
-    sdk::LoadedEnclave* self = prefix.back();
-    if (mids_.count(self) != 0) return true;
-    sdk::LoadedEnclave* parent = prefix[prefix.size() - 2];
+    if (prefix.size() == 1) {
+        if (rings.reqVa) freeHostRegions_.push_back(rings.reqVa);
+        return;
+    }
+    sdk::TrustedHeap& heap = prefix[prefix.size() - 2]->heap();
+    if (rings.stagingVa) heap.free(rings.stagingVa);
+    if (rings.respVa) heap.free(rings.respVa);
+    if (rings.reqVa) heap.free(rings.reqVa);
+}
 
-    MidChannel mid;
-    mid.parent = parent;
-    mid.self = self;
+SwitchlessEngine::Hop*
+SwitchlessEngine::armHop(const Chain& prefix)
+{
+    auto found = hops_.find(prefix);
+    if (found != hops_.end()) return &found->second;
+    Hop& hop = hops_[prefix];
+    auto fail = [&]() -> Hop* {
+        hops_.erase(prefix);
+        return nullptr;
+    };
+    if (!takeCore(hop.core)) return fail();
+    urts_.kernel().schedule(hop.core, urts_.pid());
 
+    // Ring placement, the one per-hop branch. A root's rings live in
+    // host-shared untrusted memory and the host initialises them. A
+    // deeper hop's live in its parent's trusted heap — writable by the
+    // parent's poller (its own enclave), reachable from this hop's
+    // poller through the outer-closure walk — and park() initialises
+    // them from inside the parent (heap rings need enclave mode).
+    bool placed = false;
+    if (prefix.size() == 1) {
+        placed = mapHostRings(hop);
+    } else {
+        sdk::TrustedHeap& heap = prefix[prefix.size() - 2]->heap();
+        const std::uint64_t ringBytes = DescRing::bytesFor(kRingCapacity);
+        hop.reqVa = heap.alloc(ringBytes);
+        hop.respVa = heap.alloc(ringBytes);
+        hop.stagingVa = heap.alloc(kStagingBytes);
+        placed = hop.reqVa != 0 && hop.respVa != 0 && hop.stagingVa != 0;
+    }
+    if (!placed || !park(hop, prefix, true)) {
+        freeRings(hop, prefix);
+        releaseCore(hop.core);
+        return fail();
+    }
+    hop.lastActive = now();
+    return &hop;
+}
+
+bool
+SwitchlessEngine::park(Hop& hop, const Chain& prefix, bool initRings)
+{
     sgx::Machine& m = machine();
     os::Kernel& kernel = urts_.kernel();
-
-    if (!takeCore(mid.pollerCore)) return false;
-    kernel.schedule(mid.pollerCore, urts_.pid());
-
-    // This hop's plumbing lives in its *parent's trusted heap*: writable
-    // by the parent's poller (its own enclave) and readable/writable by
-    // this hop's poller through the outer-closure walk.
-    const std::uint64_t ringBytes = DescRing::bytesFor(config_.ringCapacity);
-    mid.ringReqVa = parent->heap().alloc(ringBytes);
-    mid.ringRespVa = parent->heap().alloc(ringBytes);
-    mid.stagingVa = parent->heap().alloc(config_.gwStagingBytes);
-    auto freeHeap = [&] {
-        if (mid.stagingVa) parent->heap().free(mid.stagingVa);
-        if (mid.ringRespVa) parent->heap().free(mid.ringRespVa);
-        if (mid.ringReqVa) parent->heap().free(mid.ringReqVa);
-        releaseCore(mid.pollerCore);
-    };
-    if (mid.ringReqVa == 0 || mid.ringRespVa == 0 || mid.stagingVa == 0) {
-        freeHeap();
-        return false;
-    }
     auto unwind = [&] {
-        while (m.core(mid.pollerCore).depth() >= 2) {
-            if (!m.neexit(mid.pollerCore)) break;
+        while (m.core(hop.core).depth() >= 2) {
+            if (!m.neexit(hop.core)) break;
         }
-        if (m.core(mid.pollerCore).inEnclaveMode()) {
-            (void)m.eexit(mid.pollerCore);
-        }
+        if (m.core(hop.core).inEnclaveMode()) (void)m.eexit(hop.core);
+        return false;
     };
 
-    // Park the mid poller at its chain depth: EENTER the root, NEENTER
-    // every deeper link, initialising the rings from the parent hop
-    // (heap rings must be initialised from enclave mode).
-    auto rootTcs = urts_.idleTcs(*prefix.front());
-    if (!rootTcs) {
-        freeHeap();
-        return false;
-    }
-    kernel.touchEnclave(prefix.front()->secsPage());
-    if (!m.eenter(mid.pollerCore, rootTcs.value())) {
-        freeHeap();
-        return false;
-    }
-    mid.parkTcses.push_back(rootTcs.value());
-
-    const std::uint64_t eid = parent->secsPage();
-    for (std::size_t i = 1; i < prefix.size(); ++i) {
-        if (prefix[i - 1] == parent) {
-            if (!mid.req.init(m, mid.pollerCore, mid.ringReqVa,
-                              config_.ringCapacity, eid) ||
-                !mid.resp.init(m, mid.pollerCore, mid.ringRespVa,
-                               config_.ringCapacity, eid)) {
-                unwind();
-                freeHeap();
-                return false;
+    // EENTER the chain root, then NEENTER every deeper link down to the
+    // hop's own enclave: the poller parks at the hop's depth.
+    hop.tcses.clear();
+    for (std::size_t i = 0; i < prefix.size(); ++i) {
+        if (initRings && i > 0 && i + 1 == prefix.size()) {
+            const std::uint64_t eid = prefix[i - 1]->secsPage();
+            if (!hop.req.init(m, hop.core, hop.reqVa, kRingCapacity, eid) ||
+                !hop.resp.init(m, hop.core, hop.respVa, kRingCapacity,
+                               eid)) {
+                return unwind();
             }
         }
         auto tcs = urts_.idleTcs(*prefix[i]);
-        if (!tcs) {
-            unwind();
-            freeHeap();
-            return false;
-        }
+        if (!tcs) return unwind();
         kernel.touchEnclave(prefix[i]->secsPage());
-        if (!m.neenter(mid.pollerCore, tcs.value())) {
-            unwind();
-            freeHeap();
-            return false;
-        }
-        mid.parkTcses.push_back(tcs.value());
+        Status st = i == 0 ? m.eenter(hop.core, tcs.value())
+                           : m.neenter(hop.core, tcs.value());
+        if (!st) return unwind();
+        hop.tcses.push_back(tcs.value());
     }
-    mid.parked = true;
-    mid.lastActive = now();
+    hop.parked = true;
     ++stats_.armings;
-    mids_[self] = mid;
     return true;
 }
 
 bool
-SwitchlessEngine::armTenant(std::uint64_t key, const Endpoint& ep)
+SwitchlessEngine::resume(Hop& hop)
 {
-    const std::vector<sdk::LoadedEnclave*> chain = ep.canonicalChain();
-    if (chain.size() < 2 || chain.front() == nullptr) return false;
-    if (!armGateway(chain.front())) return false;
-    // One relay hop per link between root and leaf (none for the
-    // classic depth-2 shape).
-    for (std::size_t i = 1; i + 1 < chain.size(); ++i) {
-        if (!armMid(std::vector<sdk::LoadedEnclave*>(
-                chain.begin(), chain.begin() + long(i) + 1))) {
-            return false;
-        }
-    }
-    GatewayChannel& gw = gateways_[chain.front()];
-
-    TenantChannel ch;
-    ch.outer = chain.front();
-    ch.inner = chain.back();
-    ch.ringHost = chain[chain.size() - 2];
-    ch.chain = chain;
-
     sgx::Machine& m = machine();
-    os::Kernel& kernel = urts_.kernel();
-
-    if (!takeCore(ch.pollerCore)) return false;
-    kernel.schedule(ch.pollerCore, urts_.pid());
-
-    // Leaf plumbing lives in the *leaf parent's trusted heap*: writable
-    // by that hop's poller (its own enclave) and readable/writable by
-    // the leaf poller through the outer-closure walk.
-    const std::uint64_t ringBytes = DescRing::bytesFor(config_.ringCapacity);
-    ch.ringReqVa = ch.ringHost->heap().alloc(ringBytes);
-    ch.ringRespVa = ch.ringHost->heap().alloc(ringBytes);
-    ch.stagingVa = ch.ringHost->heap().alloc(config_.gwStagingBytes);
-    auto freeHeap = [&] {
-        if (ch.stagingVa) ch.ringHost->heap().free(ch.stagingVa);
-        if (ch.ringRespVa) ch.ringHost->heap().free(ch.ringRespVa);
-        if (ch.ringReqVa) ch.ringHost->heap().free(ch.ringReqVa);
-        releaseCore(ch.pollerCore);
-    };
-    if (ch.ringReqVa == 0 || ch.ringRespVa == 0 || ch.stagingVa == 0) {
-        freeHeap();
-        return false;
-    }
-    auto unwind = [&] {
-        while (m.core(ch.pollerCore).depth() >= 2) {
-            if (!m.neexit(ch.pollerCore)) break;
-        }
-        if (m.core(ch.pollerCore).inEnclaveMode()) {
-            (void)m.eexit(ch.pollerCore);
-        }
-    };
-
-    // Enter the chain root first, then NEENTER every deeper link down
-    // to the leaf; the leaf rings are initialised while the core sits
-    // in the leaf's parent (heap rings must be initialised from enclave
-    // mode).
-    auto rootTcs = urts_.idleTcs(*chain.front());
-    if (!rootTcs) {
-        freeHeap();
-        return false;
-    }
-    kernel.touchEnclave(chain.front()->secsPage());
-    if (!m.eenter(ch.pollerCore, rootTcs.value())) {
-        freeHeap();
-        return false;
-    }
-    ch.parkTcses.push_back(rootTcs.value());
-
-    const std::uint64_t eid = ch.ringHost->secsPage();
-    for (std::size_t i = 1; i < chain.size(); ++i) {
-        if (chain[i - 1] == ch.ringHost) {
-            if (!ch.req.init(m, ch.pollerCore, ch.ringReqVa,
-                             config_.ringCapacity, eid) ||
-                !ch.resp.init(m, ch.pollerCore, ch.ringRespVa,
-                              config_.ringCapacity, eid)) {
-                unwind();
-                freeHeap();
-                return false;
-            }
-        }
-        auto tcs = urts_.idleTcs(*chain[i]);
-        if (!tcs) {
-            unwind();
-            freeHeap();
-            return false;
-        }
-        kernel.touchEnclave(chain[i]->secsPage());
-        if (!m.neenter(ch.pollerCore, tcs.value())) {
-            unwind();
-            freeHeap();
-            return false;
-        }
-        ch.parkTcses.push_back(tcs.value());
-    }
-    ch.parked = true;
-    ch.lastActive = now();
-    if (config_.threadedPollers) startPoller(ch);
-    ++stats_.armings;
-    ++gw.tenants;
-    for (std::size_t i = 1; i + 1 < chain.size(); ++i) {
-        ++mids_[chain[i]].users;
-    }
-    tenants_[key] = ch;
-    return true;
+    if (m.core(hop.core).inEnclaveMode()) return true;
+    // The poller took an AEX (IPI shootdown, storm): the whole nest is
+    // saved in the bottom (chain-root) TCS — ERESUME puts it back.
+    return !hop.tcses.empty() && m.eresume(hop.core, hop.tcses.front());
 }
 
 void
-SwitchlessEngine::startPoller(TenantChannel& ch)
+SwitchlessEngine::unpark(Hop& hop)
 {
-    ch.poller = std::make_shared<PollerState>();
-    PollerState* ps = ch.poller.get();
-    ps->thread = std::thread([ps] {
-        std::unique_lock<std::mutex> lk(ps->m);
-        for (;;) {
-            // This wait IS the park: the poller thread sleeps here until
-            // a request is posted or the channel is disarmed.
-            ps->cv.wait(lk, [ps] { return ps->hasWork || ps->stop; });
-            if (ps->stop) return;
-            std::function<void()> job = std::move(ps->job);
-            ps->hasWork = false;
-            lk.unlock();
-            job();
-            lk.lock();
-            ps->done = true;
-            ps->cv.notify_all();
+    if (!hop.parked) return;
+    sgx::Machine& m = machine();
+    // An AEX'd poller resumes first so the exit path is the clean one;
+    // when even that fails the enclave is gone and the frames died with
+    // it. Otherwise a symmetric unwind: one NEEXIT per link below the
+    // root, then the EEXIT out.
+    if (resume(hop)) {
+        while (m.core(hop.core).depth() >= 2) {
+            if (!m.neexit(hop.core)) break;
         }
-    });
+        (void)m.eexit(hop.core);
+    }
+    hop.parked = false;
+    releaseCore(hop.core);
 }
 
 void
-SwitchlessEngine::stopPoller(TenantChannel& ch)
+SwitchlessEngine::disarmHop(const Chain& prefix)
 {
-    if (!ch.poller) return;
-    {
-        std::lock_guard<std::mutex> lk(ch.poller->m);
-        ch.poller->stop = true;
+    auto it = hops_.find(prefix);
+    if (it == hops_.end()) return;
+    Hop& hop = it->second;
+    sgx::Machine& m = machine();
+    // Never silently drop in-flight entries. The host drains host-memory
+    // rings from outside; heap rings need an enclave-mode core — the
+    // parked poller when it is still viable, else the trace-only poison
+    // marker (the backing enclave is dead and the caller's completion
+    // machinery re-issues through the classic path).
+    const bool hostRings = prefix.size() == 1;
+    const bool drainable = hostRings || (hop.parked && resume(hop));
+    if (drainable) {
+        const hw::CoreId core = hostRings ? kHostCore : hop.core;
+        if (hop.req.bound()) (void)hop.req.abandon(m, core);
+        if (hop.resp.bound()) (void)hop.resp.abandon(m, core);
     }
-    ch.poller->cv.notify_all();
-    if (ch.poller->thread.joinable()) ch.poller->thread.join();
-    ch.poller.reset();
+    unpark(hop);
+    if (!drainable) {
+        if (hop.req.bound()) hop.req.markAbandoned(m);
+        if (hop.resp.bound()) hop.resp.markAbandoned(m);
+    }
+    freeRings(hop, prefix);
+    hops_.erase(it);
+}
+
+void
+SwitchlessEngine::release(const Chain& chain, std::size_t depth)
+{
+    // Deepest first: each hop's rings live in the hop above it.
+    for (std::size_t d = depth; d > 0; --d) {
+        const Chain prefix = prefixOf(chain, d);
+        auto it = hops_.find(prefix);
+        if (it == hops_.end()) continue;
+        if (it->second.riders > 0) --it->second.riders;
+        if (it->second.riders == 0) disarmHop(prefix);
+    }
 }
 
 bool
 SwitchlessEngine::ready(std::uint64_t key, const Endpoint& ep)
 {
-    if (!config_.enabled) return false;
-    if (ep.outer == nullptr || ep.inner == nullptr) return false;
+    if (!config_.enabled || ep.chain.size() < 2) return false;
+    for (sdk::LoadedEnclave* enclave : ep.chain) {
+        if (enclave == nullptr) return false;
+    }
     std::lock_guard<std::recursive_mutex> g(m_);
     auto it = tenants_.find(key);
     if (it != tenants_.end()) {
         // A rebuilt enclave comes back as a different LoadedEnclave;
-        // any pointer mismatch along the chain means a channel poller
-        // is parked in a dead enclave — tear it down and re-arm fresh.
-        if (it->second.chain != ep.canonicalChain()) {
-            disarm(key);
-        } else {
-            return true;
+        // any pointer mismatch along the chain means a poller is parked
+        // in a dead enclave — tear it down and re-arm fresh.
+        if (it->second.chain == ep.chain) return true;
+        disarm(key);
+    }
+    // Root first, one rider per hop; a link that fails to arm releases
+    // the hops taken so far.
+    for (std::size_t depth = 1; depth <= ep.chain.size(); ++depth) {
+        Hop* hop = armHop(prefixOf(ep.chain, depth));
+        if (hop == nullptr) {
+            release(ep.chain, depth - 1);
+            return false;
         }
+        ++hop->riders;
     }
-    return armTenant(key, ep);
-}
-
-bool
-SwitchlessEngine::resumeGateway(GatewayChannel& gw)
-{
-    sgx::Machine& m = machine();
-    if (m.core(gw.pollerCore).inEnclaveMode()) return true;
-    // The poller took an AEX (IPI shootdown, storm): the whole nest is
-    // saved in the bottom TCS — ERESUME puts it back.
-    return bool(m.eresume(gw.pollerCore, gw.parkTcs));
-}
-
-bool
-SwitchlessEngine::resumeTenant(TenantChannel& ch)
-{
-    sgx::Machine& m = machine();
-    if (m.core(ch.pollerCore).inEnclaveMode()) return true;
-    if (ch.parkTcses.empty()) return false;
-    // The whole nest was saved in the bottom (chain-root) TCS.
-    return bool(m.eresume(ch.pollerCore, ch.parkTcses.front()));
-}
-
-bool
-SwitchlessEngine::resumeMid(MidChannel& mid)
-{
-    sgx::Machine& m = machine();
-    if (m.core(mid.pollerCore).inEnclaveMode()) return true;
-    if (mid.parkTcses.empty()) return false;
-    return bool(m.eresume(mid.pollerCore, mid.parkTcses.front()));
-}
-
-void
-SwitchlessEngine::unparkGateway(GatewayChannel& gw)
-{
-    sgx::Machine& m = machine();
-    if (!gw.parked) return;
-    if (!m.core(gw.pollerCore).inEnclaveMode()) {
-        // AEX'd poller: resume first so the exit path is the clean one;
-        // when even that fails the enclave is gone and the frames died
-        // with it.
-        if (!m.eresume(gw.pollerCore, gw.parkTcs)) {
-            gw.parked = false;
-            releaseCore(gw.pollerCore);
-            return;
-        }
-    }
-    (void)m.eexit(gw.pollerCore);
-    gw.parked = false;
-    releaseCore(gw.pollerCore);
-}
-
-void
-SwitchlessEngine::unparkTenant(TenantChannel& ch)
-{
-    sgx::Machine& m = machine();
-    if (!ch.parked) return;
-    if (!m.core(ch.pollerCore).inEnclaveMode()) {
-        if (ch.parkTcses.empty() ||
-            !m.eresume(ch.pollerCore, ch.parkTcses.front())) {
-            ch.parked = false;
-            releaseCore(ch.pollerCore);
-            return;
-        }
-    }
-    // Symmetric unwind: one NEEXIT per chain hop below the root, then
-    // the EEXIT out.
-    while (m.core(ch.pollerCore).depth() >= 2) {
-        if (!m.neexit(ch.pollerCore)) break;
-    }
-    (void)m.eexit(ch.pollerCore);
-    ch.parked = false;
-    releaseCore(ch.pollerCore);
-}
-
-void
-SwitchlessEngine::unparkMid(MidChannel& mid)
-{
-    sgx::Machine& m = machine();
-    if (!mid.parked) return;
-    if (!m.core(mid.pollerCore).inEnclaveMode()) {
-        if (mid.parkTcses.empty() ||
-            !m.eresume(mid.pollerCore, mid.parkTcses.front())) {
-            mid.parked = false;
-            releaseCore(mid.pollerCore);
-            return;
-        }
-    }
-    while (m.core(mid.pollerCore).depth() >= 2) {
-        if (!m.neexit(mid.pollerCore)) break;
-    }
-    (void)m.eexit(mid.pollerCore);
-    mid.parked = false;
-    releaseCore(mid.pollerCore);
+    tenants_[key] = Tenant{ep.chain, false};
+    return true;
 }
 
 void
@@ -499,104 +325,22 @@ SwitchlessEngine::disarm(std::uint64_t key)
     std::lock_guard<std::recursive_mutex> g(m_);
     auto it = tenants_.find(key);
     if (it == tenants_.end()) return;
-    TenantChannel& ch = it->second;
-    // Retire the parked thread first: after the join nobody but this
-    // thread can touch the channel's cores or rings.
-    stopPoller(ch);
-
-    sgx::Machine& m = machine();
-    // Never silently drop in-flight entries. The tier-2 rings live in
-    // the outer's heap, so draining them needs an enclave-mode core:
-    // the parked tenant poller when it is still viable, else the
-    // trace-only poison marker (the backing enclave is dead and the
-    // caller's completion machinery re-issues through the classic path).
-    bool drained = false;
-    if (ch.parked && resumeTenant(ch)) {
-        if (ch.req.bound()) (void)ch.req.abandon(m, ch.pollerCore);
-        if (ch.resp.bound()) (void)ch.resp.abandon(m, ch.pollerCore);
-        drained = true;
-    }
-    unparkTenant(ch);
-    if (!drained) {
-        if (ch.req.bound()) ch.req.markAbandoned(m);
-        if (ch.resp.bound()) ch.resp.markAbandoned(m);
-    }
-    if (ch.stagingVa) ch.ringHost->heap().free(ch.stagingVa);
-    if (ch.ringRespVa) ch.ringHost->heap().free(ch.ringRespVa);
-    if (ch.ringReqVa) ch.ringHost->heap().free(ch.ringReqVa);
-
-    // Release the intermediate hops this chain rode, deepest first
-    // (their rings live in their parents' heaps). A hop disarms only
-    // when its last rider leaves.
-    if (ch.chain.size() >= 3) {
-        for (std::size_t i = ch.chain.size() - 2; i >= 1; --i) {
-            auto midIt = mids_.find(ch.chain[i]);
-            if (midIt != mids_.end()) {
-                if (midIt->second.users > 0) --midIt->second.users;
-                if (midIt->second.users == 0) disarmMid(ch.chain[i]);
-            }
-            if (i == 1) break;
-        }
-    }
-
-    auto gwIt = gateways_.find(ch.outer);
-    if (gwIt != gateways_.end() && gwIt->second.tenants > 0) {
-        --gwIt->second.tenants;
-    }
+    const Chain chain = std::move(it->second.chain);
     tenants_.erase(it);
-}
-
-void
-SwitchlessEngine::disarmMid(sdk::LoadedEnclave* self)
-{
-    auto it = mids_.find(self);
-    if (it == mids_.end()) return;
-    MidChannel& mid = it->second;
-    sgx::Machine& m = machine();
-    bool drained = false;
-    if (mid.parked && resumeMid(mid)) {
-        if (mid.req.bound()) (void)mid.req.abandon(m, mid.pollerCore);
-        if (mid.resp.bound()) (void)mid.resp.abandon(m, mid.pollerCore);
-        drained = true;
-    }
-    unparkMid(mid);
-    if (!drained) {
-        if (mid.req.bound()) mid.req.markAbandoned(m);
-        if (mid.resp.bound()) mid.resp.markAbandoned(m);
-    }
-    if (mid.stagingVa) mid.parent->heap().free(mid.stagingVa);
-    if (mid.ringRespVa) mid.parent->heap().free(mid.ringRespVa);
-    if (mid.ringReqVa) mid.parent->heap().free(mid.ringReqVa);
-    mids_.erase(it);
-}
-
-void
-SwitchlessEngine::disarmGateway(GatewayChannel& gw)
-{
-    sgx::Machine& m = machine();
-    if (gw.req.bound()) (void)gw.req.abandon(m, 0);
-    if (gw.resp.bound()) (void)gw.resp.abandon(m, 0);
-    unparkGateway(gw);
+    release(chain, chain.size());
 }
 
 void
 SwitchlessEngine::disarmAll()
 {
     std::lock_guard<std::recursive_mutex> g(m_);
-    // Leaves first, then any surviving mid hops, then the roots: each
-    // layer's rings live one layer up.
     while (!tenants_.empty()) disarm(tenants_.begin()->first);
-    while (!mids_.empty()) disarmMid(mids_.begin()->first);
-    for (auto& [outer, gw] : gateways_) disarmGateway(gw);
-    gateways_.clear();
-    {
-        std::lock_guard<std::mutex> og(ocallM_);
-        for (auto& [root, oc] : ocallChannels_) {
-            if (oc.req.bound()) (void)oc.req.abandon(machine(), 0);
-            if (oc.resp.bound()) (void)oc.resp.abandon(machine(), 0);
-        }
-        ocallChannels_.clear();
+    for (auto& [root, rings] : ocallRings_) {
+        (void)rings.req.abandon(machine(), kHostCore);
+        (void)rings.resp.abandon(machine(), kHostCore);
+        freeHostRegions_.push_back(rings.reqVa);
     }
+    ocallRings_.clear();
 }
 
 ChannelProgress
@@ -608,98 +352,39 @@ SwitchlessEngine::channelProgress(std::uint64_t key) const
     if (it == tenants_.end()) return out;
     out.armed = true;
     out.wedged = it->second.wedged;
-    out.lastActive = it->second.lastActive;
+    out.lastActive = hops_.at(it->second.chain).lastActive;
     return out;
 }
 
 void
-SwitchlessEngine::idleCheck(std::uint64_t key, TenantChannel& ch)
+SwitchlessEngine::idleCheck(const Chain& chain, const std::vector<Hop*>& hops)
 {
-    (void)key;
     const std::uint64_t t = now();
+    sgx::Machine& m = machine();
     // A poller whose rings stayed empty past the threshold has given the
     // core back (spin -> yield -> exit); the request that finds it gone
     // pays the classic re-entry. This is the knob that makes transition
     // count scale with idleness instead of load.
-    if (ch.parked && t - ch.lastActive > config_.idleParkCycles) {
-        sgx::Machine& m = machine();
-        (void)ch.req.abandon(m, ch.pollerCore);
-        (void)ch.resp.abandon(m, ch.pollerCore);
+    for (std::size_t depth = hops.size(); depth-- > 0;) {
+        Hop& hop = *hops[depth];
+        if (!hop.parked || t - hop.lastActive <= config_.idleParkCycles) {
+            continue;
+        }
+        (void)hop.req.abandon(m, hop.core);
+        (void)hop.resp.abandon(m, hop.core);
         ++stats_.idleFallbacks;
-        unparkTenant(ch);
+        unpark(hop);
         // Re-park immediately for the request being served now: this is
         // the classic-entry fallback cost (EENTER + one NEENTER per
-        // deeper chain hop), paid once per idle episode.
-        hw::CoreId core;
-        if (takeCore(core)) {
-            urts_.kernel().schedule(core, urts_.pid());
-            std::vector<hw::Paddr> tcses;
-            bool ok = false;
-            auto rootTcs = urts_.idleTcs(*ch.chain.front());
-            if (rootTcs && m.eenter(core, rootTcs.value())) {
-                tcses.push_back(rootTcs.value());
-                ok = true;
-                for (std::size_t i = 1; ok && i < ch.chain.size(); ++i) {
-                    auto tcs = urts_.idleTcs(*ch.chain[i]);
-                    if (tcs && m.neenter(core, tcs.value())) {
-                        tcses.push_back(tcs.value());
-                    } else {
-                        ok = false;
-                    }
-                }
-                if (!ok) {
-                    while (m.core(core).depth() >= 2) {
-                        if (!m.neexit(core)) break;
-                    }
-                    (void)m.eexit(core);
-                }
-            }
-            if (ok) {
-                ch.pollerCore = core;
-                ch.parkTcses = tcses;
-                ch.parked = true;
-                ch.lastActive = t;
-                ++stats_.armings;
-            } else {
-                releaseCore(core);
-            }
+        // deeper link), paid once per idle episode.
+        if (!takeCore(hop.core)) continue;
+        urts_.kernel().schedule(hop.core, urts_.pid());
+        if (park(hop, prefixOf(chain, depth + 1), false)) {
+            hop.lastActive = t;
+        } else {
+            releaseCore(hop.core);
         }
     }
-    auto gwIt = gateways_.find(ch.outer);
-    if (gwIt == gateways_.end()) return;
-    GatewayChannel& gw = gwIt->second;
-    if (gw.parked && t - gw.lastActive > config_.idleParkCycles) {
-        sgx::Machine& m = machine();
-        (void)gw.req.abandon(m, gw.pollerCore);
-        (void)gw.resp.abandon(m, gw.pollerCore);
-        ++stats_.idleFallbacks;
-        unparkGateway(gw);
-        hw::CoreId core;
-        if (takeCore(core)) {
-            urts_.kernel().schedule(core, urts_.pid());
-            auto tcs = urts_.idleTcs(*gw.outer);
-            if (tcs && m.eenter(core, tcs.value())) {
-                gw.pollerCore = core;
-                gw.parkTcs = tcs.value();
-                gw.parked = true;
-                gw.lastActive = t;
-                ++stats_.armings;
-            } else {
-                releaseCore(core);
-            }
-        }
-    }
-}
-
-std::vector<SwitchlessEngine::MidChannel*>
-SwitchlessEngine::midsFor(const TenantChannel& ch)
-{
-    std::vector<MidChannel*> out;
-    for (std::size_t i = 1; i + 1 < ch.chain.size(); ++i) {
-        auto it = mids_.find(ch.chain[i]);
-        if (it != mids_.end()) out.push_back(&it->second);
-    }
-    return out;
 }
 
 Result<Bytes>
@@ -709,15 +394,13 @@ SwitchlessEngine::call(std::uint64_t key, const Endpoint& ep, ByteView blob,
     std::lock_guard<std::recursive_mutex> g(m_);
     auto it = tenants_.find(key);
     if (it == tenants_.end()) return Err::Unavailable;
-    TenantChannel& ch = it->second;
-    auto gwIt = gateways_.find(ch.outer);
-    if (gwIt == gateways_.end()) return Err::Unavailable;
-    GatewayChannel& gw = gwIt->second;
-    std::vector<MidChannel*> mids = midsFor(ch);
-    if (ch.chain.size() >= 3 && mids.size() != ch.chain.size() - 2) {
-        // A mid hop the chain depends on is gone: re-arm from scratch.
-        disarm(key);
-        return Err::Unavailable;
+    Tenant& tenant = it->second;
+    const Chain& chain = tenant.chain;  // valid until a disarm(key)
+    // Every hop of an armed chain holds the tenant as a rider, so all of
+    // them are present.
+    std::vector<Hop*> hops;
+    for (std::size_t depth = 1; depth <= chain.size(); ++depth) {
+        hops.push_back(&hops_.at(prefixOf(chain, depth)));
     }
 
     sgx::Machine& m = machine();
@@ -730,49 +413,43 @@ SwitchlessEngine::call(std::uint64_t key, const Endpoint& ep, ByteView blob,
     // fresh channel. The wedge refuses *before* posting so no descriptor
     // is ever orphaned.
     if (m.faultFires(fault::FaultSite::PollerWedge, hostCore)) {
-        ch.wedged = true;
+        tenant.wedged = true;
         ++stats_.pollerWedges;
     }
-    if (ch.wedged) return Err::Unavailable;
+    if (tenant.wedged) return Err::Unavailable;
 
-    idleCheck(key, ch);
-    if (!ch.parked || !gw.parked) {
-        // Idle fallback could not re-arm (cores or TCSes exhausted):
-        // classic path until pressure eases.
+    idleCheck(chain, hops);
+    // A hop idle fallback could not re-park (cores or TCSes exhausted),
+    // or an AEX'd poller that cannot resume: classic path until pressure
+    // eases.
+    auto live = [&] {
+        for (Hop* hop : hops) {
+            if (!hop->parked) return false;
+        }
+        for (Hop* hop : hops) {
+            if (!resume(*hop)) return false;
+        }
+        return true;
+    };
+    if (!live()) {
         disarm(key);
         return Err::Unavailable;
     }
-    for (MidChannel* mid : mids) {
-        if (!mid->parked) {
-            disarm(key);
-            return Err::Unavailable;
-        }
-    }
-    if (!resumeGateway(gw) || !resumeTenant(ch)) {
-        disarm(key);
-        return Err::Unavailable;
-    }
-    for (MidChannel* mid : mids) {
-        if (!resumeMid(*mid)) {
-            disarm(key);
-            return Err::Unavailable;
-        }
-    }
 
-    if (blob.size() < 4 || blob.size() > config_.hostStagingBytes) {
+    if (blob.size() < 4 || blob.size() > kStagingBytes) {
         return Err::BadCallBuffer;
     }
 
-    // ---- host -> gateway: post into untrusted shared memory ----------
-    Status st = m.write(hostCore, gw.stagingVa, blob.data(), blob.size());
+    // ---- host -> root: post into untrusted shared memory -------------
+    Hop& root = *hops.front();
+    Status st = m.write(hostCore, root.stagingVa, blob.data(), blob.size());
     if (!st) return st;
-    const std::uint64_t reqId =
-        nextRequestId_.fetch_add(1, std::memory_order_relaxed);
+    const std::uint64_t reqId = nextRequestId_++;
     Desc d;
     d.id = reqId;
-    d.va = gw.stagingVa;
+    d.va = root.stagingVa;
     d.len = blob.size();
-    st = gw.req.tryPush(m, hostCore, d);
+    st = root.req.tryPush(m, hostCore, d);
     if (!st) return st;
 
     // Deterministic ring-stall fault site: the descriptor is posted but
@@ -788,39 +465,20 @@ SwitchlessEngine::call(std::uint64_t key, const Endpoint& ep, ByteView blob,
 
     // A mid-pump failure (faulted access, evicted pages, poisoned
     // tenant) may leave descriptors in flight. Poisoning the channel —
-    // disarm abandons the tier-2 rings with SwitchlessFallback — keeps
-    // the post/drain pairing whole; the caller retries classically and
-    // a later ready() re-arms. Tier-1 orphans are tolerated by the
+    // disarm abandons the rings of every hop it releases with
+    // SwitchlessFallback — keeps the post/drain pairing whole; the
+    // caller retries classically and a later ready() re-arms. Orphans on
+    // rings of hops that other tenants still ride are tolerated by the
     // drain-until-match loops in the pump.
     auto hardFail = [&](Status s) -> Result<Bytes> {
         disarm(key);
         return s;
     };
-
-    // The in-enclave middle: on the channel's parked poller thread when
-    // one is armed (the cv handshake wakes it, it pumps, it re-parks),
-    // inline otherwise — identical operations either way.
-    Status pumped = Status::ok();
-    if (ch.poller) {
-        PollerState* ps = ch.poller.get();
-        {
-            std::lock_guard<std::mutex> lk(ps->m);
-            ps->job = [this, &ch, &gw, mids, &ep, reqId, &pumped] {
-                pumped = pumpEnclaveSide(ch, gw, mids, ep, reqId);
-            };
-            ps->hasWork = true;
-            ps->done = false;
-        }
-        ps->cv.notify_all();
-        std::unique_lock<std::mutex> lk(ps->m);
-        ps->cv.wait(lk, [ps] { return ps->done; });
-    } else {
-        pumped = pumpEnclaveSide(ch, gw, mids, ep, reqId);
-    }
+    Status pumped = pumpEnclaveSide(chain, hops, ep, reqId);
     if (!pumped) return hardFail(pumped);
 
     // ---- host: harvest -----------------------------------------------
-    auto done = popFor(m, gw.resp, hostCore, reqId);
+    auto done = popFor(m, root.resp, hostCore, reqId);
     if (!done) return hardFail(done.status());
     Bytes result(done.value().len);
     st = m.read(hostCore, done.value().va, result.data(), result.size());
@@ -831,49 +489,25 @@ SwitchlessEngine::call(std::uint64_t key, const Endpoint& ep, ByteView blob,
 }
 
 Status
-SwitchlessEngine::pumpEnclaveSide(TenantChannel& ch, GatewayChannel& gw,
-                                  const std::vector<MidChannel*>& mids,
+SwitchlessEngine::pumpEnclaveSide(const Chain& chain,
+                                  const std::vector<Hop*>& hops,
                                   const Endpoint& ep, std::uint64_t reqId)
 {
     sgx::Machine& m = machine();
-    // Several tenant poller threads can relay through one relay hop;
-    // each hop's poller core takes one request at a time, like the real
-    // parked core would. Lock order: root hop first, then each mid in
-    // chain order.
-    std::lock_guard<std::mutex> gwOwn(*gw.coreM);
-    std::vector<std::unique_lock<std::mutex>> midOwn;
-    midOwn.reserve(mids.size());
-    for (MidChannel* mid : mids) midOwn.emplace_back(*mid->coreM);
-
-    // One descriptor stop per relay hop, root first; the leaf's rings
-    // and staging are the final forwarding target.
-    struct Hop {
-        DescRing* req;
-        DescRing* resp;
-        hw::Vaddr staging;
-        hw::CoreId core;
-        std::uint64_t cap;
-        std::uint64_t* lastActive;
-    };
-    std::vector<Hop> hops;
-    hops.push_back({&gw.req, &gw.resp, gw.stagingVa, gw.pollerCore,
-                    config_.hostStagingBytes, &gw.lastActive});
-    for (MidChannel* mid : mids) {
-        hops.push_back({&mid->req, &mid->resp, mid->stagingVa,
-                        mid->pollerCore, config_.gwStagingBytes,
-                        &mid->lastActive});
-    }
-    const Hop leafHop{&ch.req, &ch.resp, ch.stagingVa, ch.pollerCore,
-                      config_.gwStagingBytes, &ch.lastActive};
+    // Several leaves relay through one hop; each hop's poller core takes
+    // one request at a time, like the real parked core would. Lock
+    // order: root hop first.
+    std::vector<std::unique_lock<std::mutex>> owned;
+    owned.reserve(hops.size());
+    for (Hop* hop : hops) owned.emplace_back(hop->coreM);
 
     // ---- downward: every relay hop drains, validates, forwards -------
-    for (std::size_t i = 0; i < hops.size(); ++i) {
-        const Hop& hop = hops[i];
-        const Hop& next = (i + 1 < hops.size()) ? hops[i + 1] : leafHop;
-        auto req = popFor(m, *hop.req, hop.core, reqId);
+    for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
+        Hop& hop = *hops[i];
+        Hop& next = *hops[i + 1];
+        auto req = popFor(m, hop.req, hop.core, reqId);
         if (!req) return req.status();
-        if (req.value().len > config_.gwStagingBytes ||
-            req.value().len > hop.cap || req.value().len < 4) {
+        if (req.value().len > kStagingBytes || req.value().len < 4) {
             return Err::BadCallBuffer;
         }
         // Copy through enclave-validated staging: the descriptor's
@@ -886,60 +520,60 @@ SwitchlessEngine::pumpEnclaveSide(TenantChannel& ch, GatewayChannel& gw,
         if (loadLe32(payload.data()) != ep.slot) {
             return Err::BadCallBuffer;
         }
-        st = m.write(hop.core, next.staging, payload.data(), payload.size());
+        st = m.write(hop.core, next.stagingVa, payload.data(),
+                     payload.size());
         if (!st) return st;
-        *hop.lastActive = now();
+        hop.lastActive = now();
 
         Desc fwd;
         fwd.id = reqId;
-        fwd.va = next.staging;
+        fwd.va = next.stagingVa;
         fwd.len = payload.size();
-        st = next.req->tryPush(m, hop.core, fwd);
+        st = next.req.tryPush(m, hop.core, fwd);
         if (!st) return st;
     }
 
     // ---- leaf poller: drain and serve without any transition ---------
-    auto inReq = popFor(m, ch.req, ch.pollerCore, reqId);
+    Hop& leaf = *hops.back();
+    auto inReq = popFor(m, leaf.req, leaf.core, reqId);
     if (!inReq) return inReq.status();
     Bytes desc(16);
     storeLe64(desc.data(), inReq.value().va);
     storeLe64(desc.data() + 8, inReq.value().len);
-    sdk::TrustedEnv innerEnv(urts_, *ch.inner, ch.pollerCore);
-    auto servedLen = innerEnv.residentCall(ep.innerCall, desc);
+    sdk::TrustedEnv leafEnv(urts_, *chain.back(), leaf.core);
+    auto servedLen = leafEnv.residentCall(ep.innerCall, desc);
     if (!servedLen) return servedLen.status();
     if (servedLen.value().size() != 8) return Err::BadCallBuffer;
     const std::uint64_t respLen = loadLe64(servedLen.value().data());
-    if (respLen > config_.gwStagingBytes) return Err::BadCallBuffer;
-    ch.lastActive = now();
+    if (respLen > kStagingBytes) return Err::BadCallBuffer;
+    leaf.lastActive = now();
 
     Desc back;
     back.id = reqId;
-    back.va = ch.stagingVa;
+    back.va = leaf.stagingVa;
     back.len = respLen;
-    Status st = ch.resp.tryPush(m, ch.pollerCore, back);
+    Status st = leaf.resp.tryPush(m, leaf.core, back);
     if (!st) return st;
 
     // ---- upward: relay the response hop by hop to the host ring ------
-    for (std::size_t i = hops.size(); i-- > 0;) {
-        const Hop& hop = hops[i];
-        const Hop& next = (i + 1 < hops.size()) ? hops[i + 1] : leafHop;
-        auto inResp = popFor(m, *next.resp, hop.core, reqId);
+    for (std::size_t i = hops.size() - 1; i-- > 0;) {
+        Hop& hop = *hops[i];
+        Hop& next = *hops[i + 1];
+        auto inResp = popFor(m, next.resp, hop.core, reqId);
         if (!inResp) return inResp.status();
-        if (inResp.value().len > hop.cap) {
-            return Err::BadCallBuffer;
-        }
+        if (inResp.value().len > kStagingBytes) return Err::BadCallBuffer;
         Bytes respBytes(inResp.value().len);
         st = m.read(hop.core, inResp.value().va, respBytes.data(),
                     respBytes.size());
         if (!st) return st;
-        st = m.write(hop.core, hop.staging, respBytes.data(),
+        st = m.write(hop.core, hop.stagingVa, respBytes.data(),
                      respBytes.size());
         if (!st) return st;
         Desc out;
         out.id = reqId;
-        out.va = hop.staging;
+        out.va = hop.stagingVa;
         out.len = respBytes.size();
-        st = hop.resp->tryPush(m, hop.core, out);
+        st = hop.resp.tryPush(m, hop.core, out);
         if (!st) return st;
     }
     return Status::ok();
@@ -950,47 +584,29 @@ SwitchlessEngine::relayOcall(sdk::LoadedEnclave& enclave, hw::CoreId core,
                              const std::string& name,
                              const sdk::UntrustedFn& fn, ByteView arg)
 {
-    if (!config_.enabled || !config_.ocallRelay) return std::nullopt;
+    if (!config_.enabled) return std::nullopt;
     // Ocall rings are per chain root: every enclave in a tree shares
-    // its root's channel.
+    // its root's rings.
     sdk::LoadedEnclave* root = &enclave;
     while (root->outer() != nullptr) root = root->outer();
 
-    // Deliberately NOT the engine lock: an ocall can surface from a
-    // tenant function mid-pump on a poller thread while call() holds
-    // m_ — the relay channels are independent plumbing.
-    std::lock_guard<std::mutex> g(ocallM_);
+    // An ocall relayed from a leaf mid-pump re-enters the engine lock on
+    // the thread that holds it.
+    std::lock_guard<std::recursive_mutex> g(m_);
     sgx::Machine& m = machine();
-    os::Kernel& kernel = urts_.kernel();
 
-    auto it = ocallChannels_.find(root);
-    if (it == ocallChannels_.end()) {
+    auto it = ocallRings_.find(root);
+    if (it == ocallRings_.end()) {
         // Lazy arm: dedicated rings + staging in host-shared memory, so
         // enclaves that never ocall pay nothing.
-        OcallChannel oc;
-        const std::uint64_t ringBytes =
-            DescRing::bytesFor(config_.ringCapacity);
-        const std::uint64_t ringPages =
-            (ringBytes + hw::kPageSize - 1) / hw::kPageSize;
-        const std::uint64_t stagingPages =
-            (config_.hostStagingBytes + hw::kPageSize - 1) / hw::kPageSize;
-        hw::Vaddr base =
-            kernel.mapUntrusted(urts_.pid(), 2 * ringPages + stagingPages);
-        if (base == 0) return std::nullopt;
-        const hw::CoreId host = 0;
-        if (!oc.req.init(m, host, base, config_.ringCapacity) ||
-            !oc.resp.init(m, host, base + ringPages * hw::kPageSize,
-                          config_.ringCapacity)) {
-            return std::nullopt;
-        }
-        oc.stagingVa = base + 2 * ringPages * hw::kPageSize;
-        oc.stagingBytes = stagingPages * hw::kPageSize;
-        it = ocallChannels_.emplace(root, oc).first;
+        Rings rings;
+        if (!mapHostRings(rings)) return std::nullopt;
+        it = ocallRings_.emplace(root, rings).first;
     }
-    OcallChannel& oc = it->second;
+    Rings& oc = it->second;
     // Staging layout: [u32 status][payload]. Oversized arguments fall
     // back to the classic path (which has no marshalling limit).
-    if (arg.size() + 4 > oc.stagingBytes) return std::nullopt;
+    if (arg.size() + 4 > kStagingBytes) return std::nullopt;
 
     m.charge(m.costs().ocallDispatch);
     publishOcall(m, trace::EventKind::SdkOcallBegin, core, name.c_str());
@@ -1008,8 +624,7 @@ SwitchlessEngine::relayOcall(sdk::LoadedEnclave& enclave, hw::CoreId core,
         st = m.write(core, oc.stagingVa + 4, arg.data(), arg.size());
         if (!st) return fail(st);
     }
-    const std::uint64_t id =
-        nextRequestId_.fetch_add(1, std::memory_order_relaxed);
+    const std::uint64_t id = nextRequestId_++;
     Desc d;
     d.id = id;
     d.va = oc.stagingVa + 4;
@@ -1017,28 +632,28 @@ SwitchlessEngine::relayOcall(sdk::LoadedEnclave& enclave, hw::CoreId core,
     st = oc.req.tryPush(m, core, d);
     if (!st) return fail(st);
 
-    // Host worker side (deterministic, inline on host core 0): drain,
+    // Host worker side (deterministic, inline on the host core): drain,
     // run the untrusted function, stage status + result.
-    const hw::CoreId host = 0;
-    auto req = popFor(m, oc.req, host, id);
+    auto req = popFor(m, oc.req, kHostCore, id);
     if (!req) return fail(req.status());
     Bytes hostArg(req.value().len);
     if (!hostArg.empty()) {
-        st = m.read(host, req.value().va, hostArg.data(), hostArg.size());
+        st = m.read(kHostCore, req.value().va, hostArg.data(),
+                    hostArg.size());
         if (!st) return fail(st);
     }
     Result<Bytes> hostResult = fn(ByteView(hostArg.data(), hostArg.size()));
     std::uint8_t header[4];
     storeLe32(header, std::uint32_t(hostResult.code()));
-    st = m.write(host, oc.stagingVa, header, 4);
+    st = m.write(kHostCore, oc.stagingVa, header, 4);
     if (!st) return fail(st);
     std::uint64_t respLen = 0;
     if (hostResult) {
         respLen = hostResult.value().size();
-        if (respLen + 4 > oc.stagingBytes) return fail(Err::BadCallBuffer);
+        if (respLen + 4 > kStagingBytes) return fail(Err::BadCallBuffer);
         if (respLen != 0) {
-            st = m.write(host, oc.stagingVa + 4, hostResult.value().data(),
-                         respLen);
+            st = m.write(kHostCore, oc.stagingVa + 4,
+                         hostResult.value().data(), respLen);
             if (!st) return fail(st);
         }
     }
@@ -1046,7 +661,7 @@ SwitchlessEngine::relayOcall(sdk::LoadedEnclave& enclave, hw::CoreId core,
     back.id = id;
     back.va = oc.stagingVa;
     back.len = respLen + 4;
-    st = oc.resp.tryPush(m, host, back);
+    st = oc.resp.tryPush(m, kHostCore, back);
     if (!st) return fail(st);
 
     // Enclave side: harvest, still resident — zero transitions paid.

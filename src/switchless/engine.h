@@ -1,54 +1,44 @@
 /**
- * SwitchlessEngine: the exit-less call layer (ISSUE.md tentpole).
+ * SwitchlessEngine: the exit-less call layer.
  *
- * Classic serving pays two transition pairs per dispatch: EENTER/EEXIT
- * into the gateway outer and NEENTER/NEEXIT into the tenant inner. This
- * engine eliminates both from the steady-state request path:
+ * Classic serving pays a transition pair per chain link on every
+ * dispatch: EENTER/EEXIT into the chain root and NEENTER/NEEXIT into
+ * each deeper enclave. This engine removes them from the steady-state
+ * request path with one hop per chain link. A hop owns a request/response
+ * descriptor ring pair plus a staging buffer in its *parent's* memory —
+ * host-shared untrusted memory for the chain root, the parent's trusted
+ * heap below it — and a poller core parked inside the hop's own enclave
+ * (one initial EENTER, then one NEENTER per deeper link). Enclave code
+ * may legally read/write untrusted memory, and an inner reaches its
+ * outer's heap through the nested-EPCM outer-closure walk (paper Fig. 6),
+ * so no poller ever needs a transition to reach its rings.
  *
- *   tier 1 (host <-> gateway): descriptor rings + a staging buffer in
- *     host-shared *untrusted* memory. A gateway poller core is parked
- *     inside the outer (one initial EENTER) and services the ring from
- *     enclave mode — enclave code may legally read/write untrusted
- *     memory, so no exit is needed.
+ * A request then flows host -> root -> ... -> leaf and back entirely
+ * through memory: post, poll, drain. Steady-state transitions per
+ * request -> 0; the only classic entries left are (re-)arming and idle
+ * fallback — a poller whose rings stay empty past `idleParkCycles` gives
+ * the core back (NEEXITs + EEXIT) and the next request re-parks it with
+ * classic entries. Transitions therefore scale with *idleness*, not load.
  *
- *   tier 2 (gateway <-> inner): rings + staging in the *outer's trusted
- *     heap*. A tenant poller core is parked inside the inner (one
- *     initial EENTER+NEENTER); inner enclaves reach outer-heap pages
- *     through the nested-EPCM outer-closure walk (paper Fig. 6), so
- *     again no transition.
+ * Security argument (mirrors the by-reference contract of the serving
+ * layer): ring descriptors carry only [va, len]. The consumer never
+ * dereferences host-chosen pointers blindly — each relaying poller
+ * validates the length against the staging capacity and *copies* the
+ * payload into the next hop's staging through its own access rights
+ * before the hop below ever sees it. A malicious descriptor can at worst
+ * fault the poller's own validated access, never corrupt enclave state.
  *
- * A request then flows host -> outer -> inner and back entirely through
- * memory: post, poll, drain. Steady-state transitions per request -> 0;
- * the only classic entries left are (re-)arming and idle fallback —
- * a poller whose rings stay empty past `idleParkCycles` gives the core
- * back (EEXIT/NEEXIT out) and the next request re-parks it with classic
- * entries. Transitions therefore scale with *idleness*, not with load.
- *
- * Security argument (mirrors the PR-4 by-reference contract): ring
- * descriptors carry only [va, len]. The consumer never dereferences
- * host-chosen pointers blindly — the gateway poller validates the
- * length against its staging capacity and *copies* the payload into
- * enclave-validated staging through its own access rights before the
- * inner ever sees it; the inner reads only outer-heap staging its
- * gateway wrote. A malicious descriptor can at worst fault the poller's
- * own validated access, never corrupt enclave state.
- *
- * The engine is deliberately serve-layer agnostic: channels are keyed
- * by an opaque `key` (the serve layer passes tenant ids) and each call
+ * The engine is deliberately serve-layer agnostic: tenants are keyed by
+ * an opaque `key` (the serve layer passes tenant ids) and each call
  * carries an Endpoint resolved by the caller, so this library depends
  * only on the SDK beneath it.
  */
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sdk/runtime.h"
@@ -59,8 +49,6 @@ namespace nesgx::switchless {
 
 struct Config {
     bool enabled = false;
-    /** Slots per descriptor ring. */
-    std::uint64_t ringCapacity = 16;
     /** Ring idle time (cycles) after which a parked poller falls back:
      *  it exits the enclave and the next request re-arms it with a
      *  classic EENTER. ~14 ms at 3.6 GHz. */
@@ -68,73 +56,30 @@ struct Config {
     /** Cores [0, hostCores) stay with host workers; poller cores are
      *  taken from the top of the core space downward. */
     std::uint32_t hostCores = 1;
-    /** Host-side staging buffer per gateway channel (bytes). */
-    std::uint64_t hostStagingBytes = 16 * 1024;
-    /** Gateway-heap staging buffer per tenant channel (bytes). */
-    std::uint64_t gwStagingBytes = 16 * 1024;
-    /**
-     * Give every armed tenant channel a dedicated OS thread: the parked
-     * poller becomes a *real* parked thread, blocked on a condition
-     * variable until a request is posted, and the whole in-enclave pump
-     * (gateway drain -> tenant serve -> gateway relay) executes on that
-     * thread while the caller waits on the host side. Off by default:
-     * the inline pump keeps single-threaded traces byte-identical.
-     */
-    bool threadedPollers = false;
-    /**
-     * Serve enclave->host ocalls over shared-memory rings too: when on,
-     * the engine registers as the SDK's OcallRelay and an ocall from any
-     * enclave under an armed root pays zero EEXIT/EENTER transitions
-     * (dedicated per-root ocall rings, armed lazily on first use). Off
-     * by default: the classic ocall path stays byte-identical.
-     */
-    bool ocallRelay = false;
 };
+
+/** Slots per descriptor ring. */
+inline constexpr std::uint64_t kRingCapacity = 16;
+/** Staging buffer per hop (bytes): the largest request or response
+ *  blob a ring call carries. */
+inline constexpr std::uint64_t kStagingBytes = 16 * 1024;
 
 /** Per-call routing, resolved by the caller (serve layer). */
 struct Endpoint {
-    sdk::LoadedEnclave* outer = nullptr;
-    sdk::LoadedEnclave* inner = nullptr;
-    /** Inner n_ecall the parked poller dispatches to. */
+    /** Ancestor chain, root first, serving leaf last (size >= 2). The
+     *  engine arms one hop per link; a flat gateway -> tenant pair is
+     *  just the depth-2 case. */
+    std::vector<sdk::LoadedEnclave*> chain;
+    /** Leaf n_ecall the parked leaf poller dispatches to. */
     std::string innerCall;
     /** Caller slot id; every relay hop cross-checks it against the
      *  payload header before forwarding (defense in depth). */
     std::uint32_t slot = 0;
-    /**
-     * Full ancestor chain, root first, leaf last. Empty = the classic
-     * two-tier {outer, inner} shape. When set (size >= 2), the engine
-     * arms one ring pair per parent-chain hop: the root hop in host
-     * memory, every deeper hop in its parent's trusted heap, with a
-     * poller parked at each depth.
-     */
-    std::vector<sdk::LoadedEnclave*> chain;
-
-    /** Root of the chain: where the host-facing rings live. */
-    sdk::LoadedEnclave* root() const
-    {
-        return chain.empty() ? outer : chain.front();
-    }
-    /** The leaf's direct parent: its rings live in this hop's heap. */
-    sdk::LoadedEnclave* leafParent() const
-    {
-        return chain.empty() ? outer : chain[chain.size() - 2];
-    }
-    /** The serving leaf enclave. */
-    sdk::LoadedEnclave* leaf() const
-    {
-        return chain.empty() ? inner : chain.back();
-    }
-    /** The chain in canonical form (derived for the classic shape). */
-    std::vector<sdk::LoadedEnclave*> canonicalChain() const
-    {
-        if (!chain.empty()) return chain;
-        return {outer, inner};
-    }
 };
 
 /** Cumulative engine statistics (monotonic). */
 struct EngineStats {
-    /** Relaxed atomics: poller threads and callers bump concurrently. */
+    /** Relaxed atomics: read by other threads while a call runs. */
     Counter calls;          ///< requests pumped switchlessly
     Counter armings;        ///< channel park operations
     Counter idleFallbacks;  ///< pollers unparked for idleness
@@ -171,7 +116,7 @@ class SwitchlessEngine : public sdk::OcallRelay {
     bool ready(std::uint64_t key, const Endpoint& ep);
 
     /**
-     * Pumps one request blob through both ring tiers and returns the
+     * Pumps one request blob down every hop of the chain and returns the
      * response bytes, exactly as the classic gw_dispatch ecall would.
      * Requires a `ready()` channel. Errors surface with the same typed
      * codes the classic path uses, so the caller's retry/breaker/rebuild
@@ -181,14 +126,15 @@ class SwitchlessEngine : public sdk::OcallRelay {
                        hw::CoreId hostCore);
 
     /**
-     * Tears down `key`'s channel: abandons in-flight ring entries
-     * (SwitchlessFallback — never a silent drop), unparks the tenant
-     * poller and frees its gateway-heap staging. Must run before the
-     * tenant inner is rebuilt or unloaded.
+     * Tears down `key`'s channel: releases every hop of its chain,
+     * deepest first. A hop whose last rider leaves disarms — in-flight
+     * ring entries are abandoned (SwitchlessFallback — never a silent
+     * drop), its poller unparks and its ring memory is freed. Must run
+     * before any enclave of the chain is rebuilt or unloaded.
      */
     void disarm(std::uint64_t key);
 
-    /** Disarms every tenant channel and unparks the gateway pollers. */
+    /** Disarms every channel (and with them every hop). */
     void disarmAll();
 
     /**
@@ -200,10 +146,11 @@ class SwitchlessEngine : public sdk::OcallRelay {
     ChannelProgress channelProgress(std::uint64_t key) const;
 
     /**
-     * sdk::OcallRelay: serves one enclave->host ocall over per-root
-     * ocall rings with zero transitions. Declines (std::nullopt, no side
-     * effects) when Config::ocallRelay is off or no channel can be
-     * armed; the SDK then falls back to the classic EEXIT/EENTER path.
+     * sdk::OcallRelay (opt in with Urts::setOcallRelay): serves one
+     * enclave->host ocall over per-root ocall rings with zero
+     * transitions. Declines (std::nullopt, no side effects) when the
+     * engine is disabled or no rings can be mapped; the SDK then falls
+     * back to the classic EEXIT/EENTER path.
      */
     std::optional<Result<Bytes>> relayOcall(sdk::LoadedEnclave& enclave,
                                             hw::CoreId core,
@@ -212,169 +159,114 @@ class SwitchlessEngine : public sdk::OcallRelay {
                                             ByteView arg) override;
 
   private:
-    /** The parked-thread half of a threaded poller: the thread blocks on
-     *  `cv` (that wait IS the park) until the caller posts a pump job,
-     *  runs it on the channel's poller core, and signals completion. */
-    struct PollerState {
-        std::mutex m;
-        std::condition_variable cv;
-        bool hasWork = false;
-        bool done = false;
-        bool stop = false;
-        std::function<void()> job;
-        std::thread thread;
-    };
+    using Chain = std::vector<sdk::LoadedEnclave*>;
 
-    struct GatewayChannel {
-        sdk::LoadedEnclave* outer = nullptr;
+    /** A descriptor ring pair plus the staging buffer payloads are
+     *  copied through, all in one memory placement. */
+    struct Rings {
         DescRing req;
         DescRing resp;
+        hw::Vaddr reqVa = 0;  ///< allocations to free on disarm
+        hw::Vaddr respVa = 0;
         hw::Vaddr stagingVa = 0;
-        hw::CoreId pollerCore = 0;
-        hw::Paddr parkTcs = 0;
-        bool parked = false;
-        std::uint64_t lastActive = 0;
-        std::uint64_t tenants = 0;  ///< tenant channels riding this outer
-        /** Serialises the gateway poller core: several tenant poller
-         *  threads relay through one gateway. shared_ptr keeps the
-         *  channel copyable into the map. */
-        std::shared_ptr<std::mutex> coreM = std::make_shared<std::mutex>();
     };
 
     /**
-     * One intermediate hop of a depth->=3 chain (e.g. the gateway of a
-     * CVM -> gateway -> tenant tree): rings + staging in its *parent's*
-     * trusted heap, a poller parked at this hop's depth. Refcounted by
-     * the leaf channels whose chains pass through it. Keyed by the hop
-     * enclave. Flat (depth-2) chains arm no mid channels at all, so
-     * that path is untouched.
+     * One link of a serving chain, keyed by its chain prefix (root …
+     * self): rings + staging in the parent's memory (host memory when
+     * the hop is the chain root, the parent's trusted heap otherwise)
+     * and a poller core parked inside `self` at the hop's depth.
+     * Refcounted by the tenant chains riding it; disarmed when the last
+     * one leaves.
      */
-    struct MidChannel {
-        sdk::LoadedEnclave* parent = nullptr;  ///< heap owner of the rings
-        sdk::LoadedEnclave* self = nullptr;    ///< poller parks here
-        DescRing req;
-        DescRing resp;
-        hw::Vaddr ringReqVa = 0;  ///< parent-heap allocations to free
-        hw::Vaddr ringRespVa = 0;
-        hw::Vaddr stagingVa = 0;
-        hw::CoreId pollerCore = 0;
-        /** Park TCSes, bottom (chain root) first. */
-        std::vector<hw::Paddr> parkTcses;
+    struct Hop : Rings {
+        hw::CoreId core = 0;
+        /** Park TCSes, chain root first (the whole nest saves into the
+         *  front one on AEX). */
+        std::vector<hw::Paddr> tcses;
         bool parked = false;
         std::uint64_t lastActive = 0;
-        std::uint64_t users = 0;  ///< leaf channels riding this hop
-        std::shared_ptr<std::mutex> coreM = std::make_shared<std::mutex>();
+        std::uint64_t riders = 0;
+        /** Serialises the hop's poller core: several leaves relay
+         *  through one hop. Lock order: root hop first. */
+        std::mutex coreM;
     };
 
-    struct TenantChannel {
-        sdk::LoadedEnclave* outer = nullptr;  ///< chain root (host rings)
-        sdk::LoadedEnclave* inner = nullptr;  ///< serving leaf
-        /** Heap owner of this channel's rings: the leaf's direct parent
-         *  (== outer for the classic depth-2 shape). */
-        sdk::LoadedEnclave* ringHost = nullptr;
-        /** Canonical chain, root first, leaf last (rebuild detection:
-         *  any pointer mismatch re-arms from scratch). */
-        std::vector<sdk::LoadedEnclave*> chain;
-        DescRing req;
-        DescRing resp;
-        hw::Vaddr ringReqVa = 0;   ///< heap allocations to free on disarm
-        hw::Vaddr ringRespVa = 0;
-        hw::Vaddr stagingVa = 0;
-        hw::CoreId pollerCore = 0;
-        /** Park TCSes, bottom (chain root) first. */
-        std::vector<hw::Paddr> parkTcses;
-        bool parked = false;
-        std::uint64_t lastActive = 0;
+    /** A tenant key's chain (its hops are the chain's prefixes). */
+    struct Tenant {
+        Chain chain;
         /** Injected poller-wedge: posts land but nothing drains. The
          *  channel stays armed and every call fails typed until a
          *  disarm (supervisor kick) tears it down. */
         bool wedged = false;
-        /** Set only when Config::threadedPollers armed a real thread. */
-        std::shared_ptr<PollerState> poller;
-    };
-
-    /**
-     * Per-root ocall relay plumbing: dedicated rings + staging in host
-     * memory, armed lazily on the first relayed ocall. Guarded by
-     * `ocallM_` (never the engine lock: an ocall can surface from a
-     * tenant function mid-pump on a poller thread while call() holds
-     * `m_`).
-     */
-    struct OcallChannel {
-        DescRing req;
-        DescRing resp;
-        hw::Vaddr stagingVa = 0;
-        std::uint64_t stagingBytes = 0;
     };
 
     sgx::Machine& machine();
     std::uint64_t now();
 
-    /** Grabs a poller core from the top of the core space; -1-as-false
-     *  when none is spare. */
+    /** Grabs a poller core from the top of the core space; false when
+     *  none is spare. */
     bool takeCore(hw::CoreId& out);
     void releaseCore(hw::CoreId core);
 
-    bool armGateway(sdk::LoadedEnclave* outer);
-    bool armMid(const std::vector<sdk::LoadedEnclave*>& prefix);
-    bool armTenant(std::uint64_t key, const Endpoint& ep);
-    void disarmGateway(GatewayChannel& gw);
-    void disarmMid(sdk::LoadedEnclave* self);
-    void unparkTenant(TenantChannel& ch);
-    void unparkMid(MidChannel& mid);
-    void unparkGateway(GatewayChannel& gw);
+    /** Places `rings` in host memory — a region released by a disarmed
+     *  root when one is free, else freshly mapped untrusted pages — and
+     *  initialises both rings from the host side. */
+    bool mapHostRings(Rings& rings);
+    /** Returns the ring memory of the hop at `prefix` to where it came
+     *  from: the host-region free list or the parent's heap. */
+    void freeRings(Rings& rings, const Chain& prefix);
 
+    /** The hop for `prefix`, armed now unless it exists; nullptr when
+     *  arming fails. */
+    Hop* armHop(const Chain& prefix);
+    /** Enters `prefix` on the hop's core, root first, initialising
+     *  parent-heap rings from inside the parent when `initRings`. */
+    bool park(Hop& hop, const Chain& prefix, bool initRings);
     /** Re-enters an AEX'd parked poller (ERESUME); false -> disarm. */
-    bool resumeTenant(TenantChannel& ch);
-    bool resumeMid(MidChannel& mid);
-    bool resumeGateway(GatewayChannel& gw);
+    bool resume(Hop& hop);
+    void unpark(Hop& hop);
+    void disarmHop(const Chain& prefix);
+    /** Drops one rider from each of the first `depth` hops of `chain`,
+     *  deepest first, disarming every hop left without riders. */
+    void release(const Chain& chain, std::size_t depth);
 
-    /** The mid channels ch's chain passes through, root-side first. */
-    std::vector<MidChannel*> midsFor(const TenantChannel& ch);
-
-    /** Idle-fallback check for one tenant channel + its chain root. */
-    void idleCheck(std::uint64_t key, TenantChannel& ch);
+    /** Idle fallback for every hop on the chain, deepest first. */
+    void idleCheck(const Chain& chain, const std::vector<Hop*>& hops);
 
     /**
      * The in-enclave middle of a call: each relay hop's poller drains
-     * its own ring and forwards one hop deeper (root poller first, then
-     * every mid in chain order), the leaf poller serves without a
-     * transition, and the response is relayed back up hop by hop onto
-     * the host-facing ring. In threaded mode this exact function runs
-     * on the channel's parked poller thread; inline otherwise — same
-     * operations, same trace. A depth-2 chain has no mids and reduces
-     * exactly to the two-tier pump this generalises.
+     * its own ring and forwards one hop deeper (root first), the leaf
+     * poller serves without a transition, and the response is relayed
+     * back up hop by hop onto the host-facing ring.
      */
-    Status pumpEnclaveSide(TenantChannel& ch, GatewayChannel& gw,
-                           const std::vector<MidChannel*>& mids,
+    Status pumpEnclaveSide(const Chain& chain, const std::vector<Hop*>& hops,
                            const Endpoint& ep, std::uint64_t reqId);
-
-    void startPoller(TenantChannel& ch);
-    void stopPoller(TenantChannel& ch);
 
     sdk::Urts& urts_;
     Config config_;
     EngineStats stats_;
     /**
-     * One engine-wide lock over the channel maps, the core free list and
-     * every public entry point. Recursive because a failing call() hard-
-     * fails into disarm(). Worker threads therefore serialise on the
-     * engine for the bookkeeping around a call; the pump itself runs on
-     * the channel's parked poller thread in threaded mode. Leaf order:
-     * engine lock -> urts/kernel/machine, never the reverse.
+     * One engine-wide lock over the hop and tenant maps, the core and
+     * host-region free lists, the ocall rings and every public entry
+     * point. Recursive because a failing call() hard-fails into
+     * disarm(), and an ocall relayed from a leaf mid-pump re-enters on
+     * the calling thread. Worker threads therefore serialise on the
+     * engine for a whole call. Lock order: engine lock -> hop core
+     * mutexes -> urts/kernel/machine, never the reverse.
      */
     mutable std::recursive_mutex m_;
-    std::map<sdk::LoadedEnclave*, GatewayChannel> gateways_;
-    std::map<sdk::LoadedEnclave*, MidChannel> mids_;
-    std::map<std::uint64_t, TenantChannel> tenants_;
+    std::map<Chain, Hop> hops_;
+    std::map<std::uint64_t, Tenant> tenants_;
     std::vector<hw::CoreId> freeCores_;
     hw::CoreId nextHighCore_ = 0;
     bool coresInit_ = false;
-    std::atomic<std::uint64_t> nextRequestId_{1};
-    /** Ocall relay channels, keyed by chain-root enclave. Own lock —
-     *  see OcallChannel. Lock order: never take m_ under ocallM_. */
-    std::mutex ocallM_;
-    std::map<sdk::LoadedEnclave*, OcallChannel> ocallChannels_;
+    /** Host ring regions of disarmed roots: the kernel never frees
+     *  untrusted frames, so re-arming a root reuses one. */
+    std::vector<hw::Vaddr> freeHostRegions_;
+    std::uint64_t nextRequestId_ = 1;
+    /** Ocall relay rings, keyed by chain-root enclave. */
+    std::map<sdk::LoadedEnclave*, Rings> ocallRings_;
 };
 
 }  // namespace nesgx::switchless

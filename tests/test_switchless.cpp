@@ -42,6 +42,28 @@ class SwitchlessTest : public ::testing::TestWithParam<bool> {
     }
 };
 
+/** A switchless fleet over either topology, rings armed on demand. */
+serve::TenantService::Config
+armedServiceConfig(serve::Topology topology)
+{
+    serve::TenantService::Config sc;
+    sc.registry.tenantsPerOuter = 2;
+    sc.registry.outerCodePages = 12;
+    sc.registry.outerHeapPages = 24;
+    sc.registry.innerCodePages = 4;
+    sc.registry.innerHeapPages = 8;
+    sc.pool.batchSize = 4;
+    sc.switchless.enabled = true;
+    sc.switchless.hostCores = 2;
+    if (topology == serve::Topology::Cvm) {
+        sc.registry.topology = serve::Topology::Cvm;
+        sc.registry.cvmCodePages = 8;
+        sc.registry.cvmHeapPages = 40;
+        sc.registry.cvmTcs = 10;
+    }
+    return sc;
+}
+
 TEST_P(SwitchlessTest, RingWrapsAroundWithMonotonicSequences)
 {
     World world(machineConfig(4));
@@ -199,46 +221,52 @@ TEST_P(SwitchlessTest, ServesExitlesslyAfterArmingAndMatchesClassic)
 
 TEST_P(SwitchlessTest, IdlePollerFallsBackThenRearmsOnNextCall)
 {
-    World world(machineConfig(8));
-    auto sc = serviceConfig();
-    sc.switchless.enabled = true;
-    sc.switchless.hostCores = 2;
-    sc.switchless.idleParkCycles = 20000;  // tiny, so the test can idle past it
-    serve::TenantService service(*world.urts, sc);
-    ASSERT_TRUE(service.addTenant(0, Workload::Echo).isOk());
-    ASSERT_EQ(service.armSwitchless(), 1u);
+    // Every hop of the chain idles together, so each one falls back and
+    // re-parks once: two hops on a flat chain, three on a CVM one.
+    for (serve::Topology topology :
+         {serve::Topology::Flat, serve::Topology::Cvm}) {
+        SCOPED_TRACE(topology == serve::Topology::Cvm ? "cvm" : "flat");
+        World world(machineConfig(8));
+        auto sc = armedServiceConfig(topology);
+        sc.switchless.idleParkCycles = 20000;  // tiny, so the test can idle past it
+        serve::TenantService service(*world.urts, sc);
+        ASSERT_TRUE(service.addTenant(0, Workload::Echo).isOk());
+        ASSERT_EQ(service.armSwitchless(), 1u);
 
-    serve::TenantClient client(0, Workload::Echo);
-    auto serveOne = [&]() {
-        ASSERT_TRUE(service.submit(0, client.nextRequest()).isOk());
-        service.pump();
-        auto done = service.drain();
-        ASSERT_EQ(done.size(), 1u);
-        ASSERT_TRUE(done[0].ok) << done[0].status.name();
-        ASSERT_TRUE(client.onResponse(done[0].sealedResponse));
-    };
+        serve::TenantClient client(0, Workload::Echo);
+        auto serveOne = [&]() {
+            ASSERT_TRUE(service.submit(0, client.nextRequest()).isOk());
+            service.pump();
+            auto done = service.drain();
+            ASSERT_EQ(done.size(), 1u);
+            ASSERT_TRUE(done[0].ok) << done[0].status.name();
+            ASSERT_TRUE(client.onResponse(done[0].sealedResponse));
+        };
 
-    serveOne();
-    const auto* engine = service.switchlessEngine();
-    ASSERT_NE(engine, nullptr);
-    EXPECT_EQ(engine->engineStats().idleFallbacks, 0u);
+        serveOne();
+        const auto* engine = service.switchlessEngine();
+        ASSERT_NE(engine, nullptr);
+        EXPECT_EQ(engine->engineStats().idleFallbacks, 0u);
 
-    // Idle long past the park budget: the next call must detect the
-    // gap, fall back (abandon + unpark), re-arm, and still serve.
-    world.machine.charge(sc.switchless.idleParkCycles * 3);
-    serveOne();
-    // (No SwitchlessFallback event here: the rings were fully drained,
-    // so the abandon had nothing outstanding to hand back — the idle
-    // episode shows up in the engine stats, not the trace.)
-    EXPECT_GE(engine->engineStats().idleFallbacks, 1u);
+        // Idle long past the park budget: the next call must detect the
+        // gap, fall back (abandon + unpark), re-arm, and still serve.
+        world.machine.charge(sc.switchless.idleParkCycles * 3);
+        serveOne();
+        // (No SwitchlessFallback event here: the rings were fully
+        // drained, so the abandon had nothing outstanding to hand back —
+        // the idle episode shows up in the engine stats, not the trace.)
+        EXPECT_EQ(engine->engineStats().idleFallbacks,
+                  topology == serve::Topology::Cvm ? 3u : 2u);
 
-    // The re-armed channel keeps serving exit-lessly afterwards.
-    const auto& counters = world.machine.trace().counters();
-    const std::uint64_t transitionsBase =
-        counters.eenterCount + counters.neenterCount;
-    serveOne();
-    EXPECT_EQ(counters.eenterCount + counters.neenterCount, transitionsBase);
-    EXPECT_EQ(client.failures(), 0u);
+        // The re-armed channel keeps serving exit-lessly afterwards.
+        const auto& counters = world.machine.trace().counters();
+        const std::uint64_t transitionsBase =
+            counters.eenterCount + counters.neenterCount;
+        serveOne();
+        EXPECT_EQ(counters.eenterCount + counters.neenterCount,
+                  transitionsBase);
+        EXPECT_EQ(client.failures(), 0u);
+    }
 }
 
 TEST_P(SwitchlessTest, OcallRelayServesInEnclaveOcallWithZeroTransitions)
@@ -249,7 +277,6 @@ TEST_P(SwitchlessTest, OcallRelayServesInEnclaveOcallWithZeroTransitions)
     World world(machineConfig(4));
     switchless::Config cfg;
     cfg.enabled = true;
-    cfg.ocallRelay = true;
     switchless::SwitchlessEngine engine(*world.urts, cfg);
     world.urts->setOcallRelay(&engine);
 
@@ -316,10 +343,187 @@ TEST_P(SwitchlessTest, ExpiredBatchCompletesTypedDeadlineNeverSilent)
     EXPECT_EQ(world.machine.trace().counters().serveSheds, 4u);
 }
 
+/** The exact simulated figures of one armed-ring serve run. */
+struct ArmedRunFigures {
+    std::uint64_t eenter = 0;
+    std::uint64_t eexit = 0;
+    std::uint64_t neenter = 0;
+    std::uint64_t neexit = 0;
+    std::uint64_t posts = 0;
+    std::uint64_t drains = 0;
+    std::uint64_t polls = 0;
+    std::uint64_t armings = 0;
+    std::uint64_t cycles = 0;
+};
+
+/**
+ * Four tenants on two gateways, rings armed up front, then three rounds
+ * of three requests per tenant — every response verified. After the
+ * first round some channels are torn down and re-arm on their next
+ * call: tenant 0 in both fleets, which leaves gateway 0 a rider, and in
+ * the CVM fleet also both tenants of gateway 1, whose hop then disarms
+ * and re-arms below the still-ridden root.
+ */
+ArmedRunFigures
+armedRun(bool taggedTlb, serve::Topology topology)
+{
+    auto config = World::smallConfig();
+    config.coreCount = 12;
+    config.taggedTlb = taggedTlb;
+    World world(config);
+    serve::TenantService service(*world.urts, armedServiceConfig(topology));
+    const std::vector<Workload> mix = {Workload::Echo, Workload::Sql,
+                                       Workload::Svm, Workload::Echo};
+    std::vector<std::unique_ptr<serve::TenantClient>> clients;
+    for (TenantId t = 0; t < mix.size(); ++t) {
+        EXPECT_TRUE(service.addTenant(t, mix[t]).isOk()) << t;
+        clients.push_back(std::make_unique<serve::TenantClient>(t, mix[t]));
+    }
+    EXPECT_EQ(service.armSwitchless(), mix.size());
+
+    std::uint64_t verified = 0;
+    for (int round = 0; round < 3; ++round) {
+        for (TenantId t = 0; t < mix.size(); ++t) {
+            for (int i = 0; i < 3; ++i) {
+                EXPECT_TRUE(
+                    service.submit(t, clients[t]->nextRequest()).isOk());
+            }
+        }
+        service.pump();
+        for (serve::Completion& done : service.drain()) {
+            EXPECT_TRUE(done.ok) << done.status.name();
+            if (clients[done.tenant]->onResponse(done.sealedResponse)) {
+                ++verified;
+            }
+        }
+        if (round == 0) {
+            service.switchlessEngine()->disarm(0);
+            if (topology == serve::Topology::Cvm) {
+                service.switchlessEngine()->disarm(2);
+                service.switchlessEngine()->disarm(3);
+            }
+        }
+    }
+    EXPECT_EQ(verified, 36u);
+
+    const auto& c = world.machine.trace().counters();
+    ArmedRunFigures out;
+    out.eenter = c.eenterCount;
+    out.eexit = c.eexitCount;
+    out.neenter = c.neenterCount;
+    out.neexit = c.neexitCount;
+    out.posts = c.switchlessPosts;
+    out.drains = c.switchlessDrains;
+    out.polls = c.switchlessPolls;
+    if (const auto* engine = service.switchlessEngine()) {
+        out.armings = engine->engineStats().armings;
+    }
+    out.cycles = world.machine.clock().cycles();
+    return out;
+}
+
+void
+expectFigures(const ArmedRunFigures& got, const ArmedRunFigures& want)
+{
+    EXPECT_EQ(got.eenter, want.eenter);
+    EXPECT_EQ(got.eexit, want.eexit);
+    EXPECT_EQ(got.neenter, want.neenter);
+    EXPECT_EQ(got.neexit, want.neexit);
+    EXPECT_EQ(got.posts, want.posts);
+    EXPECT_EQ(got.drains, want.drains);
+    EXPECT_EQ(got.polls, want.polls);
+    EXPECT_EQ(got.armings, want.armings);
+    EXPECT_EQ(got.cycles, want.cycles);
+}
+
+TEST_P(SwitchlessTest, ArmedRingRunsMatchPinnedFigures)
+{
+    // Pinned figures of the armed-ring path over a flat and a CVM fleet.
+    // Any drift is a changed simulated cost, not noise: the run is
+    // deterministic end to end.
+    const bool tagged = GetParam();
+    const ArmedRunFigures flat =
+        tagged ? ArmedRunFigures{7, 1, 5, 1, 48, 48, 48, 7, 2061942}
+               : ArmedRunFigures{7, 1, 5, 1, 48, 48, 48, 7, 2076940};
+    const ArmedRunFigures cvm =
+        tagged ? ArmedRunFigures{11, 4, 17, 7, 72, 72, 72, 11, 2892451}
+               : ArmedRunFigures{11, 4, 17, 7, 72, 72, 72, 11, 2934427};
+    {
+        SCOPED_TRACE("flat");
+        expectFigures(armedRun(tagged, serve::Topology::Flat), flat);
+    }
+    {
+        SCOPED_TRACE("cvm");
+        expectFigures(armedRun(tagged, serve::Topology::Cvm), cvm);
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(TlbModes, SwitchlessTest, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& info) {
                              return info.param ? "TaggedTlb" : "FlushedTlb";
                          });
+
+class SwitchlessSubtreeTest
+    : public ::testing::TestWithParam<serve::Topology> {};
+
+TEST_P(SwitchlessSubtreeTest, RebuildWithArmedRingsReleasesEveryHop)
+{
+    // Two tenants share gateway 0 with rings armed, so pollers sit
+    // parked in every enclave of the subtree. The rebuild must unpark
+    // them all (or EREMOVE refuses the busy TCSes) and the re-armed
+    // subtree must serve again without leaking EPC.
+    auto config = World::smallConfig();
+    config.coreCount = 10;
+    World world(config);
+    auto sc = armedServiceConfig(GetParam());
+    sc.registry.tenantsPerOuter = 3;
+    serve::TenantService service(*world.urts, sc);
+    ASSERT_TRUE(service.addTenant(0, Workload::Echo).isOk());
+    ASSERT_TRUE(service.addTenant(1, Workload::Echo).isOk());
+    ASSERT_EQ(service.registry().find(0)->gatewayIndex, 0u);
+    ASSERT_EQ(service.registry().find(1)->gatewayIndex, 0u);
+    ASSERT_EQ(service.armSwitchless(), 2u);
+    serve::TenantClient c0(0, Workload::Echo), c1(1, Workload::Echo);
+
+    auto serveRound = [&](serve::TenantClient& client, TenantId id) {
+        ASSERT_TRUE(service.submit(id, client.nextRequest()).isOk());
+        service.pump();
+        auto done = service.drain();
+        ASSERT_EQ(done.size(), 1u);
+        ASSERT_TRUE(done[0].ok) << done[0].status.name();
+        ASSERT_TRUE(client.onResponse(done[0].sealedResponse));
+    };
+    serveRound(c0, 0);
+    serveRound(c1, 1);
+    const std::uint64_t freeBefore = world.kernel.freeEpcPages();
+    const std::uint64_t callsBefore =
+        service.switchlessEngine()->engineStats().calls;
+    // Untrusted memory is a bump allocator that never frees: a one-page
+    // probe on each side shows whether anything was mapped in between.
+    const hw::Vaddr probe = world.kernel.mapUntrusted(world.pid, 1);
+
+    Status rebuilt = service.pool().rebuildSubtree(0);
+    EXPECT_TRUE(rebuilt.isOk()) << rebuilt.name();
+    c0.onTenantRebuilt();
+    c1.onTenantRebuilt();
+    serveRound(c0, 0);
+    serveRound(c1, 1);
+    EXPECT_EQ(c0.failures(), 0u);
+    EXPECT_EQ(c1.failures(), 0u);
+    // Both rounds rode freshly re-armed rings.
+    EXPECT_EQ(service.switchlessEngine()->engineStats().calls,
+              callsBefore + 2);
+    EXPECT_EQ(world.kernel.freeEpcPages(), freeBefore);
+    // A re-armed root reuses the host ring region its disarm released.
+    EXPECT_EQ(world.kernel.mapUntrusted(world.pid, 1), probe + hw::kPageSize);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Topologies, SwitchlessSubtreeTest,
+    ::testing::Values(serve::Topology::Flat, serve::Topology::Cvm),
+    [](const ::testing::TestParamInfo<serve::Topology>& info) {
+        return info.param == serve::Topology::Cvm ? "Cvm" : "Flat";
+    });
 
 }  // namespace
 }  // namespace nesgx::test

@@ -2,8 +2,8 @@
  * Real-thread parallelism tests: serial runs stay byte-identical
  * (determinism golden), a 4-thread drain under EPC pressure verifies
  * every response, the parallel trace merge replays the complete
- * buffered stream in global-seq order, and the switchless threaded
- * pollers serve a workload end to end.
+ * buffered stream in global-seq order, and parallel workers drive
+ * armed switchless rings down a CVM tree end to end.
  */
 #include <gtest/gtest.h>
 
@@ -216,36 +216,49 @@ TEST(ThreadingTrace, MergedDrainReplaysCompleteBufferedStream)
     world.machine.trace().unsubscribe(&sink);
 }
 
-TEST(ThreadingSwitchless, ThreadedPollersServeAndVerify)
+TEST(ThreadingSwitchless, ParallelWorkersDriveArmedCvmRings)
 {
-    // threadedPollers parks one real OS thread per tenant channel; the
-    // caller hands the enclave-side pump to the parked thread and waits.
-    // Responses must match the serial switchless path bit for bit (the
-    // client verifies the sealed bytes).
+    // A CVM -> gateway -> tenant tree with every hop's rings armed,
+    // drained by 4 real worker threads through the switchless engine:
+    // every sealed response must verify, and every batch must ride the
+    // rings with zero enclave transitions.
+    constexpr std::size_t kTenants = 12;  // 4 gateways, one per worker
     auto config = World::smallConfig();
-    config.coreCount = 8;  // 3 tenants + 1 gateway + 2 host + slack
+    // 4 host workers + one poller per tenant, per gateway and the root.
+    config.coreCount = 4 + kTenants + 4 + 1 + 1;
     World world(config);
+    world.machine.trace().enableParallel(4);
 
     auto sc = smallServiceConfig();
+    sc.registry.topology = serve::Topology::Cvm;
+    sc.registry.cvmCodePages = 8;
+    sc.registry.cvmHeapPages = 96;
+    sc.registry.cvmTcs = 24;
     sc.switchless.enabled = true;
-    sc.switchless.hostCores = 2;
-    sc.switchless.threadedPollers = true;
+    sc.switchless.hostCores = 4;
     serve::TenantService service(*world.urts, sc);
+    const std::vector<Workload> mix = {Workload::Echo, Workload::Sql,
+                                       Workload::Svm};
     std::vector<std::unique_ptr<serve::TenantClient>> clients;
-    for (TenantId t = 0; t < 3; ++t) {
-        ASSERT_TRUE(service.addTenant(t, Workload::Echo).isOk()) << t;
+    for (TenantId t = 0; t < kTenants; ++t) {
+        auto workload = mix[t % mix.size()];
+        ASSERT_TRUE(service.addTenant(t, workload).isOk()) << t;
         clients.push_back(
-            std::make_unique<serve::TenantClient>(t, Workload::Echo));
+            std::make_unique<serve::TenantClient>(t, workload));
     }
-    EXPECT_EQ(service.armSwitchless(), 3u);
+    ASSERT_EQ(service.armSwitchless(), kTenants);
+    const auto& counters = world.machine.trace().counters();
+    const std::uint64_t transitionsBase =
+        counters.eenterCount + counters.neenterCount;
 
     for (int i = 0; i < 8; ++i) {
-        for (TenantId t = 0; t < 3; ++t) {
+        for (TenantId t = 0; t < kTenants; ++t) {
             ASSERT_TRUE(
                 service.submit(t, clients[t]->nextRequest()).isOk());
         }
     }
-    service.pump();
+    service.pumpParallel(4);
+
     std::uint64_t verified = 0;
     for (serve::Completion& done : service.drain()) {
         ASSERT_TRUE(done.ok) << done.status.name();
@@ -253,9 +266,16 @@ TEST(ThreadingSwitchless, ThreadedPollersServeAndVerify)
             ++verified;
         }
     }
-    EXPECT_EQ(verified, 24u);
+    EXPECT_EQ(verified, 8 * kTenants);
+    for (auto& client : clients) {
+        EXPECT_EQ(client->failures(), 0u);
+    }
+    // Batches of 4: two ring calls per tenant, none of them classic.
     ASSERT_NE(service.switchlessEngine(), nullptr);
-    EXPECT_GT(service.switchlessEngine()->engineStats().calls.load(), 0u);
+    EXPECT_EQ(service.switchlessEngine()->engineStats().calls.load(),
+              2 * kTenants);
+    EXPECT_EQ(counters.eenterCount + counters.neenterCount, transitionsBase);
+    world.machine.trace().disableParallel();
 }
 
 }  // namespace

@@ -7,12 +7,20 @@ namespace nesgx::crypto {
 
 namespace {
 
+std::uint8_t
+xtime(std::uint8_t a)
+{
+    return static_cast<std::uint8_t>((a << 1) ^ ((a & 0x80) ? 0x1b : 0));
+}
+
 // S-box generated from the AES definition (multiplicative inverse in
-// GF(2^8) followed by the affine transform); table computed at startup so
-// the source carries the construction, not 256 magic numbers.
+// GF(2^8) followed by the affine transform), and the round T-tables built
+// from it; computed at startup so the source carries the construction, not
+// 1,280 magic numbers. te[r][x] is S[x] times MixColumns' column for an
+// input byte in row r: (2S, S, S, 3S) for row 0, rotated right 8r bits.
 struct SboxTables {
     std::uint8_t sbox[256];
-    std::uint8_t inv[256];
+    std::uint32_t te[4][256];
 
     SboxTables()
     {
@@ -24,9 +32,7 @@ struct SboxTables {
             alog[i] = x;
             log[x] = static_cast<std::uint8_t>(i);
             // multiply by generator 0x03 = x ^ (x * 2)
-            std::uint8_t x2 = static_cast<std::uint8_t>(
-                (x << 1) ^ ((x & 0x80) ? 0x1b : 0));
-            x = static_cast<std::uint8_t>(x2 ^ x);
+            x = static_cast<std::uint8_t>(xtime(x) ^ x);
         }
         alog[255] = alog[0];
 
@@ -39,7 +45,12 @@ struct SboxTables {
                 q ^ rotl8(q, 1) ^ rotl8(q, 2) ^ rotl8(q, 3) ^ rotl8(q, 4) ^
                 0x63);
             sbox[i] = s;
-            inv[s] = static_cast<std::uint8_t>(i);
+            std::uint8_t s2 = xtime(s);
+            te[0][i] = (std::uint32_t(s2) << 24) | (std::uint32_t(s) << 16) |
+                       (std::uint32_t(s) << 8) | std::uint32_t(s2 ^ s);
+            for (int r = 1; r < 4; ++r) {
+                te[r][i] = (te[r - 1][i] >> 8) | (te[r - 1][i] << 24);
+            }
         }
     }
 
@@ -53,24 +64,6 @@ const SboxTables& tables()
 {
     static const SboxTables t;
     return t;
-}
-
-std::uint8_t
-xtime(std::uint8_t a)
-{
-    return static_cast<std::uint8_t>((a << 1) ^ ((a & 0x80) ? 0x1b : 0));
-}
-
-std::uint8_t
-gmul(std::uint8_t a, std::uint8_t b)
-{
-    std::uint8_t p = 0;
-    for (int i = 0; i < 8; ++i) {
-        if (b & 1) p ^= a;
-        a = xtime(a);
-        b >>= 1;
-    }
-    return p;
 }
 
 std::uint32_t
@@ -114,7 +107,7 @@ Aes::expandKey(ByteView key)
         std::uint32_t temp = roundKeys_[i - 1];
         if (i % nk == 0) {
             temp = subWord(rotWord(temp)) ^ rcon;
-            rcon = std::uint32_t(gmul(std::uint8_t(rcon >> 24), 2)) << 24;
+            rcon = std::uint32_t(xtime(std::uint8_t(rcon >> 24))) << 24;
         } else if (nk > 6 && i % nk == 4) {
             temp = subWord(temp);
         }
@@ -126,123 +119,42 @@ void
 Aes::encryptBlock(std::uint8_t* block) const
 {
     const auto& t = tables();
-    std::uint8_t s[16];
-    std::memcpy(s, block, 16);
+    const std::uint32_t* rk = roundKeys_;
+    std::uint32_t s0 = loadBe32(block) ^ rk[0];
+    std::uint32_t s1 = loadBe32(block + 4) ^ rk[1];
+    std::uint32_t s2 = loadBe32(block + 8) ^ rk[2];
+    std::uint32_t s3 = loadBe32(block + 12) ^ rk[3];
 
-    auto addRoundKey = [&](int round) {
-        for (int c = 0; c < 4; ++c) {
-            std::uint32_t k = roundKeys_[4 * round + c];
-            s[4 * c + 0] ^= std::uint8_t(k >> 24);
-            s[4 * c + 1] ^= std::uint8_t(k >> 16);
-            s[4 * c + 2] ^= std::uint8_t(k >> 8);
-            s[4 * c + 3] ^= std::uint8_t(k);
-        }
+    // Output column c reads row r from input column c + r (ShiftRows);
+    // te[r] applies SubBytes and MixColumns to that byte in one lookup.
+    auto column = [&](std::uint32_t a, std::uint32_t b, std::uint32_t c,
+                      std::uint32_t d) {
+        return t.te[0][a >> 24] ^ t.te[1][(b >> 16) & 0xff] ^
+               t.te[2][(c >> 8) & 0xff] ^ t.te[3][d & 0xff];
     };
-
-    auto subBytes = [&]() {
-        for (auto& b : s) b = t.sbox[b];
-    };
-
-    auto shiftRows = [&]() {
-        std::uint8_t tmp[16];
-        for (int r = 0; r < 4; ++r) {
-            for (int c = 0; c < 4; ++c) {
-                tmp[4 * c + r] = s[4 * ((c + r) % 4) + r];
-            }
-        }
-        std::memcpy(s, tmp, 16);
-    };
-
-    auto mixColumns = [&]() {
-        // xtime-based forms: 2a = xtime(a), 3a = xtime(a) ^ a.
-        for (int c = 0; c < 4; ++c) {
-            std::uint8_t* col = s + 4 * c;
-            std::uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-            std::uint8_t all = std::uint8_t(a0 ^ a1 ^ a2 ^ a3);
-            col[0] = std::uint8_t(a0 ^ all ^ xtime(std::uint8_t(a0 ^ a1)));
-            col[1] = std::uint8_t(a1 ^ all ^ xtime(std::uint8_t(a1 ^ a2)));
-            col[2] = std::uint8_t(a2 ^ all ^ xtime(std::uint8_t(a2 ^ a3)));
-            col[3] = std::uint8_t(a3 ^ all ^ xtime(std::uint8_t(a3 ^ a0)));
-        }
-    };
-
-    addRoundKey(0);
     for (int round = 1; round < rounds_; ++round) {
-        subBytes();
-        shiftRows();
-        mixColumns();
-        addRoundKey(round);
+        rk += 4;
+        std::uint32_t t0 = column(s0, s1, s2, s3) ^ rk[0];
+        std::uint32_t t1 = column(s1, s2, s3, s0) ^ rk[1];
+        std::uint32_t t2 = column(s2, s3, s0, s1) ^ rk[2];
+        std::uint32_t t3 = column(s3, s0, s1, s2) ^ rk[3];
+        s0 = t0;
+        s1 = t1;
+        s2 = t2;
+        s3 = t3;
     }
-    subBytes();
-    shiftRows();
-    addRoundKey(rounds_);
 
-    std::memcpy(block, s, 16);
-}
-
-void
-Aes::decryptBlock(std::uint8_t* block) const
-{
-    const auto& t = tables();
-    std::uint8_t s[16];
-    std::memcpy(s, block, 16);
-
-    auto addRoundKey = [&](int round) {
-        for (int c = 0; c < 4; ++c) {
-            std::uint32_t k = roundKeys_[4 * round + c];
-            s[4 * c + 0] ^= std::uint8_t(k >> 24);
-            s[4 * c + 1] ^= std::uint8_t(k >> 16);
-            s[4 * c + 2] ^= std::uint8_t(k >> 8);
-            s[4 * c + 3] ^= std::uint8_t(k);
-        }
+    // The final round skips MixColumns: S-box bytes in ShiftRows order.
+    rk += 4;
+    auto lastColumn = [](std::uint32_t a, std::uint32_t b, std::uint32_t c,
+                         std::uint32_t d) {
+        return subWord((a & 0xff000000) | (b & 0x00ff0000) |
+                       (c & 0x0000ff00) | (d & 0x000000ff));
     };
-
-    auto invSubBytes = [&]() {
-        for (auto& b : s) b = t.inv[b];
-    };
-
-    auto invShiftRows = [&]() {
-        std::uint8_t tmp[16];
-        for (int r = 0; r < 4; ++r) {
-            for (int c = 0; c < 4; ++c) {
-                tmp[4 * ((c + r) % 4) + r] = s[4 * c + r];
-            }
-        }
-        std::memcpy(s, tmp, 16);
-    };
-
-    auto invMixColumns = [&]() {
-        // Decomposition: apply the forward MixColumns preceded by the
-        // standard (xtime-only) correction with 4a and 8a terms.
-        for (int c = 0; c < 4; ++c) {
-            std::uint8_t* col = s + 4 * c;
-            std::uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-            std::uint8_t u = xtime(xtime(std::uint8_t(a0 ^ a2)));
-            std::uint8_t v = xtime(xtime(std::uint8_t(a1 ^ a3)));
-            a0 ^= u;
-            a1 ^= v;
-            a2 ^= u;
-            a3 ^= v;
-            std::uint8_t all = std::uint8_t(a0 ^ a1 ^ a2 ^ a3);
-            col[0] = std::uint8_t(a0 ^ all ^ xtime(std::uint8_t(a0 ^ a1)));
-            col[1] = std::uint8_t(a1 ^ all ^ xtime(std::uint8_t(a1 ^ a2)));
-            col[2] = std::uint8_t(a2 ^ all ^ xtime(std::uint8_t(a2 ^ a3)));
-            col[3] = std::uint8_t(a3 ^ all ^ xtime(std::uint8_t(a3 ^ a0)));
-        }
-    };
-
-    addRoundKey(rounds_);
-    invShiftRows();
-    invSubBytes();
-    for (int round = rounds_ - 1; round >= 1; --round) {
-        addRoundKey(round);
-        invMixColumns();
-        invShiftRows();
-        invSubBytes();
-    }
-    addRoundKey(0);
-
-    std::memcpy(block, s, 16);
+    storeBe32(block, lastColumn(s0, s1, s2, s3) ^ rk[0]);
+    storeBe32(block + 4, lastColumn(s1, s2, s3, s0) ^ rk[1]);
+    storeBe32(block + 8, lastColumn(s2, s3, s0, s1) ^ rk[2]);
+    storeBe32(block + 12, lastColumn(s3, s0, s1, s2) ^ rk[3]);
 }
 
 void

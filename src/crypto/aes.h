@@ -27,9 +27,6 @@ class Aes {
     /** Encrypts one 16-byte block in place. */
     void encryptBlock(std::uint8_t* block) const;
 
-    /** Decrypts one 16-byte block in place. */
-    void decryptBlock(std::uint8_t* block) const;
-
     int rounds() const { return rounds_; }
 
   private:

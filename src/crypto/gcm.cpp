@@ -7,25 +7,40 @@ namespace nesgx::crypto {
 
 namespace {
 
-/** Multiplies x by y in GF(2^128) with the GCM polynomial. */
+// Reduction of the four bits a 4-bit shift moves past x^127: bit b of the
+// nibble (the x^(127-b) coefficient) becomes x^(3-b) * x^128, and
+// x^128 = x^7 + x^2 + x + 1 is 0xe1 in GCM's reflected top byte.
+struct NibbleReduction {
+    std::uint64_t r[16];
+
+    constexpr NibbleReduction() : r{}
+    {
+        for (int rem = 0; rem < 16; ++rem) {
+            for (int b = 0; b < 4; ++b) {
+                if (rem & (1 << b)) r[rem] ^= 0xe100ull << (45 + b);
+            }
+        }
+    }
+};
+
+constexpr NibbleReduction kReduce;
+
+/** x <- x * H in GF(2^128): Shoup's 4-bit method over the per-key table. */
 void
-gfMul(std::uint8_t x[16], const std::uint8_t y[16])
+mulH(std::uint8_t x[16], const std::uint64_t table[16][2])
 {
     std::uint64_t zh = 0, zl = 0;
-    std::uint64_t vh = loadBe64(y);
-    std::uint64_t vl = loadBe64(y + 8);
-
-    for (int i = 0; i < 128; ++i) {
-        int byte = i / 8;
-        int bit = 7 - (i % 8);
-        if ((x[byte] >> bit) & 1) {
-            zh ^= vh;
-            zl ^= vl;
-        }
-        bool lsb = vl & 1;
-        vl = (vl >> 1) | (vh << 63);
-        vh >>= 1;
-        if (lsb) vh ^= 0xe100000000000000ull;
+    auto step = [&](int nibble) {
+        std::uint64_t rem = zl & 0xf;
+        zl = (zh << 60) | (zl >> 4);
+        zh = (zh >> 4) ^ kReduce.r[rem] ^ table[nibble][0];
+        zl ^= table[nibble][1];
+    };
+    // Horner from the highest-degree nibble: GCM numbers bits from the
+    // MSB, so byte 15's low nibble holds the top coefficients.
+    for (int i = 15; i >= 0; --i) {
+        step(x[i] & 0xf);
+        step(x[i] >> 4);
     }
     storeBe64(x, zh);
     storeBe64(x + 8, zl);
@@ -35,8 +50,26 @@ gfMul(std::uint8_t x[16], const std::uint8_t y[16])
 
 AesGcm::AesGcm(ByteView key) : aes_(key)
 {
-    std::memset(h_, 0, sizeof(h_));
-    aes_.encryptBlock(h_);
+    std::uint8_t h[16] = {};
+    aes_.encryptBlock(h);
+    // A nibble's high bit is its x^0 coefficient, so entry 8 is H and
+    // entries 4, 2, 1 are H*x, H*x^2, H*x^3; the rest are XORs of those.
+    std::uint64_t vh = loadBe64(h);
+    std::uint64_t vl = loadBe64(h + 8);
+    hTable_[0][0] = hTable_[0][1] = 0;
+    for (int i = 8; i > 0; i >>= 1) {
+        hTable_[i][0] = vh;
+        hTable_[i][1] = vl;
+        bool lsb = vl & 1;
+        vl = (vl >> 1) | (vh << 63);
+        vh = (vh >> 1) ^ (lsb ? 0xe100000000000000ull : 0);
+    }
+    for (int i = 2; i < 16; i <<= 1) {
+        for (int j = 1; j < i; ++j) {
+            hTable_[i + j][0] = hTable_[i][0] ^ hTable_[j][0];
+            hTable_[i + j][1] = hTable_[i][1] ^ hTable_[j][1];
+        }
+    }
 }
 
 void
@@ -51,7 +84,7 @@ AesGcm::ghash(ByteView aad, ByteView ct, std::uint8_t out[16]) const
             for (std::size_t i = 0; i < take; ++i) {
                 out[i] ^= data[offset + i];
             }
-            gfMul(out, h_);
+            mulH(out, hTable_);
             offset += take;
         }
     };
@@ -63,7 +96,7 @@ AesGcm::ghash(ByteView aad, ByteView ct, std::uint8_t out[16]) const
     storeBe64(lengths, std::uint64_t(aad.size()) * 8);
     storeBe64(lengths + 8, std::uint64_t(ct.size()) * 8);
     for (int i = 0; i < 16; ++i) out[i] ^= lengths[i];
-    gfMul(out, h_);
+    mulH(out, hTable_);
 }
 
 Bytes

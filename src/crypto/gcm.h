@@ -39,7 +39,9 @@ class AesGcm {
     void ghash(ByteView aad, ByteView ct, std::uint8_t out[16]) const;
 
     Aes aes_;
-    std::uint8_t h_[16];  // GHASH subkey E(0^128)
+    // i * H for every 4-bit i as big-endian (high, low) halves, where H =
+    // E(0^128) is the GHASH subkey (Shoup's 4-bit table).
+    std::uint64_t hTable_[16][2];
 };
 
 }  // namespace nesgx::crypto

@@ -66,8 +66,7 @@ layoutPages(const EnclaveSpec& spec, SignedEnclave* out)
 }
 
 sgx::Measurement
-measureLayout(const EnclaveSpec& spec, const std::vector<ImagePage>& pages,
-              std::uint64_t sizeBytes)
+measureLayout(const std::vector<ImagePage>& pages, std::uint64_t sizeBytes)
 {
     // Mirrors exactly what ECREATE/EADD/EEXTEND will fold at load time.
     sgx::MeasurementLog log;
@@ -94,7 +93,7 @@ predictMeasurement(const EnclaveSpec& spec)
     std::uint64_t sizeBytes =
         roundUpPow2(spec.totalPages() * hw::kPageSize);
     auto pages = layoutPages(spec, nullptr);
-    return measureLayout(spec, pages, sizeBytes);
+    return measureLayout(pages, sizeBytes);
 }
 
 SignedEnclave
@@ -104,7 +103,7 @@ buildImage(const EnclaveSpec& spec, const crypto::RsaKeyPair& authorKey)
     out.spec = spec;
     out.sizeBytes = roundUpPow2(spec.totalPages() * hw::kPageSize);
     out.pages = layoutPages(spec, &out);
-    out.mrenclave = measureLayout(spec, out.pages, out.sizeBytes);
+    out.mrenclave = measureLayout(out.pages, out.sizeBytes);
 
     out.sigstruct.enclaveHash = out.mrenclave;
     out.sigstruct.attributes = spec.attributes;

@@ -38,7 +38,9 @@ TEST(Fuzz, BtreeMatchesReferenceModel)
             auto refIt = reference.find(key);
             ASSERT_EQ(treeRow.has_value(), refIt != reference.end())
                 << "op " << op << " key " << key;
-            if (treeRow) ASSERT_EQ(treeRow->at(0), refIt->second);
+            if (treeRow) {
+                ASSERT_EQ(treeRow->at(0), refIt->second);
+            }
             break;
           }
           case 2: {  // erase

@@ -40,7 +40,8 @@
  * Every run onboards through the attested trust path: tenants are
  * admitted only after NEREPORT chain verification, and clients seal
  * with the EGETKEY-rooted session key the verifier derived rather than
- * an out-of-band secret.
+ * an out-of-band secret. The single-host sections (all but 6, 8 and 10)
+ * run through serve::runScenario, the driver nesgx_serve uses too.
  *
  * The migration section splits the 24-tenant 4x-oversubscribed fleet
  * across two simulated host Machines behind a Fleet router and
@@ -75,300 +76,103 @@
  */
 #include <chrono>
 #include <memory>
-#include <set>
 #include <thread>
 
 #include "bench_util.h"
-#include "fault/injector.h"
-#include "migrate/engine.h"
 #include "serve/client.h"
-#include "serve/service.h"
-#include "supervise/supervisor.h"
-#include "trace/chrome_sink.h"
+#include "serve/scenario.h"
 
 namespace nesgx::bench {
 namespace {
 
-struct ServeResult {
-    std::uint64_t submitted = 0;
-    std::uint64_t verified = 0;
-    std::uint64_t failures = 0;
-    std::uint64_t backpressured = 0;
-    std::uint64_t shed = 0;
-    std::uint64_t eenter = 0;
-    std::uint64_t neenter = 0;
-    std::uint64_t batches = 0;
-    std::uint64_t batchedRequests = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t reloads = 0;
-    std::uint64_t watermarkMisses = 0;
-    /** EENTER+NEENTER after the post-arming snapshot: the request-path
-     *  transition count the per-request figure divides. */
-    std::uint64_t transitions = 0;
-    std::uint64_t switchlessChannels = 0;
-    std::uint64_t ringCalls = 0;
-    std::uint64_t ringPolls = 0;
-    Histogram latency;
-    // Chaos-mode (faultSpec armed) extras.
-    std::uint64_t faultsInjected = 0;
-    std::uint64_t faultSites = 0;  ///< distinct sites that actually fired
-    std::uint64_t typedErrors = 0;
-    std::uint64_t silentEmpties = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t rebuilds = 0;
-    std::uint64_t breakerOpens = 0;
-    std::uint64_t breakerCloses = 0;
-    std::uint64_t recovered = 0;
-    Histogram rebuildLatency;
-    // Migration-mode (migrateEvery > 0) extras.
-    std::uint64_t migrations = 0;       ///< committed gateway moves
-    std::uint64_t migrateAborted = 0;   ///< aborted attempts (source intact)
-};
+using serve::Scenario;
+using serve::ScenarioResult;
+using Clients = std::vector<std::unique_ptr<serve::TenantClient>>;
 
-struct ServeParams {
-    std::uint64_t tenants = 6;
-    std::uint64_t requests = 240;
-    std::size_t batch = 8;
-    std::uint64_t epcPages = 0;     ///< 0 = ample EPC
-    std::uint64_t deadline = 0;     ///< relative cycles; 0 = no shedding
-    bool openLoop = false;          ///< burst arrivals instead of paced
-    bool switchless = false;        ///< exit-less ring dispatch
-    bool cvm = false;               ///< depth-3 CVM -> gateway -> tenant tree
-    std::string faultSpec;          ///< FaultPlan spec; empty = no injector
-    std::uint64_t faultSeed = 1;
-    /** Every N submitted requests, live-migrate the next tenant (round
-     *  robin) to another gateway mid-run; 0 = no migrations. */
-    std::uint64_t migrateEvery = 0;
-    std::string chromeTracePath;
-};
-
-ServeResult
-runServe(const ServeParams& params)
+/** Runs one single-host section through the shared scenario driver. A
+ *  failed run has already printed its "error:" line. */
+ScenarioResult
+run(const Scenario& scenario)
 {
-    auto config = defaultConfig();
-    const std::uint64_t tenantsPerOuter = 4;
-    const std::uint64_t gatewayEstimate =
-        (params.tenants + tenantsPerOuter - 1) / tenantsPerOuter;
-    if (params.switchless) {
-        // One parked poller core per tenant, one per gateway outer,
-        // plus the host workers: polling trades cores for transitions,
-        // so the simulated socket grows with the fleet (same sizing as
-        // nesgx_serve --switchless; the cvm tree parks one more poller
-        // inside the shared root).
-        config.coreCount = std::uint32_t(
-            params.tenants + gatewayEstimate + (params.cvm ? 3 : 2));
+    auto result = serve::runScenario(scenario);
+    if (!result) std::exit(1);
+    if (!scenario.chromeTracePath.empty()) {
+        std::printf("  [chrome trace written to %s (%zu events)]\n",
+                    scenario.chromeTracePath.c_str(),
+                    result.value().traceEvents);
     }
-    if (params.epcPages > 0) {
-        // Shrink the PRM so tenant working sets exceed the EPC and the
-        // pressure manager has to page (same knob as nesgx_serve
-        // --epc-pages; +64 pages of VA-tracking slack).
-        config.prmBytes = (params.epcPages + 64) * hw::kPageSize;
-    }
-    BenchWorld world(config);
-
-    std::unique_ptr<trace::ChromeTraceSink> sink;
-    if (!params.chromeTracePath.empty()) {
-        sink = std::make_unique<trace::ChromeTraceSink>(
-            world.machine.clock().frequencyHz() / 1e6, false);
-        world.machine.trace().subscribe(sink.get());
-    }
-
-    serve::TenantService::Config sc;
-    sc.pool.batchSize = params.batch;
-    sc.admission.deadlineCycles = params.deadline;
-    sc.switchless.enabled = params.switchless;
-    sc.switchless.hostCores = 2;
-    if (params.cvm) {
-        sc.registry.topology = serve::Topology::Cvm;
-        sc.registry.cvmTcs =
-            std::uint32_t(params.tenants + gatewayEstimate + 5);
-        sc.registry.cvmHeapPages = 64 + 8 * gatewayEstimate;
-    }
-    if (!params.faultSpec.empty()) {
-        // Same knobs as nesgx_serve --chaos: a single failed batch opens
-        // the breaker so the open/probe/close cycle runs in-window.
-        sc.pool.breakerThreshold = 1;
-        sc.pool.breakerCooldownCycles = 150000;
-    }
-    // Attested trust path everywhere: onboarding runs the NEREPORT
-    // chain challenge and the clients below seal with the verifier's
-    // EGETKEY-rooted session keys instead of out-of-band secrets.
-    sc.attestOnboarding = true;
-    serve::TenantService service(*world.urts, sc);
-
-    // sql expectations replay on a client-side shadow database, which
-    // needs lossless delivery; under deadline shedding or fault
-    // injection (both drop requests) stick to the per-request echo/svm
-    // workloads.
-    const std::vector<serve::Workload> mix =
-        (params.deadline == 0 && params.faultSpec.empty())
-            ? std::vector<serve::Workload>{serve::Workload::Echo,
-                                           serve::Workload::Sql,
-                                           serve::Workload::Svm}
-            : std::vector<serve::Workload>{serve::Workload::Echo,
-                                           serve::Workload::Svm};
-
-    std::vector<std::unique_ptr<serve::TenantClient>> clients;
-    for (std::uint64_t t = 0; t < params.tenants; ++t) {
-        auto workload = mix[t % mix.size()];
-        service.addTenant(serve::TenantId(t), workload).orThrow("tenant");
-        const Bytes key = service.sessionKeyFor(serve::TenantId(t));
-        clients.push_back(std::make_unique<serve::TenantClient>(
-            serve::TenantId(t), workload, key));
-    }
-
-    // Park the switchless pollers while the world is still fault-free,
-    // then snapshot the transition counters: everything after this point
-    // is the request path the transitions-per-request figure describes
-    // (classic runs snapshot here too, so the modes compare like for
-    // like — setup and arming traffic excluded from all three).
-    const std::size_t armedChannels = service.armSwitchless();
-    const std::uint64_t transitionsBase =
-        world.machine.trace().counters().eenterCount +
-        world.machine.trace().counters().neenterCount;
-
-    // Armed only after setup so tenant construction never faults and the
-    // trigger occurrence counts exclude the setup's leaf traffic.
-    std::unique_ptr<fault::FaultInjector> injector;
-    if (!params.faultSpec.empty()) {
-        auto plan = fault::FaultPlan::parse(params.faultSpec);
-        plan.orThrow("fault spec");
-        injector = std::make_unique<fault::FaultInjector>(plan.value(),
-                                                          params.faultSeed);
-        world.machine.setFaultInjector(injector.get());
-    }
-
-    ServeResult result;
-    auto drainInto = [&]() {
-        std::set<serve::TenantId> rebuiltSeen;
-        for (serve::Completion& done : service.drain()) {
-            result.latency.add(done.latencyCycles);
-            if (done.tenantRebuilt &&
-                rebuiltSeen.insert(done.tenant).second) {
-                clients[done.tenant]->onTenantRebuilt();
-            }
-            if (done.ok) {
-                if (clients[done.tenant]->onResponse(done.sealedResponse)) {
-                    ++result.verified;
-                }
-            } else if (done.status.isOk()) {
-                ++result.silentEmpties;
-            } else {
-                ++result.typedErrors;
-                if (!done.tenantRebuilt) clients[done.tenant]->onDropped();
-            }
-        }
-    };
-
-    migrate::MigrationEngine migrator;
-    std::uint64_t cursor = 0;
-    std::uint64_t migrateCursor = 0;
-    while (result.submitted < params.requests) {
-        const serve::TenantId t = serve::TenantId(cursor % params.tenants);
-        ++cursor;
-        Bytes req = clients[t]->nextRequest();
-        Status st = service.submit(t, std::move(req));
-        if (st.code() == Err::Backpressure) {
-            ++result.backpressured;
-            clients[t]->onDropped();
-            service.pump(4);
-            drainInto();
-            continue;
-        }
-        st.orThrow("submit");
-        ++result.submitted;
-        // Mid-run live migration: the tenant's sealed session (and any
-        // queued requests) must survive the gateway move transparently.
-        if (params.migrateEvery > 0 &&
-            result.submitted % params.migrateEvery == 0) {
-            (void)migrator.migrateToGateway(
-                service,
-                serve::TenantId(migrateCursor++ % params.tenants));
-        }
-        // Closed loop pumps once per full round of batches; open loop
-        // keeps bursting until backpressure does the pacing.
-        const std::uint64_t window = params.openLoop
-                                         ? params.requests
-                                         : params.batch * params.tenants;
-        if (result.submitted % window == 0) {
-            service.pump();
-            drainInto();
-        }
-    }
-    service.pump();
-    drainInto();
-    result.migrations = migrator.stats().gatewayMoves;
-    result.migrateAborted = migrator.stats().aborted;
-
-    if (injector) {
-        // Recovery phase: stop injecting, then drive every tenant until
-        // it serves a verified response again (breaker probes come due
-        // as the clock charge passes the cooldown between rounds).
-        injector->disarm();
-        std::vector<bool> healed(params.tenants, false);
-        for (int round = 0;
-             round < 64 && result.recovered < params.tenants; ++round) {
-            for (std::uint64_t t = 0; t < params.tenants; ++t) {
-                if (healed[t]) continue;
-                const std::uint64_t was = clients[t]->verified();
-                Status st = service.submit(serve::TenantId(t),
-                                           clients[t]->nextRequest());
-                if (!st) clients[t]->onDropped();
-                service.pump();
-                drainInto();
-                if (clients[t]->verified() > was) {
-                    healed[t] = true;
-                    ++result.recovered;
-                }
-            }
-            world.machine.charge(sc.pool.breakerCooldownCycles + 1);
-        }
-        result.faultsInjected = injector->totalInjected();
-        for (std::size_t s = 0; s < fault::kFaultSiteCount; ++s) {
-            if (injector->injected(fault::FaultSite(s)) > 0) {
-                ++result.faultSites;
-            }
-        }
-        result.retries = service.pool().retries();
-        result.rebuilds = service.pool().rebuilds();
-        result.breakerOpens = service.pool().breakerOpens();
-        result.breakerCloses = service.pool().breakerCloses();
-        result.rebuildLatency = service.pool().rebuildLatency();
-    }
-
-    for (const auto& client : clients) {
-        result.failures += client->failures();
-    }
-    result.shed = service.admission().shed();
-    result.watermarkMisses = service.pressure().watermarkMisses();
-    const auto& counters = world.machine.trace().counters();
-    result.eenter = counters.eenterCount;
-    result.neenter = counters.neenterCount;
-    result.batches = counters.serveBatches;
-    result.batchedRequests = counters.serveBatchedRequests;
-    result.evictions = counters.serveTenantEvictions;
-    result.reloads = counters.serveTenantReloads;
-    result.transitions =
-        counters.eenterCount + counters.neenterCount - transitionsBase;
-    result.switchlessChannels = armedChannels;
-    result.ringPolls = counters.switchlessPolls;
-    if (const auto* engine = service.switchlessEngine()) {
-        result.ringCalls = engine->engineStats().calls;
-    }
-
-    if (sink) {
-        world.machine.trace().unsubscribe(sink.get());
-        if (sink->writeFile(params.chromeTracePath)) {
-            std::printf("  [chrome trace written to %s (%zu events)]\n",
-                        params.chromeTracePath.c_str(), sink->eventCount());
-        } else {
-            std::fprintf(stderr, "error: cannot write %s\n",
-                         params.chromeTracePath.c_str());
-            std::exit(1);
-        }
-    }
-    return result;
+    return std::move(result).value();
 }
+
+/** Sections 5 and 7's gate: every submitted request verified. */
+bool
+verifiedAll(const char* run, const ScenarioResult& r)
+{
+    if (r.failures == 0 && r.verified == r.submitted) return true;
+    std::fprintf(stderr,
+                 "FAIL: %s run must verify every request "
+                 "(%llu/%llu, %llu failures)\n",
+                 run, (unsigned long long)r.verified,
+                 (unsigned long long)r.submitted,
+                 (unsigned long long)r.failures);
+    return false;
+}
+
+void
+printLatency(const Histogram& latency)
+{
+    std::printf("  latency cycles: p50 %llu  p95 %llu  p99 %llu\n",
+                (unsigned long long)latency.p50(),
+                (unsigned long long)latency.p95(),
+                (unsigned long long)latency.p99());
+}
+
+/** Sections 6, 8 and 10: onboards tenants 0..n-1 on `service` with the
+ *  echo/sql/svm mix, one client each holding the attested session key. */
+Clients
+onboard(serve::TenantService& service, std::uint64_t tenants)
+{
+    const serve::Workload mix[] = {serve::Workload::Echo,
+                                   serve::Workload::Sql,
+                                   serve::Workload::Svm};
+    Clients clients;
+    for (std::uint64_t t = 0; t < tenants; ++t) {
+        const serve::TenantId id = serve::TenantId(t);
+        service.addTenant(id, mix[t % 3]).orThrow("tenant");
+        clients.push_back(std::make_unique<serve::TenantClient>(
+            id, mix[t % 3], service.sessionKeyFor(id)));
+    }
+    return clients;
+}
+
+/**
+ * Sections 8 and 10: 24 attested tenants onboarded on host A of a
+ * two-host Fleet. The hosts are separate Machines with distinct
+ * sealing-key roots and a 1024-page EPC each.
+ */
+struct TwoHostFleet {
+    static sgx::Machine::Config hostConfig(std::uint64_t seed)
+    {
+        auto config = serve::machineConfig({.epcPages = 1024});
+        config.rngSeed = seed;  // distinct sealing-key root per host
+        return config;
+    }
+
+    BenchWorld hostA{hostConfig(42)};
+    BenchWorld hostB{hostConfig(99)};
+    serve::TenantService serviceA{*hostA.urts, serve::serviceConfig({})};
+    serve::TenantService serviceB{*hostB.urts, serve::serviceConfig({})};
+    migrate::Fleet fleet;
+    migrate::MigrationEngine engine;
+    Clients clients;  ///< unmoved tenants route to host 0 (A)
+
+    explicit TwoHostFleet(std::uint64_t tenants)
+    {
+        fleet.addHost(serviceA);
+        fleet.addHost(serviceB);
+        clients = onboard(serviceA, tenants);
+    }
+};
 
 struct ScalingResult {
     std::uint64_t submitted = 0;
@@ -388,34 +192,16 @@ ScalingResult
 runThreadScaling(std::size_t threads, std::uint64_t tenants,
                  std::uint64_t perTenant)
 {
-    auto config = defaultConfig();
-    if (config.coreCount < threads) {
-        config.coreCount = std::uint32_t(threads);
-    }
-    BenchWorld world(config);
+    BenchWorld world(serve::machineConfig({.threads = threads}));
 
-    serve::TenantService::Config sc;
-    sc.pool.batchSize = 8;
-    sc.pool.threads = threads;
     // The whole volume sits queued before the pool runs.
-    sc.admission.maxQueueDepth = perTenant;
+    auto sc = serve::serviceConfig({.queueDepth = perTenant,
+                                    .threads = threads});
     // 24 tenants / 3 per outer = 8 gateways: divisible by every swept
     // thread count, so the gateway-partitioned workers stay balanced.
     sc.registry.tenantsPerOuter = 3;
-    sc.attestOnboarding = true;
     serve::TenantService service(*world.urts, sc);
-
-    const std::vector<serve::Workload> mix = {serve::Workload::Echo,
-                                              serve::Workload::Sql,
-                                              serve::Workload::Svm};
-    std::vector<std::unique_ptr<serve::TenantClient>> clients;
-    for (std::uint64_t t = 0; t < tenants; ++t) {
-        auto workload = mix[t % mix.size()];
-        service.addTenant(serve::TenantId(t), workload).orThrow("tenant");
-        const Bytes key = service.sessionKeyFor(serve::TenantId(t));
-        clients.push_back(std::make_unique<serve::TenantClient>(
-            serve::TenantId(t), workload, key));
-    }
+    Clients clients = onboard(service, tenants);
 
     ScalingResult result;
     for (std::uint64_t i = 0; i < perTenant; ++i) {
@@ -456,6 +242,10 @@ main(int argc, char** argv)
     std::uint64_t tenants = flags.u64("tenants", 6);
     std::uint64_t requests = flags.u64("requests", 240);
     const std::string chromeTrace = flags.str("chrome-trace", "");
+    const std::uint64_t faultSeed = flags.u64("fault-seed", 7);
+    // Sections 3-5, 7 and 9: 4x the tenants on a 1024-page EPC.
+    const Scenario pressure{
+        .tenants = tenants * 4, .requests = requests * 2, .epcPages = 1024};
     JsonReport json;
 
     header("Serve bench 1/10: NEENTER per request vs worker batch size");
@@ -465,22 +255,21 @@ main(int argc, char** argv)
                 "NEENTER", "neenter/req", "req/batch", "p50 cyc", "p99 cyc");
     for (std::size_t batch : {std::size_t(1), std::size_t(2), std::size_t(4),
                               std::size_t(8)}) {
-        ServeParams params;
-        params.tenants = tenants;
-        params.requests = requests;
-        params.batch = batch;
-        ServeResult r = runServe(params);
+        ScenarioResult r =
+            run({.tenants = tenants, .requests = requests, .batch = batch});
+        const auto& c = r.counters;
         if (r.failures > 0) {
             std::fprintf(stderr, "FAIL: %llu integrity failures at batch %zu\n",
                          (unsigned long long)r.failures, batch);
             return 1;
         }
-        double perReq = double(r.neenter) / double(r.submitted);
+        double perReq = double(c.neenterCount) / double(r.submitted);
         std::printf("  %6zu %10llu %12llu %12.3f %14.2f %10llu %10llu\n",
                     batch, (unsigned long long)r.verified,
-                    (unsigned long long)r.neenter, perReq,
-                    r.batches ? double(r.batchedRequests) / double(r.batches)
-                              : 0.0,
+                    (unsigned long long)c.neenterCount, perReq,
+                    c.serveBatches ? double(c.serveBatchedRequests) /
+                                         double(c.serveBatches)
+                                   : 0.0,
                     (unsigned long long)r.latency.p50(),
                     (unsigned long long)r.latency.p99());
         json.set("neenter_per_req_batch" + std::to_string(batch), perReq);
@@ -506,13 +295,8 @@ main(int argc, char** argv)
     note("queues push back (Err::Backpressure) and queued requests that");
     note("outlive their deadline are shed at dequeue, never dispatched");
     {
-        ServeParams params;
-        params.tenants = tenants;
-        params.requests = requests;
-        params.batch = 8;
-        params.deadline = 150000;
-        params.openLoop = true;
-        ServeResult r = runServe(params);
+        ScenarioResult r = run({.tenants = tenants, .requests = requests,
+                                .deadline = 150000, .openLoop = true});
         if (r.failures > 0) {
             std::fprintf(stderr, "FAIL: %llu integrity failures open-loop\n",
                          (unsigned long long)r.failures);
@@ -522,14 +306,11 @@ main(int argc, char** argv)
                     "backpressured %llu\n",
                     (unsigned long long)r.submitted,
                     (unsigned long long)r.verified,
-                    (unsigned long long)r.shed,
+                    (unsigned long long)r.counters.serveSheds,
                     (unsigned long long)r.backpressured);
-        std::printf("  latency cycles: p50 %llu  p95 %llu  p99 %llu\n",
-                    (unsigned long long)r.latency.p50(),
-                    (unsigned long long)r.latency.p95(),
-                    (unsigned long long)r.latency.p99());
+        printLatency(r.latency);
         json.set("open_loop_verified", double(r.verified));
-        json.set("open_loop_shed", double(r.shed));
+        json.set("open_loop_shed", double(r.counters.serveSheds));
         json.set("open_loop_backpressured", double(r.backpressured));
         json.set("open_loop_p99_cycles", double(r.latency.p99()));
     }
@@ -540,28 +321,22 @@ main(int argc, char** argv)
     note("them transparently (ELDU); every sealed response must still");
     note("verify against the client's shadow expectations");
     {
-        ServeParams params;
-        params.tenants = tenants * 4;
-        params.requests = requests * 2;
-        params.batch = 8;
-        params.epcPages = 1024;
-        params.chromeTracePath = chromeTrace;
-        ServeResult r = runServe(params);
+        Scenario s = pressure;
+        s.chromeTracePath = chromeTrace;
+        ScenarioResult r = run(s);
+        const auto& c = r.counters;
         std::printf("\n  tenants %llu, verified %llu/%llu, failures %llu\n",
-                    (unsigned long long)params.tenants,
+                    (unsigned long long)s.tenants,
                     (unsigned long long)r.verified,
                     (unsigned long long)r.submitted,
                     (unsigned long long)r.failures);
         std::printf("  tenant evictions %llu, reloads %llu\n",
-                    (unsigned long long)r.evictions,
-                    (unsigned long long)r.reloads);
-        std::printf("  latency cycles: p50 %llu  p95 %llu  p99 %llu\n",
-                    (unsigned long long)r.latency.p50(),
-                    (unsigned long long)r.latency.p95(),
-                    (unsigned long long)r.latency.p99());
-        json.set("pressure_evictions", double(r.evictions));
-        json.set("pressure_reloads", double(r.reloads));
-        json.set("pressure_watermark_misses", double(r.watermarkMisses));
+                    (unsigned long long)c.serveTenantEvictions,
+                    (unsigned long long)c.serveTenantReloads);
+        printLatency(r.latency);
+        json.set("pressure_evictions", double(c.serveTenantEvictions));
+        json.set("pressure_reloads", double(c.serveTenantReloads));
+        json.set("pressure_watermark_misses", double(c.serveWatermarkMisses));
         json.set("pressure_integrity_failures", double(r.failures));
         json.set("pressure_verified", double(r.verified));
         json.set("pressure_p50_cycles", double(r.latency.p50()));
@@ -571,9 +346,9 @@ main(int argc, char** argv)
             std::fprintf(stderr, "FAIL: integrity failures under pressure\n");
             return 1;
         }
-        if (r.evictions < 10) {
+        if (c.serveTenantEvictions < 10) {
             std::fprintf(stderr, "FAIL: expected >= 10 evictions, got %llu\n",
-                         (unsigned long long)r.evictions);
+                         (unsigned long long)c.serveTenantEvictions);
             return 1;
         }
     }
@@ -585,47 +360,41 @@ main(int argc, char** argv)
     note("tenants behind per-tenant circuit breakers, and every request must");
     note("end verified or with a typed error — never a silent empty");
     {
-        ServeParams params;
-        params.tenants = tenants * 4;
-        params.requests = requests * 2;
-        params.batch = 8;
-        params.epcPages = 1024;
-        params.faultSpec =
-            "ewb-corrupt@n=3; ewb-drop-slot@n=9; eldu-fail@n=15;"
-            "eenter-fail@every=40; neenter-fail@every=45;"
-            "epc-alloc-fail@every=150; aex-storm@every=100";
-        params.faultSeed = flags.u64("fault-seed", 7);
-        ServeResult r = runServe(params);
+        Scenario s = pressure;
+        s.faultSpec = serve::chaosPlan(false, false);
+        s.faultSeed = faultSeed;
+        ScenarioResult r = run(s);
+        const auto& c = r.counters;
         std::printf("\n  faults injected %llu at %llu sites; verified %llu, "
                     "typed errors %llu, silent empties %llu\n",
                     (unsigned long long)r.faultsInjected,
-                    (unsigned long long)r.faultSites,
+                    (unsigned long long)r.faultSites(),
                     (unsigned long long)r.verified,
                     (unsigned long long)r.typedErrors,
                     (unsigned long long)r.silentEmpties);
         std::printf("  retries %llu, rebuilds %llu, breaker open/close "
                     "%llu/%llu, recovered %llu/%llu\n",
-                    (unsigned long long)r.retries,
+                    (unsigned long long)c.serveRetries,
                     (unsigned long long)r.rebuilds,
-                    (unsigned long long)r.breakerOpens,
-                    (unsigned long long)r.breakerCloses,
+                    (unsigned long long)c.serveBreakerOpens,
+                    (unsigned long long)c.serveBreakerCloses,
                     (unsigned long long)r.recovered,
-                    (unsigned long long)params.tenants);
+                    (unsigned long long)s.tenants);
         if (!r.rebuildLatency.empty()) {
             std::printf("  rebuild cycles: p50 %llu  p95 %llu\n",
                         (unsigned long long)r.rebuildLatency.p50(),
                         (unsigned long long)r.rebuildLatency.p95());
         }
         json.set("chaos_faults_injected", double(r.faultsInjected));
-        json.set("chaos_fault_sites", double(r.faultSites));
+        json.set("chaos_fault_sites", double(r.faultSites()));
         json.set("chaos_verified", double(r.verified));
         json.set("chaos_typed_errors", double(r.typedErrors));
         json.set("chaos_silent_empties", double(r.silentEmpties));
-        json.set("chaos_retries", double(r.retries));
+        json.set("chaos_retries", double(c.serveRetries));
         json.set("chaos_rebuilds", double(r.rebuilds));
-        json.set("chaos_breaker_opens", double(r.breakerOpens));
-        json.set("chaos_breaker_closes", double(r.breakerCloses));
-        json.set("chaos_watermark_misses", double(r.watermarkMisses));
+        json.set("chaos_breaker_opens", double(c.serveBreakerOpens));
+        json.set("chaos_breaker_closes", double(c.serveBreakerCloses));
+        json.set("chaos_watermark_misses", double(c.serveWatermarkMisses));
         json.set("chaos_rebuild_p50_cycles", double(r.rebuildLatency.p50()));
         json.set("chaos_rebuild_p95_cycles", double(r.rebuildLatency.p95()));
         if (r.failures > 0 || r.silentEmpties > 0) {
@@ -637,7 +406,7 @@ main(int argc, char** argv)
             return 1;
         }
         if (r.faultsInjected == 0 || r.rebuilds == 0 ||
-            r.recovered < params.tenants) {
+            r.recovered < s.tenants) {
             std::fprintf(stderr,
                          "FAIL: chaos run must inject (got %llu), rebuild "
                          "(got %llu) and recover every tenant (got "
@@ -645,7 +414,7 @@ main(int argc, char** argv)
                          (unsigned long long)r.faultsInjected,
                          (unsigned long long)r.rebuilds,
                          (unsigned long long)r.recovered,
-                         (unsigned long long)params.tenants);
+                         (unsigned long long)s.tenants);
             return 1;
         }
     }
@@ -658,48 +427,34 @@ main(int argc, char** argv)
     note("transitions — the per-request transition figure must collapse");
     note("to <= 0.01 while every sealed response still verifies");
     {
-        ServeParams params;
-        params.tenants = tenants * 4;
-        params.requests = requests * 2;
-        params.batch = 8;
-        params.epcPages = 1024;
-        params.switchless = true;
-        ServeResult r = runServe(params);
+        Scenario s = pressure;
+        s.switchless = true;
+        ScenarioResult r = run(s);
+        const auto& c = r.counters;
         const double perReq = double(r.transitions) / double(r.submitted);
         std::printf("\n  tenants %llu, verified %llu/%llu, failures %llu\n",
-                    (unsigned long long)params.tenants,
+                    (unsigned long long)s.tenants,
                     (unsigned long long)r.verified,
                     (unsigned long long)r.submitted,
                     (unsigned long long)r.failures);
         std::printf("  channels %llu, ring calls %llu, ring polls %llu\n",
-                    (unsigned long long)r.switchlessChannels,
+                    (unsigned long long)r.channels,
                     (unsigned long long)r.ringCalls,
-                    (unsigned long long)r.ringPolls);
+                    (unsigned long long)c.switchlessPolls);
         std::printf("  transitions/request %.4f (post-arming; EENTER %llu + "
                     "NEENTER %llu lifetime)\n",
-                    perReq, (unsigned long long)r.eenter,
-                    (unsigned long long)r.neenter);
-        std::printf("  latency cycles: p50 %llu  p95 %llu  p99 %llu\n",
-                    (unsigned long long)r.latency.p50(),
-                    (unsigned long long)r.latency.p95(),
-                    (unsigned long long)r.latency.p99());
+                    perReq, (unsigned long long)c.eenterCount,
+                    (unsigned long long)c.neenterCount);
+        printLatency(r.latency);
         json.set("transitions_per_request_switchless", perReq);
-        json.set("switchless_channels", double(r.switchlessChannels));
+        json.set("switchless_channels", double(r.channels));
         json.set("switchless_ring_calls", double(r.ringCalls));
-        json.set("switchless_ring_polls", double(r.ringPolls));
+        json.set("switchless_ring_polls", double(c.switchlessPolls));
         json.set("switchless_verified", double(r.verified));
         json.set("switchless_integrity_failures", double(r.failures));
         json.set("switchless_p50_cycles", double(r.latency.p50()));
         json.set("switchless_p99_cycles", double(r.latency.p99()));
-        if (r.failures > 0 || r.verified != r.submitted) {
-            std::fprintf(stderr,
-                         "FAIL: switchless run must verify every request "
-                         "(%llu/%llu, %llu failures)\n",
-                         (unsigned long long)r.verified,
-                         (unsigned long long)r.submitted,
-                         (unsigned long long)r.failures);
-            return 1;
-        }
+        if (!verifiedAll("switchless", r)) return 1;
         if (perReq > 0.01) {
             std::fprintf(stderr,
                          "FAIL: switchless transitions/request %.4f exceeds "
@@ -763,54 +518,41 @@ main(int argc, char** argv)
     note("poller): a depth-3 chain must still pay zero steady-state");
     note("transitions per request while every sealed response verifies");
     {
-        ServeParams params;
-        params.tenants = tenants * 4;
-        params.requests = requests * 2;
-        params.batch = 8;
+        Scenario s = pressure;
         // Slightly above the flat pressure floor: the CVM root and the
         // per-hop poller TCS pools are unevictable, but the tenant
         // working set still far exceeds the EPC, so paging stays hot.
-        params.epcPages = 1280;
-        params.switchless = true;
-        params.cvm = true;
-        ServeResult r = runServe(params);
+        s.epcPages = 1280;
+        s.switchless = true;
+        s.cvm = true;
+        ScenarioResult r = run(s);
+        const auto& c = r.counters;
         const double perReq = double(r.transitions) / double(r.submitted);
         std::printf("\n  tenants %llu at depth 3, verified %llu/%llu, "
                     "failures %llu\n",
-                    (unsigned long long)params.tenants,
+                    (unsigned long long)s.tenants,
                     (unsigned long long)r.verified,
                     (unsigned long long)r.submitted,
                     (unsigned long long)r.failures);
         std::printf("  tenant evictions %llu, reloads %llu\n",
-                    (unsigned long long)r.evictions,
-                    (unsigned long long)r.reloads);
+                    (unsigned long long)c.serveTenantEvictions,
+                    (unsigned long long)c.serveTenantReloads);
         std::printf("  channels %llu, ring calls %llu, ring polls %llu\n",
-                    (unsigned long long)r.switchlessChannels,
+                    (unsigned long long)r.channels,
                     (unsigned long long)r.ringCalls,
-                    (unsigned long long)r.ringPolls);
+                    (unsigned long long)c.switchlessPolls);
         std::printf("  transitions/request %.4f (post-arming)\n", perReq);
-        std::printf("  latency cycles: p50 %llu  p95 %llu  p99 %llu\n",
-                    (unsigned long long)r.latency.p50(),
-                    (unsigned long long)r.latency.p95(),
-                    (unsigned long long)r.latency.p99());
+        printLatency(r.latency);
         json.set("cvm_verified", double(r.verified));
         json.set("cvm_submitted", double(r.submitted));
         json.set("cvm_integrity_failures", double(r.failures));
-        json.set("cvm_evictions", double(r.evictions));
-        json.set("cvm_reloads", double(r.reloads));
-        json.set("cvm_channels", double(r.switchlessChannels));
+        json.set("cvm_evictions", double(c.serveTenantEvictions));
+        json.set("cvm_reloads", double(c.serveTenantReloads));
+        json.set("cvm_channels", double(r.channels));
         json.set("cvm_transitions_per_request", perReq);
         json.set("cvm_p50_cycles", double(r.latency.p50()));
         json.set("cvm_p99_cycles", double(r.latency.p99()));
-        if (r.failures > 0 || r.verified != r.submitted) {
-            std::fprintf(stderr,
-                         "FAIL: cvm run must verify every request "
-                         "(%llu/%llu, %llu failures)\n",
-                         (unsigned long long)r.verified,
-                         (unsigned long long)r.submitted,
-                         (unsigned long long)r.failures);
-            return 1;
-        }
+        if (!verifiedAll("cvm", r)) return 1;
         if (perReq > 0.01) {
             std::fprintf(stderr,
                          "FAIL: cvm transitions/request %.4f exceeds 0.01 — "
@@ -819,11 +561,11 @@ main(int argc, char** argv)
                          perReq);
             return 1;
         }
-        if (r.evictions < 10) {
+        if (c.serveTenantEvictions < 10) {
             std::fprintf(stderr,
                          "FAIL: cvm run expected >= 10 evictions, got "
                          "%llu\n",
-                         (unsigned long long)r.evictions);
+                         (unsigned long long)c.serveTenantEvictions);
             return 1;
         }
     }
@@ -839,52 +581,17 @@ main(int argc, char** argv)
         const std::uint64_t migrateTenants = 24;
         const std::uint64_t perTenant = 20;
         const std::uint64_t total = migrateTenants * perTenant;  // 480
+        TwoHostFleet hosts(migrateTenants);
+        migrate::Fleet& fleet = hosts.fleet;
+        migrate::MigrationEngine& engine = hosts.engine;
+        auto& clients = hosts.clients;
 
-        auto mkConfig = [&](std::uint64_t seed) {
-            auto config = defaultConfig();
-            config.rngSeed = seed;  // distinct sealing-key root per host
-            config.prmBytes = (1024 + 64) * hw::kPageSize;
-            return config;
-        };
-        BenchWorld hostA(mkConfig(42));
-        BenchWorld hostB(mkConfig(99));
-
-        serve::TenantService::Config sc;
-        sc.pool.batchSize = 8;
-        sc.attestOnboarding = true;
-        serve::TenantService serviceA(*hostA.urts, sc);
-        serve::TenantService serviceB(*hostB.urts, sc);
-
-        migrate::Fleet fleet;
-        fleet.addHost(serviceA);
-        fleet.addHost(serviceB);
-        migrate::MigrationEngine engine;
-
-        const std::vector<serve::Workload> mix = {serve::Workload::Echo,
-                                                  serve::Workload::Sql,
-                                                  serve::Workload::Svm};
-        std::vector<std::unique_ptr<serve::TenantClient>> clients;
-        for (std::uint64_t t = 0; t < migrateTenants; ++t) {
-            auto workload = mix[t % mix.size()];
-            fleet.addTenant(serve::TenantId(t), workload, 0)
-                .orThrow("tenant");
-            const Bytes key =
-                fleet.hostOf(serve::TenantId(t))
-                    ->sessionKeyFor(serve::TenantId(t));
-            clients.push_back(std::make_unique<serve::TenantClient>(
-                serve::TenantId(t), workload, key));
-        }
-
-        ServeResult r;
+        std::uint64_t submitted = 0;
+        std::uint64_t failures = 0;
+        serve::Tally tally;
         std::vector<std::uint64_t> moves(migrateTenants, 0);
         auto drainFleet = [&]() {
-            for (serve::Completion& done : fleet.drainAll()) {
-                r.latency.add(done.latencyCycles);
-                if (done.ok &&
-                    clients[done.tenant]->onResponse(done.sealedResponse)) {
-                    ++r.verified;
-                }
-            }
+            tally.settle(fleet.drainAll(), clients);
         };
 
         std::uint64_t gwCursor = 0;
@@ -892,7 +599,7 @@ main(int argc, char** argv)
             for (std::uint64_t t = 0; t < migrateTenants; ++t) {
                 fleet.submit(serve::TenantId(t), clients[t]->nextRequest())
                     .orThrow("submit");
-                ++r.submitted;
+                ++submitted;
             }
             fleet.pumpAll();
             drainFleet();
@@ -916,7 +623,7 @@ main(int argc, char** argv)
         fleet.pumpAll();
         drainFleet();
         for (const auto& client : clients) {
-            r.failures += client->failures();
+            failures += client->failures();
         }
         std::uint64_t unmoved = 0;
         for (std::uint64_t m : moves) {
@@ -927,9 +634,9 @@ main(int argc, char** argv)
         std::printf("\n  tenants %llu across %zu hosts, verified %llu/%llu, "
                     "failures %llu\n",
                     (unsigned long long)migrateTenants, fleet.hostCount(),
-                    (unsigned long long)r.verified,
-                    (unsigned long long)r.submitted,
-                    (unsigned long long)r.failures);
+                    (unsigned long long)tally.verified,
+                    (unsigned long long)submitted,
+                    (unsigned long long)failures);
         std::printf("  migrations: %llu attempted, %llu gateway + %llu "
                     "cross-host committed, %llu aborted\n",
                     (unsigned long long)ms.attempts,
@@ -945,12 +652,12 @@ main(int argc, char** argv)
                     (unsigned long long)ms.latency.p50(),
                     (unsigned long long)ms.latency.p95());
         std::printf("  request cycles:   p50 %llu  p95 %llu  p99 %llu\n",
-                    (unsigned long long)r.latency.p50(),
-                    (unsigned long long)r.latency.p95(),
-                    (unsigned long long)r.latency.p99());
-        json.set("migrate_submitted", double(r.submitted));
-        json.set("migrate_verified", double(r.verified));
-        json.set("migrate_integrity_failures", double(r.failures));
+                    (unsigned long long)tally.latency.p50(),
+                    (unsigned long long)tally.latency.p95(),
+                    (unsigned long long)tally.latency.p99());
+        json.set("migrate_submitted", double(submitted));
+        json.set("migrate_verified", double(tally.verified));
+        json.set("migrate_integrity_failures", double(failures));
         json.set("migrate_attempts", double(ms.attempts));
         json.set("migrate_gateway_moves", double(ms.gatewayMoves));
         json.set("migrate_host_moves", double(ms.hostMoves));
@@ -958,13 +665,13 @@ main(int argc, char** argv)
         json.set("migrate_pages_drained", double(ms.pagesDrained));
         json.set("migrate_p50_cycles", double(ms.latency.p50()));
         json.set("migrate_p95_cycles", double(ms.latency.p95()));
-        if (r.failures > 0 || r.verified != total || r.submitted != total) {
+        if (failures > 0 || tally.verified != total || submitted != total) {
             std::fprintf(stderr,
                          "FAIL: migration run must verify every request "
                          "(%llu/%llu, %llu failures)\n",
-                         (unsigned long long)r.verified,
+                         (unsigned long long)tally.verified,
                          (unsigned long long)total,
-                         (unsigned long long)r.failures);
+                         (unsigned long long)failures);
             return 1;
         }
         if (ms.gatewayMoves < migrateTenants || ms.hostMoves < 1 ||
@@ -988,44 +695,37 @@ main(int argc, char** argv)
     note("must carry the sealed session, and every request must end");
     note("verified or with a typed error — never a silent empty");
     {
-        ServeParams params;
-        params.tenants = tenants * 4;
-        params.requests = requests * 2;
-        params.batch = 8;
-        params.epcPages = 1280;
-        params.cvm = true;
-        params.faultSpec =
-            "ewb-corrupt@n=3; ewb-drop-slot@n=9; eldu-fail@n=15;"
-            "eenter-fail@every=40; neenter-fail@every=45;"
-            "epc-alloc-fail@every=150; aex-storm@every=100;"
-            "migrate-export-fail@n=2; migrate-import-fail@n=2";
-        params.faultSeed = flags.u64("fault-seed", 7);
-        params.migrateEvery = 20;
-        ServeResult r = runServe(params);
+        Scenario s = pressure;
+        s.epcPages = 1280;
+        s.cvm = true;
+        s.faultSpec = serve::chaosPlan(true, false);
+        s.faultSeed = faultSeed;
+        s.migrateEvery = 20;
+        ScenarioResult r = run(s);
         std::printf("\n  faults injected %llu at %llu sites; verified %llu, "
                     "typed errors %llu, silent empties %llu\n",
                     (unsigned long long)r.faultsInjected,
-                    (unsigned long long)r.faultSites,
+                    (unsigned long long)r.faultSites(),
                     (unsigned long long)r.verified,
                     (unsigned long long)r.typedErrors,
                     (unsigned long long)r.silentEmpties);
         std::printf("  migrations committed %llu, aborted %llu; rebuilds "
                     "%llu, recovered %llu/%llu\n",
-                    (unsigned long long)r.migrations,
-                    (unsigned long long)r.migrateAborted,
+                    (unsigned long long)r.migration.gatewayMoves,
+                    (unsigned long long)r.migration.aborted,
                     (unsigned long long)r.rebuilds,
                     (unsigned long long)r.recovered,
-                    (unsigned long long)params.tenants);
+                    (unsigned long long)s.tenants);
         json.set("cvm_chaos_submitted", double(r.submitted));
         json.set("cvm_chaos_verified", double(r.verified));
         json.set("cvm_chaos_faults_injected", double(r.faultsInjected));
-        json.set("cvm_chaos_fault_sites", double(r.faultSites));
+        json.set("cvm_chaos_fault_sites", double(r.faultSites()));
         json.set("cvm_chaos_rebuilds", double(r.rebuilds));
         json.set("cvm_chaos_recovered", double(r.recovered));
         json.set("cvm_chaos_typed_errors", double(r.typedErrors));
         json.set("cvm_chaos_silent_empties", double(r.silentEmpties));
-        json.set("cvm_chaos_migrations", double(r.migrations));
-        json.set("cvm_chaos_migrate_aborted", double(r.migrateAborted));
+        json.set("cvm_chaos_migrations", double(r.migration.gatewayMoves));
+        json.set("cvm_chaos_migrate_aborted", double(r.migration.aborted));
         if (r.failures > 0 || r.silentEmpties > 0) {
             std::fprintf(stderr,
                          "FAIL: cvm chaos run: %llu integrity failures, "
@@ -1034,16 +734,16 @@ main(int argc, char** argv)
                          (unsigned long long)r.silentEmpties);
             return 1;
         }
-        if (r.faultsInjected == 0 || r.migrations == 0 ||
-            r.recovered < params.tenants) {
+        if (r.faultsInjected == 0 || r.migration.gatewayMoves == 0 ||
+            r.recovered < s.tenants) {
             std::fprintf(stderr,
                          "FAIL: cvm chaos run must inject (got %llu), "
                          "migrate (got %llu) and recover every tenant "
                          "(got %llu/%llu)\n",
                          (unsigned long long)r.faultsInjected,
-                         (unsigned long long)r.migrations,
+                         (unsigned long long)r.migration.gatewayMoves,
                          (unsigned long long)r.recovered,
-                         (unsigned long long)params.tenants);
+                         (unsigned long long)s.tenants);
             return 1;
         }
     }
@@ -1061,60 +761,27 @@ main(int argc, char** argv)
         const std::uint64_t nTenants = 24;
         const std::uint64_t perTenant = 20;
         const std::uint64_t total = nTenants * perTenant;  // 480
-
-        auto mkConfig = [&](std::uint64_t seed) {
-            auto config = defaultConfig();
-            config.rngSeed = seed;  // distinct sealing-key root per host
-            config.prmBytes = (1024 + 64) * hw::kPageSize;
-            return config;
-        };
-        BenchWorld hostA(mkConfig(42));
-        BenchWorld hostB(mkConfig(99));
-
-        serve::TenantService::Config sc;
-        sc.pool.batchSize = 8;
-        sc.attestOnboarding = true;
-        serve::TenantService serviceA(*hostA.urts, sc);
-        serve::TenantService serviceB(*hostB.urts, sc);
-
-        migrate::Fleet fleet;
-        fleet.addHost(serviceA);
-        fleet.addHost(serviceB);
-        migrate::MigrationEngine engine;
-
-        supervise::Config supCfg;
-        supCfg.wedgeTicks = 1;
-        supCfg.rungPatience = 1;
-        supervise::Supervisor supA(serviceA, supCfg);
-        supA.attachFleet(fleet, engine, 0);
-        supervise::Supervisor supB(serviceB, supCfg);
-        supB.attachFleet(fleet, engine, 1);
-
-        const std::vector<serve::Workload> mix = {serve::Workload::Echo,
-                                                  serve::Workload::Sql,
-                                                  serve::Workload::Svm};
-        std::vector<std::unique_ptr<serve::TenantClient>> clients;
-        std::vector<std::uint64_t> verifiedPer(nTenants, 0);
-        std::vector<std::uint64_t> owed(nTenants, 0);  // failed, resubmit
+        TwoHostFleet hosts(nTenants);
+        migrate::Fleet& fleet = hosts.fleet;
+        auto& clients = hosts.clients;
         for (std::uint64_t t = 0; t < nTenants; ++t) {
-            auto workload = mix[t % mix.size()];
-            fleet.addTenant(serve::TenantId(t), workload, 0)
-                .orThrow("tenant");
-            const Bytes key =
-                fleet.hostOf(serve::TenantId(t))
-                    ->sessionKeyFor(serve::TenantId(t));
-            clients.push_back(std::make_unique<serve::TenantClient>(
-                serve::TenantId(t), workload, key));
             const auto p = fleet.placement(serve::TenantId(t));
             clients[t]->onPlacement(p.epoch, p.incarnation);
         }
 
+        supervise::Config supCfg;
+        supCfg.wedgeTicks = 1;
+        supCfg.rungPatience = 1;
+        supervise::Supervisor supA(hosts.serviceA, supCfg);
+        supA.attachFleet(fleet, hosts.engine, 0);
+        supervise::Supervisor supB(hosts.serviceB, supCfg);
+        supB.attachFleet(fleet, hosts.engine, 1);
+
+        std::vector<std::uint64_t> owed(nTenants, 0);  // failed, resubmit
+
         std::uint64_t submitted = 0;
-        std::uint64_t verified = 0;
         std::uint64_t redirects = 0;
-        std::uint64_t typedErrors = 0;
-        std::uint64_t silentEmpties = 0;
-        Histogram latency;
+        serve::Tally tally;
 
         // Fenced submit: the request carries the client's placement
         // epoch; a WrongEpoch refusal backs off (deterministic jitter,
@@ -1143,28 +810,9 @@ main(int argc, char** argv)
         };
 
         auto drainFleet = [&]() {
-            std::set<serve::TenantId> rebuiltSeen;
-            for (serve::Completion& done : fleet.drainAll()) {
-                latency.add(done.latencyCycles);
-                if (done.tenantRebuilt &&
-                    rebuiltSeen.insert(done.tenant).second) {
-                    clients[done.tenant]->onTenantRebuilt();
-                }
-                if (done.ok) {
-                    if (clients[done.tenant]->onResponse(
-                            done.sealedResponse)) {
-                        ++verifiedPer[done.tenant];
-                        ++verified;
-                    }
-                } else if (done.status.isOk()) {
-                    ++silentEmpties;
-                } else {
-                    ++typedErrors;
-                    if (!done.tenantRebuilt) {
-                        clients[done.tenant]->onDropped();
-                    }
-                    ++owed[done.tenant];
-                }
+            for (serve::TenantId t :
+                 tally.settle(fleet.drainAll(), clients)) {
+                ++owed[t];
             }
         };
 
@@ -1201,11 +849,11 @@ main(int argc, char** argv)
         std::uint64_t bClockAtDegrade = 0;
         for (std::uint64_t round = 0; round < perTenant; ++round) {
             if (round == 6) {
-                hostA.machine.setFaultInjector(&crashInjector);
+                hosts.hostA.machine.setFaultInjector(&crashInjector);
             }
             if (round == 12) {
-                hostA.machine.setFaultInjector(&degradeInjector);
-                bClockAtDegrade = hostB.machine.clock().cycles();
+                hosts.hostA.machine.setFaultInjector(&degradeInjector);
+                bClockAtDegrade = hosts.hostB.machine.clock().cycles();
             }
             for (std::uint64_t t = 0; t < nTenants; ++t) {
                 if (!submitFenced(serve::TenantId(t))) {
@@ -1222,15 +870,13 @@ main(int argc, char** argv)
         fleet.pumpAll();
         drainFleet();
         const std::uint64_t recoveryCycles =
-            hostB.machine.clock().cycles() - bClockAtDegrade;
+            hosts.hostB.machine.clock().cycles() - bClockAtDegrade;
 
         std::uint64_t failures = 0;
+        std::uint64_t shortTenants = 0;
         for (const auto& client : clients) {
             failures += client->failures();
-        }
-        std::uint64_t shortTenants = 0;
-        for (std::uint64_t v : verifiedPer) {
-            if (v < perTenant) ++shortTenants;
+            if (client->verified() < perTenant) ++shortTenants;
         }
         const auto& sa = supA.stats();
         const std::uint64_t wedges = sa.wedges + supB.stats().wedges;
@@ -1240,10 +886,10 @@ main(int argc, char** argv)
         std::printf("\n  tenants %llu, verified %llu/%llu, failures %llu, "
                     "silent empties %llu\n",
                     (unsigned long long)nTenants,
-                    (unsigned long long)verified,
+                    (unsigned long long)tally.verified,
                     (unsigned long long)total,
                     (unsigned long long)failures,
-                    (unsigned long long)silentEmpties);
+                    (unsigned long long)tally.silentEmpties);
         std::printf("  wedges %llu (kick %llu, tenant rebuild %llu, "
                     "subtree rebuild %llu, evacuations %llu/%llu)\n",
                     (unsigned long long)wedges,
@@ -1255,7 +901,7 @@ main(int argc, char** argv)
         std::printf("  epoch redirects %llu, typed errors %llu, "
                     "faults fired %llu\n",
                     (unsigned long long)redirects,
-                    (unsigned long long)typedErrors,
+                    (unsigned long long)tally.typedErrors,
                     (unsigned long long)faultsFired);
         std::printf("  detection cycles:  p50 %llu  p95 %llu\n",
                     (unsigned long long)sa.detectionLatency.p50(),
@@ -1268,10 +914,10 @@ main(int argc, char** argv)
 
         json.set("evac_target", double(total));
         json.set("evac_submitted", double(submitted));
-        json.set("evac_verified", double(verified));
+        json.set("evac_verified", double(tally.verified));
         json.set("evac_integrity_failures", double(failures));
-        json.set("evac_silent_empties", double(silentEmpties));
-        json.set("evac_typed_errors", double(typedErrors));
+        json.set("evac_silent_empties", double(tally.silentEmpties));
+        json.set("evac_typed_errors", double(tally.typedErrors));
         json.set("evac_redirects", double(redirects));
         json.set("evac_evacuations", double(sa.evacuations));
         json.set("evac_failed", double(sa.evacuationFailures));
@@ -1288,16 +934,16 @@ main(int argc, char** argv)
                  double(sa.detectionLatency.p95()));
         json.set("supervise_faults_fired", double(faultsFired));
 
-        if (verified != total || failures > 0 || silentEmpties > 0 ||
-            shortTenants > 0) {
+        if (tally.verified != total || failures > 0 ||
+            tally.silentEmpties > 0 || shortTenants > 0) {
             std::fprintf(stderr,
                          "FAIL: supervision run must verify every request "
                          "(%llu/%llu, %llu failures, %llu silent empties, "
                          "%llu tenants short)\n",
-                         (unsigned long long)verified,
+                         (unsigned long long)tally.verified,
                          (unsigned long long)total,
                          (unsigned long long)failures,
-                         (unsigned long long)silentEmpties,
+                         (unsigned long long)tally.silentEmpties,
                          (unsigned long long)shortTenants);
             return 1;
         }

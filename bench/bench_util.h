@@ -1,17 +1,16 @@
 /**
- * Shared helpers for the table/figure reproduction binaries: flag
- * parsing, table printing, and world construction. Every binary prints
- * (a) the paper's reported values where applicable and (b) the values
- * this reproduction measures on its simulated clock, so EXPERIMENTS.md
- * can be regenerated by running every binary under build/bench/.
+ * Shared helpers for the table/figure reproduction binaries: table
+ * printing, JSON reports, and world construction (flag parsing is
+ * support/flags.h). Every binary prints (a) the paper's reported values
+ * where applicable and (b) the values this reproduction measures on its
+ * simulated clock, so EXPERIMENTS.md can be regenerated by running
+ * every binary under build/bench/.
  */
 #pragma once
 
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,6 +20,7 @@
 #include "sdk/runtime.h"
 #include "serve/histogram.h"
 #include "sgx/machine.h"
+#include "support/flags.h"
 
 namespace nesgx::bench {
 
@@ -28,81 +28,8 @@ namespace nesgx::bench {
  *  exact-sample histogram (nearest-rank p50/p95/p99). */
 using serve::Histogram;
 
-/** Tiny flag parser: --name value. A trailing flag with no value is a
- *  usage error (exit 2), not a silent drop. */
-class Flags {
-  public:
-    Flags(int argc, char** argv)
-    {
-        for (int i = 1; i < argc; ++i) {
-            if (std::strncmp(argv[i], "--", 2) != 0) continue;
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "error: flag %s expects a value\n",
-                             argv[i]);
-                std::exit(2);
-            }
-            const std::string name = argv[i] + 2;
-            values_[name] = argv[++i];
-        }
-    }
-
-    /** Strict numeric parse: the whole value must be a non-negative
-     *  number. `--threads 4x` (trailing garbage), `--threads -1`
-     *  (would wrap to 2^64-1 through stoull) and `--threads abc`
-     *  (uncaught std::invalid_argument abort) are all usage errors. */
-    std::uint64_t u64(const std::string& name, std::uint64_t fallback) const
-    {
-        auto it = values_.find(name);
-        if (it == values_.end()) return fallback;
-        const std::string& text = it->second;
-        std::size_t consumed = 0;
-        std::uint64_t parsed = 0;
-        try {
-            parsed = std::stoull(text, &consumed);
-        } catch (const std::exception&) {
-            badValue(name, text);
-        }
-        if (consumed != text.size() || text.find('-') != std::string::npos) {
-            badValue(name, text);
-        }
-        return parsed;
-    }
-
-    double f64(const std::string& name, double fallback) const
-    {
-        auto it = values_.find(name);
-        if (it == values_.end()) return fallback;
-        const std::string& text = it->second;
-        std::size_t consumed = 0;
-        double parsed = 0.0;
-        try {
-            parsed = std::stod(text, &consumed);
-        } catch (const std::exception&) {
-            badValue(name, text);
-        }
-        if (consumed != text.size() || parsed < 0.0) badValue(name, text);
-        return parsed;
-    }
-
-    std::string str(const std::string& name, const std::string& fallback) const
-    {
-        auto it = values_.find(name);
-        return it == values_.end() ? fallback : it->second;
-    }
-
-  private:
-    [[noreturn]] static void badValue(const std::string& name,
-                                      const std::string& text)
-    {
-        std::fprintf(stderr,
-                     "error: flag --%s expects a non-negative number, "
-                     "got \"%s\"\n",
-                     name.c_str(), text.c_str());
-        std::exit(2);
-    }
-
-    std::map<std::string, std::string> values_;
-};
+/** Strict `--name value` flags, shared with nesgx_serve. */
+using nesgx::Flags;
 
 /**
  * Flat JSON object of a bench's measured values, dumped to the path

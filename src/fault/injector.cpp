@@ -5,6 +5,8 @@
 #include <sstream>
 #include <vector>
 
+#include "support/flags.h"
+
 namespace nesgx::fault {
 
 const char*
@@ -98,43 +100,15 @@ trimmed(std::string_view s)
     return s;
 }
 
-/** Levenshtein distance, for the "did you mean" suggestion below. */
-std::size_t
-editDistance(std::string_view a, std::string_view b)
-{
-    std::vector<std::size_t> row(b.size() + 1);
-    for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
-    for (std::size_t i = 1; i <= a.size(); ++i) {
-        std::size_t diag = row[0];
-        row[0] = i;
-        for (std::size_t j = 1; j <= b.size(); ++j) {
-            const std::size_t subst = diag + (a[i - 1] == b[j - 1] ? 0 : 1);
-            diag = row[j];
-            row[j] = std::min({row[j] + 1, row[j - 1] + 1, subst});
-        }
-    }
-    return row[b.size()];
-}
-
 /** Closest known site name to a typo'd one, or "" if nothing is close. */
 std::string
 closestSiteName(std::string_view name)
 {
-    std::size_t best = std::size_t(-1);
-    const char* bestName = nullptr;
+    std::array<std::string_view, kFaultSiteCount> names;
     for (std::size_t i = 0; i < kFaultSiteCount; ++i) {
-        const char* candidate = siteName(FaultSite(i));
-        const std::size_t d = editDistance(name, candidate);
-        if (d < best) {
-            best = d;
-            bestName = candidate;
-        }
+        names[i] = siteName(FaultSite(i));
     }
-    // A suggestion further than half the typo's length away is noise.
-    if (bestName != nullptr && best <= std::max<std::size_t>(2, name.size() / 2)) {
-        return bestName;
-    }
-    return {};
+    return std::string(closestName(name, names));
 }
 
 void

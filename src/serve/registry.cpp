@@ -216,20 +216,40 @@ TenantRegistry::makeGateway(std::size_t index)
     Gateway gw;
     gw.outer = loaded.value();
     gw.state = std::move(state);
+    gw.owned.assign(config_.tenantsPerOuter, false);
     return gw;
 }
 
 Result<std::size_t>
 TenantRegistry::gatewayWithRoom()
 {
-    if (!gateways_.empty() &&
-        gateways_.back().tenantCount < config_.tenantsPerOuter) {
+    if (!gateways_.empty() && gateways_.back().hasRoom()) {
         return gateways_.size() - 1;
     }
     auto gw = makeGateway(gateways_.size());
     if (!gw) return gw.status();
     gateways_.push_back(std::move(gw.value()));
     return gateways_.size() - 1;
+}
+
+std::uint32_t
+TenantRegistry::claimSlot(Gateway& gateway, sdk::LoadedEnclave* inner)
+{
+    // First unowned slot: retirements and relocations leave holes, so
+    // the fill index is not simply the tenant count.
+    const auto slot = std::uint32_t(
+        std::find(gateway.owned.begin(), gateway.owned.end(), false) -
+        gateway.owned.begin());
+    gateway.owned[slot] = true;
+    gateway.state->slots[slot] = inner;
+    return slot;
+}
+
+void
+TenantRegistry::releaseSlot(Gateway& gateway, std::uint32_t slot)
+{
+    gateway.owned[slot] = false;
+    gateway.state->slots[slot] = nullptr;
 }
 
 Result<sdk::LoadedEnclave*>
@@ -396,16 +416,7 @@ TenantRegistry::ensure(TenantId id, Workload workload)
     tenant->workload = workload;
     tenant->inner = inner.value();
     tenant->gatewayIndex = gwIndex.value();
-    // First free slot: retirements and relocations leave holes, so the
-    // fill index is not simply the tenant count.
-    std::uint32_t slot = 0;
-    while (slot < gateway.state->slots.size() &&
-           gateway.state->slots[slot] != nullptr) {
-        ++slot;
-    }
-    tenant->slot = slot;
-    gateway.state->slots[tenant->slot] = inner.value();
-    ++gateway.tenantCount;
+    tenant->slot = claimSlot(gateway, inner.value());
 
     TenantHandle* out = tenant.get();
     tenants_[id] = std::move(tenant);
@@ -789,8 +800,7 @@ TenantRegistry::pickGatewayExcept(std::size_t exclude)
 {
     for (std::size_t i = 0; i < gateways_.size(); ++i) {
         if (i == exclude) continue;
-        if (gateways_[i].outer != nullptr &&
-            gateways_[i].tenantCount < config_.tenantsPerOuter) {
+        if (gateways_[i].outer != nullptr && gateways_[i].hasRoom()) {
             return i;
         }
     }
@@ -809,36 +819,24 @@ TenantRegistry::stageRelocation(TenantHandle& tenant,
         return Err::NotFound;
     }
     Gateway& gateway = gateways_[targetGateway];
-    if (!gateway.outer || gateway.tenantCount >= config_.tenantsPerOuter) {
-        return Err::Backpressure;
-    }
-    std::uint32_t slot = 0;
-    while (slot < gateway.state->slots.size() &&
-           gateway.state->slots[slot] != nullptr) {
-        ++slot;
-    }
-    if (slot >= gateway.state->slots.size()) return Err::Backpressure;
+    if (!gateway.outer || !gateway.hasRoom()) return Err::Backpressure;
 
     auto inner = buildInner(tenant.id, tenant.workload, gateway);
     if (!inner) return inner.status();  // source untouched, still serving
 
     RelocationTicket ticket;
     ticket.gatewayIndex = targetGateway;
-    ticket.slot = slot;
     ticket.inner = inner.value();
     // Claim the slot now so a concurrent ensure() cannot take it; the
     // ticket is either committed or abandoned before dispatches see it.
-    gateway.state->slots[slot] = inner.value();
-    ++gateway.tenantCount;
+    ticket.slot = claimSlot(gateway, inner.value());
     return ticket;
 }
 
 void
 TenantRegistry::abandonRelocation(const RelocationTicket& ticket)
 {
-    Gateway& gateway = gateways_[ticket.gatewayIndex];
-    gateway.state->slots[ticket.slot] = nullptr;
-    --gateway.tenantCount;
+    releaseSlot(gateways_[ticket.gatewayIndex], ticket.slot);
     (void)urts_->unload(ticket.inner);
 }
 
@@ -860,7 +858,7 @@ TenantRegistry::commitRelocation(TenantHandle& tenant,
             return st;
         }
     }
-    --source.tenantCount;
+    releaseSlot(source, tenant.slot);
     tenant.inner = ticket.inner;
     tenant.gatewayIndex = ticket.gatewayIndex;
     tenant.slot = ticket.slot;
@@ -883,8 +881,8 @@ TenantRegistry::retireTenant(TenantId id)
     {
         // Scoped: the handle (and its mutex) dies with the map entry.
         std::lock_guard<std::mutex> own(tenant->m);
+        Gateway& gateway = gateways_[tenant->gatewayIndex];
         if (tenant->inner) {
-            Gateway& gateway = gateways_[tenant->gatewayIndex];
             sdk::LoadedEnclave* old = tenant->inner;
             gateway.state->slots[tenant->slot] = nullptr;
             tenant->inner = nullptr;
@@ -894,8 +892,9 @@ TenantRegistry::retireTenant(TenantId id)
                 gateway.state->slots[tenant->slot] = old;
                 return st;
             }
-            --gateway.tenantCount;
         }
+        // An inner-less tenant still owns its slot until it is retired.
+        releaseSlot(gateway, tenant->slot);
     }
     tenants_.erase(it);
     return Status::ok();

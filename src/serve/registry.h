@@ -24,6 +24,7 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -315,11 +316,28 @@ class TenantRegistry {
     struct Gateway {
         sdk::LoadedEnclave* outer = nullptr;
         std::shared_ptr<GatewayState> state;
-        std::uint32_t tenantCount = 0;
+        /** Slot ownership, the only record of which slots are free. A
+         *  slot stays owned while its tenant is inner-less (its
+         *  `state->slots` entry is null until a rebuild succeeds), so
+         *  the dispatch table alone cannot tell free from quarantined.
+         *  Survives gateway rebuilds, which replace `state`. */
+        std::vector<bool> owned;
+
+        bool hasRoom() const
+        {
+            return std::find(owned.begin(), owned.end(), false) !=
+                   owned.end();
+        }
     };
 
     Status reserveEpc(std::uint64_t pages);
     Result<std::size_t> gatewayWithRoom();
+    /** Claims the gateway's first unowned slot for `inner` (the caller
+     *  checked hasRoom()). ensure and stageRelocation both place tenants
+     *  through here. */
+    std::uint32_t claimSlot(Gateway& gateway, sdk::LoadedEnclave* inner);
+    /** Frees a slot: ownership and dispatch entry together. */
+    void releaseSlot(Gateway& gateway, std::uint32_t slot);
     /** Builds (or rebuilds) the gateway enclave for `index` without
      *  touching the gateways_ vector; Cvm associates it under the root. */
     Result<Gateway> makeGateway(std::size_t index);

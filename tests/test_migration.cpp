@@ -186,6 +186,46 @@ TEST_P(GatewayMigration, ExportFaultAbortsBeforeAnyStaging)
     EXPECT_EQ(client.failures(), 0u);
 }
 
+TEST_P(GatewayMigration, MoveSkipsTheSlotOfAnInnerlessTenant)
+{
+    // Three slots per gateway: A, B and C fill gateway 0, then C moves
+    // to a fresh gateway 1, leaving gateway 0 with A (slot 0), B (slot
+    // 1) and slot 2 free.
+    auto sc = attestedConfig();
+    sc.registry.tenantsPerOuter = 3;
+    service_ = std::make_unique<serve::TenantService>(*world_->urts, sc);
+    const TenantId a = 1, b = 2, c = 3;
+    for (TenantId id : {a, b, c}) {
+        ASSERT_TRUE(service_->addTenant(id, Workload::Echo).isOk());
+    }
+    serve::TenantClient clientC(c, Workload::Echo,
+                                service_->sessionKeyFor(c));
+    ASSERT_TRUE(engine_.migrateToGateway(*service_, c).isOk());
+    serve::TenantRegistry& registry = service_->registry();
+    ASSERT_EQ(registry.find(c)->gatewayIndex, 1u);
+
+    // A's rebuild fails once: A is inner-less but still owns slot 0.
+    serve::TenantHandle& tenantA = *registry.find(a);
+    arm("ecreate-fail@n=1");
+    ASSERT_FALSE(service_->pool().rebuildTenant(tenantA).isOk());
+    ASSERT_EQ(tenantA.inner, nullptr);
+
+    // C moves back into gateway 0 and must take the free slot.
+    ASSERT_TRUE(engine_.migrateToGateway(*service_, c, 0).isOk());
+    EXPECT_EQ(registry.find(c)->gatewayIndex, 0u);
+    EXPECT_EQ(registry.find(c)->slot, 2u);
+
+    // Once A is rebuilt both serve verified responses. Had C taken
+    // slot 0, A's rebuild would have overwritten it and C's requests
+    // would reach A's inner (SealRejected).
+    ASSERT_TRUE(service_->pool().rebuildTenant(tenantA).isOk());
+    serve::TenantClient clientA(a, Workload::Echo,
+                                service_->sessionKeyFor(a));
+    serveRound(*service_, clientA, a, 3);
+    serveRound(*service_, clientC, c, 3);
+    EXPECT_EQ(clientA.failures() + clientC.failures(), 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(TlbModes, GatewayMigration, ::testing::Bool(),
                          [](const auto& info) {
                              return info.param ? "taggedTlb" : "flushTlb";

@@ -9,6 +9,8 @@
  *   - non-enclave code can never reach the PRM
  *   - enclave code cannot execute from untrusted pages
  */
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "harness.h"
@@ -333,7 +335,12 @@ struct SweepCase {
     Target target;
     hw::Access access;
     bool expectOk;
+    // gtest names each case after the raw bytes of its parameter. Spelled-
+    // out zero padding keeps those names identical from run to run; left
+    // implicit, it carries whatever the stack held.
+    std::uint8_t zeroPad[3] = {};
 };
+static_assert(sizeof(SweepCase) == 16, "SweepCase must have no implicit padding");
 
 class AccessSweep : public AccessControl,
                     public ::testing::WithParamInterface<SweepCase> {

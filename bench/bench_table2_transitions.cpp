@@ -8,6 +8,8 @@
  * (EENTER/EEXIT/NEENTER/NEEXIT with TLB flushes), and the latency is the
  * simulated-clock delta at the i7-7700's 3.6 GHz.
  */
+#include <array>
+
 #include "bench_util.h"
 
 namespace nesgx::bench {
@@ -126,8 +128,8 @@ measure(hw::CostPreset preset, bool nested, std::uint64_t iterations,
         // n_ocall latency, amortizing ecall + n_ecall envelopes.
         before = clock.cycles();
         world.urts
-            ->ecallNested(app.outer(), app.inner("t2-inner"), "nocall_loop",
-                          loopArg)
+            ->ecallChain(std::array{app.outer(), app.inner("t2-inner")},
+                         "nocall_loop", loopArg)
             .orThrow("nocall loop");
         delta = clock.cycles() - before;
         delta -= world.machine.costs().ecallRoundTrip(taggedTlb) +

@@ -1,5 +1,7 @@
 #include "core/compose.h"
 
+#include <array>
+
 namespace nesgx::core {
 
 const crypto::RsaKeyPair&
@@ -31,7 +33,7 @@ NestedApp::callInner(const std::string& innerName, const std::string& fn,
 {
     sdk::LoadedEnclave* target = inner(innerName);
     if (!target) return Err::NoSuchCall;
-    return urts_->ecallNested(outer_, target, fn, arg, core);
+    return urts_->ecallChain(std::array{outer_, target}, fn, arg, core);
 }
 
 NestedAppBuilder&

@@ -15,6 +15,39 @@ MigrationEngine::abort(Status why)
     return why;
 }
 
+Result<Bytes>
+MigrationEngine::exportSource(serve::TenantService& svc,
+                              serve::TenantHandle& tenant)
+{
+    serve::TenantRegistry& registry = svc.registry();
+    if (!tenant.inner) return Err::Unavailable;  // quarantined
+
+    // The source's parked poller holds inner TCSes; unpark before the
+    // instance can be torn down. The destination re-arms lazily on its
+    // first dispatch (the endpoint's chain pointers change, which the
+    // engine detects).
+    if (auto* engine = svc.switchlessEngine()) engine->disarm(tenant.id);
+
+    auto resident = registry.ensureResident(tenant);
+    if (!resident) return resident.status();
+
+    if (registry.urts().machine().faultFires(
+            fault::FaultSite::MigrateExportFail)) {
+        return Err::Unavailable;
+    }
+    // Both move kinds carry the session between instances of one
+    // identity, so the transport key binds to the source's own
+    // measurement (a cross-host move re-wraps it between roots of trust
+    // afterwards).
+    auto sealed =
+        registry.exportInner(tenant.inner, tenant.inner->mrenclave());
+    if (!sealed) return sealed;
+
+    // EWB-drain the source: the move leaves nothing resident behind.
+    stats_.pagesDrained += registry.drainTenantLocked(tenant);
+    return sealed;
+}
+
 Status
 MigrationEngine::migrateToGateway(serve::TenantService& svc,
                                   serve::TenantId id)
@@ -46,67 +79,41 @@ MigrationEngine::migrateToGateway(serve::TenantService& svc,
     // for a batch: the pressure manager's try_lock skips us, and no
     // batch can enter the source mid-export.
     std::lock_guard<std::mutex> own(tenant->m);
-    if (!tenant->inner) return abort(Err::Unavailable);  // quarantined
-
-    // The source's parked poller holds inner TCSes; unpark before the
-    // instance can be torn down. The destination re-arms lazily on its
-    // first dispatch (the endpoint's chain pointers change, which the
-    // engine detects).
-    if (auto* engine = svc.switchlessEngine()) engine->disarm(id);
-
-    auto resident = registry.ensureResident(*tenant);
-    if (!resident) return abort(resident.status());
-
-    if (machine.faultFires(fault::FaultSite::MigrateExportFail)) {
-        return abort(Err::Unavailable);
-    }
     // Same-host move: source and destination instances share identity
-    // and root of trust, so the transport key binds to the common
-    // measurement and no re-wrap is needed.
-    const sgx::Measurement selfMr = tenant->inner->mrenclave();
-    auto sealed = registry.exportInner(tenant->inner, selfMr);
+    // and root of trust, so no re-wrap is needed.
+    auto sealed = exportSource(svc, *tenant);
     if (!sealed) return abort(sealed.status());
-
-    // EWB-drain the source: the move leaves nothing resident behind.
-    stats_.pagesDrained += registry.drainTenantLocked(*tenant);
 
     auto ticket = registry.stageRelocation(*tenant, targetGateway);
     if (!ticket) return abort(ticket.status());
+    // From here on a failure destroys the staged instance; the source,
+    // untouched until commit, keeps serving.
+    auto rollBack = [&](Status why) {
+        registry.abandonRelocation(ticket.value());
+        ++stats_.rolledBack;
+        return abort(why);
+    };
 
     // Re-attest through the new ancestor chain before trusting the
     // staged instance with the session. (Also re-derives its session
     // key; outside attested deployments the fresh instance starts on
     // the out-of-band key and the import below restores the real one.)
-    if (svc.attestationEnabled()) {
-        attest::Verdict verdict =
-            svc.attestInner(ticket.value().inner, id,
-                            ticket.value().gatewayIndex);
-        if (!verdict.trusted()) {
-            registry.abandonRelocation(ticket.value());
-            ++stats_.rolledBack;
-            return abort(Err::AttestationFailed);
-        }
+    if (svc.attestationEnabled() &&
+        !svc.attestInner(ticket.value().inner, id,
+                         ticket.value().gatewayIndex)
+             .trusted()) {
+        return rollBack(Err::AttestationFailed);
     }
 
     if (machine.faultFires(fault::FaultSite::MigrateImportFail)) {
-        registry.abandonRelocation(ticket.value());
-        ++stats_.rolledBack;
-        return abort(Err::Unavailable);
+        return rollBack(Err::Unavailable);
     }
-    Status imported = registry.importInner(ticket.value().inner, selfMr,
-                                           sealed.value());
-    if (!imported) {
-        registry.abandonRelocation(ticket.value());
-        ++stats_.rolledBack;
-        return abort(imported);
-    }
+    Status imported = registry.importInner(
+        ticket.value().inner, tenant->inner->mrenclave(), sealed.value());
+    if (!imported) return rollBack(imported);
 
     Status committed = registry.commitRelocation(*tenant, ticket.value());
-    if (!committed) {
-        registry.abandonRelocation(ticket.value());
-        ++stats_.rolledBack;
-        return abort(committed);
-    }
+    if (!committed) return rollBack(committed);
 
     ++stats_.gatewayMoves;
     stats_.latency.add(machine.clock().cycles() - begin);
@@ -133,34 +140,22 @@ MigrationEngine::migrateToHost(serve::TenantService& src,
     // authoritative and any failure simply removes this instance.
     auto dstTenant = dst.addTenant(id, srcTenant->workload);
     if (!dstTenant) return abort(dstTenant.status());
+    // A failure after the source exported its session also counts as
+    // a rollback.
+    auto rollBack = [&](Status why, bool exported) {
+        (void)dst.removeTenant(id);
+        if (exported) ++stats_.rolledBack;
+        return abort(why);
+    };
 
     sgx::Measurement mr{};
-    sgx::Measurement signer{};
     Result<Bytes> rewrapped = Err::Unavailable;
     {
         std::lock_guard<std::mutex> own(srcTenant->m);
-        if (!srcTenant->inner) {
-            (void)dst.removeTenant(id);
-            return abort(Err::Unavailable);
-        }
-        if (auto* engine = src.switchlessEngine()) engine->disarm(id);
-        auto resident = srcReg.ensureResident(*srcTenant);
-        if (!resident) {
-            (void)dst.removeTenant(id);
-            return abort(resident.status());
-        }
-        if (srcMachine.faultFires(fault::FaultSite::MigrateExportFail)) {
-            (void)dst.removeTenant(id);
-            return abort(Err::Unavailable);
-        }
+        auto sealed = exportSource(src, *srcTenant);
+        if (!sealed) return rollBack(sealed.status(), false);
         mr = srcTenant->inner->mrenclave();
-        signer = srcTenant->inner->mrsigner();
-        auto sealed = srcReg.exportInner(srcTenant->inner, mr);
-        if (!sealed) {
-            (void)dst.removeTenant(id);
-            return abort(sealed.status());
-        }
-        stats_.pagesDrained += srcReg.drainTenantLocked(*srcTenant);
+        const sgx::Measurement signer = srcTenant->inner->mrsigner();
 
         // Re-wrap between root-of-trust domains: the engine stands in
         // for the mutually-attested migration service both machines
@@ -173,11 +168,7 @@ MigrationEngine::migrateToHost(serve::TenantService& src,
             dstMachine.identitySealingKey(mr, signer), mr);
         auto opened = serve::openMessage(crypto::AesGcm(srcKey), id,
                                          serve::kDirMigrate, sealed.value());
-        if (!opened) {
-            (void)dst.removeTenant(id);
-            ++stats_.rolledBack;
-            return abort(opened.status());
-        }
+        if (!opened) return rollBack(opened.status(), true);
         rewrapped = serve::sealMessage(crypto::AesGcm(dstKey), id,
                                        serve::kDirMigrate,
                                        opened.value().seq,
@@ -185,17 +176,11 @@ MigrationEngine::migrateToHost(serve::TenantService& src,
     }
 
     if (dstMachine.faultFires(fault::FaultSite::MigrateImportFail)) {
-        (void)dst.removeTenant(id);
-        ++stats_.rolledBack;
-        return abort(Err::Unavailable);
+        return rollBack(Err::Unavailable, true);
     }
     Status imported = dst.registry().importInner(
         dstTenant.value()->inner, mr, rewrapped.value());
-    if (!imported) {
-        (void)dst.removeTenant(id);
-        ++stats_.rolledBack;
-        return abort(imported);
-    }
+    if (!imported) return rollBack(imported, true);
 
     // The move is one epoch step: requests still stamped with the
     // source placement get a WrongEpoch redirect and re-resolve. The

@@ -75,6 +75,13 @@ class MigrationEngine {
   private:
     Status abort(Status why);
 
+    /** The source half of every move, under the caller's `tenant.m`:
+     *  disarm the switchless channel, page the inner back in, honour the
+     *  export-fail fault, seal the session, then EWB-drain the source.
+     *  A failure leaves the source serving. */
+    Result<Bytes> exportSource(serve::TenantService& svc,
+                               serve::TenantHandle& tenant);
+
     MigrationStats stats_;
 };
 

@@ -110,63 +110,48 @@ TrustedEnv::ocall(const std::string& name, ByteView arg)
 Result<Bytes>
 TrustedEnv::nEcall(LoadedEnclave& inner, const std::string& name, ByteView arg)
 {
-    const TrustedFn* fn = inner.image().spec.interface->findNEcall(name);
-    if (!fn) return Err::NoSuchCall;
-    auto tcs = urts_.idleTcs(inner);
-    if (!tcs) return tcs.status();
-
-    sgx::Machine& m = machine();
-    m.charge(m.costs().nEcallDispatch);
-    // Arguments pass by reference through the shared outer enclave
-    // memory: no marshalling copy and no software encryption — the
-    // data-path (LLC/MEE) cost is charged when the callee touches the
-    // bytes (paper §IV-A).
-    ++urts_.stats_.nEcalls;
-    urts_.kernel_.touchEnclave(inner.secsPage_);
-    publishSdk(m, trace::EventKind::SdkNEcallBegin, core_, name.c_str());
-
-    Status st = m.neenter(core_, tcs.value());
-    if (!st) {
-        publishSdk(m, trace::EventKind::SdkNEcallEnd, core_, name.c_str());
-        return st;
-    }
-    TrustedEnv innerEnv(urts_, inner, core_);
-    Result<Bytes> result = (*fn)(innerEnv, arg);
-    Status back = m.neexit(core_);
-    publishSdk(m, trace::EventKind::SdkNEcallEnd, core_, name.c_str());
-    if (!back) return back;
-    return result;
+    LoadedEnclave* const hop = &inner;
+    return nEcallChain({&hop, 1}, name, arg);
 }
 
 Result<Bytes>
-TrustedEnv::nEcallChain(const std::vector<LoadedEnclave*>& remaining,
+TrustedEnv::nEcallChain(std::span<LoadedEnclave* const> remaining,
                         const std::string& name, ByteView arg)
 {
     if (remaining.empty()) return Err::GeneralProtection;
-    if (remaining.size() == 1) return nEcall(*remaining[0], name, arg);
-
-    // Pass-through hop: NEENTER the next link and recurse. The named
-    // function only runs at the leaf; intermediate enclaves are
-    // traversed, each paying its own dispatch + NEENTER/NEEXIT cost.
-    LoadedEnclave& next = *remaining[0];
-    auto tcs = urts_.idleTcs(next);
-    if (!tcs) return tcs.status();
+    // The named function only runs at the leaf; every hop above it is
+    // a pass-through that NEENTERs the next link and recurses.
+    LoadedEnclave& next = *remaining.front();
+    const TrustedFn* fn = nullptr;
+    if (remaining.size() == 1) {
+        fn = next.image().spec.interface->findNEcall(name);
+        if (!fn) return Err::NoSuchCall;
+    }
 
     sgx::Machine& m = machine();
-    m.charge(m.costs().nEcallDispatch);
-    ++urts_.stats_.nEcalls;
-    urts_.kernel_.touchEnclave(next.secsPage_);
-    publishSdk(m, trace::EventKind::SdkNEcallBegin, core_, name.c_str());
-
-    Status st = m.neenter(core_, tcs.value());
-    if (!st) {
-        publishSdk(m, trace::EventKind::SdkNEcallEnd, core_, name.c_str());
-        return st;
+    {
+        std::lock_guard<std::mutex> entry(next.entryM_);
+        auto tcs = urts_.idleTcs(next);
+        if (!tcs) return tcs.status();
+        m.charge(m.costs().nEcallDispatch);
+        // Arguments pass by reference through the shared outer enclave
+        // memory: no marshalling copy and no software encryption — the
+        // data-path (LLC/MEE) cost is charged when the callee touches
+        // the bytes (paper §IV-A).
+        ++urts_.stats_.nEcalls;
+        urts_.kernel_.touchEnclave(next.secsPage_);
+        publishSdk(m, trace::EventKind::SdkNEcallBegin, core_, name.c_str());
+        Status st = m.neenter(core_, tcs.value());
+        if (!st) {
+            publishSdk(m, trace::EventKind::SdkNEcallEnd, core_,
+                       name.c_str());
+            return st;
+        }
     }
     TrustedEnv nextEnv(urts_, next, core_);
-    Result<Bytes> result = nextEnv.nEcallChain(
-        std::vector<LoadedEnclave*>(remaining.begin() + 1, remaining.end()),
-        name, arg);
+    Result<Bytes> result =
+        fn ? (*fn)(nextEnv, arg)
+           : nextEnv.nEcallChain(remaining.subspan(1), name, arg);
     Status back = m.neexit(core_);
     publishSdk(m, trace::EventKind::SdkNEcallEnd, core_, name.c_str());
     if (!back) return back;
@@ -295,9 +280,6 @@ Urts::load(const SignedEnclave& image)
     if (!secs) return secs.status();
     enclave->secsPage_ = secs.value();
 
-    const os::EnclaveRecord* recBefore =
-        kernel_.enclaveRecord(enclave->secsPage_);
-    (void)recBefore;
     for (const auto& page : image.pages) {
         Status st = kernel_.addPage(enclave->secsPage_,
                                     enclave->base_ + page.offset, page.type,
@@ -405,51 +387,14 @@ Result<Bytes>
 Urts::ecall(LoadedEnclave* enclave, const std::string& name, ByteView arg,
             hw::CoreId core)
 {
-    const EnclaveInterface& iface = *enclave->image().spec.interface;
-    // Paper Fig. 5: untrusted code can EENTER an inner enclave directly,
-    // so an n_ecall entry point is also reachable as a plain ecall.
-    const TrustedFn* fn = iface.findEcall(name);
-    if (!fn) fn = iface.findNEcall(name);
-    if (!fn) return Err::NoSuchCall;
-
-    auto tcs = idleTcs(*enclave);
-    if (!tcs) return tcs.status();
-
-    sgx::Machine& m = machine();
-    m.charge(m.costs().ecallDispatch);
-    // ecall arguments traverse untrusted memory into the enclave.
-    m.charge(m.costs().copyBytes(arg.size()));
-    ++stats_.ecalls;
-    kernel_.touchEnclave(enclave->secsPage_);
-    publishSdk(m, trace::EventKind::SdkEcallBegin, core, name.c_str());
-
-    Status st = m.eenter(core, tcs.value());
-    if (!st) {
-        publishSdk(m, trace::EventKind::SdkEcallEnd, core, name.c_str());
-        return st;
-    }
-    TrustedEnv env(*this, *enclave, core);
-    Result<Bytes> result = (*fn)(env, arg);
-    Status back = m.eexit(core);
-    publishSdk(m, trace::EventKind::SdkEcallEnd, core, name.c_str());
-    if (!back) return back;
-    if (result) m.charge(m.costs().copyBytes(result.value().size()));
-    return result;
+    return ecallChain({&enclave, 1}, name, arg, core);
 }
 
 Result<Bytes>
-Urts::ecallNested(LoadedEnclave* outer, LoadedEnclave* inner,
-                  const std::string& name, ByteView arg, hw::CoreId core)
-{
-    return ecallChain({outer, inner}, name, arg, core);
-}
-
-Result<Bytes>
-Urts::ecallChain(const std::vector<LoadedEnclave*>& chain,
+Urts::ecallChain(std::span<LoadedEnclave* const> chain,
                  const std::string& name, ByteView arg, hw::CoreId core)
 {
     if (chain.empty()) return Err::GeneralProtection;
-    if (chain.size() == 1) return ecall(chain[0], name, arg, core);
 
     // Validate every hop against the hardware-recorded association
     // before any transition (any of a link's outers qualifies under
@@ -461,28 +406,44 @@ Urts::ecallChain(const std::vector<LoadedEnclave*>& chain,
             return Err::GeneralProtection;
         }
     }
-    auto rootTcs = idleTcs(*chain[0]);
-    if (!rootTcs) return rootTcs.status();
+    LoadedEnclave& root = *chain.front();
+    const TrustedFn* fn = nullptr;
+    if (chain.size() == 1) {
+        // Paper Fig. 5: untrusted code can EENTER an inner enclave
+        // directly, so an n_ecall entry point is also reachable as a
+        // plain ecall.
+        const EnclaveInterface& iface = *root.image().spec.interface;
+        fn = iface.findEcall(name);
+        if (!fn) fn = iface.findNEcall(name);
+        if (!fn) return Err::NoSuchCall;
+    }
 
     sgx::Machine& m = machine();
-    m.charge(m.costs().ecallDispatch);
-    m.charge(m.costs().copyBytes(arg.size()));
-    ++stats_.ecalls;
-    for (LoadedEnclave* node : chain) kernel_.touchEnclave(node->secsPage_);
-    publishSdk(m, trace::EventKind::SdkEcallBegin, core, name.c_str());
-
-    Status st = m.eenter(core, rootTcs.value());
-    if (!st) {
-        publishSdk(m, trace::EventKind::SdkEcallEnd, core, name.c_str());
-        return st;
+    {
+        std::lock_guard<std::mutex> entry(root.entryM_);
+        auto tcs = idleTcs(root);
+        if (!tcs) return tcs.status();
+        m.charge(m.costs().ecallDispatch);
+        // ecall arguments traverse untrusted memory into the enclave.
+        m.charge(m.costs().copyBytes(arg.size()));
+        ++stats_.ecalls;
+        for (LoadedEnclave* node : chain) kernel_.touchEnclave(node->secsPage_);
+        publishSdk(m, trace::EventKind::SdkEcallBegin, core, name.c_str());
+        Status st = m.eenter(core, tcs.value());
+        if (!st) {
+            publishSdk(m, trace::EventKind::SdkEcallEnd, core, name.c_str());
+            return st;
+        }
     }
-    TrustedEnv rootEnv(*this, *chain[0], core);
-    Result<Bytes> result = rootEnv.nEcallChain(
-        std::vector<LoadedEnclave*>(chain.begin() + 1, chain.end()), name,
-        arg);
+    TrustedEnv env(*this, root, core);
+    Result<Bytes> result =
+        fn ? (*fn)(env, arg) : env.nEcallChain(chain.subspan(1), name, arg);
     Status back = m.eexit(core);
     publishSdk(m, trace::EventKind::SdkEcallEnd, core, name.c_str());
     if (!back) return back;
+    // Only a one-element chain copies its result back out (a modelling
+    // asymmetry DESIGN §14 records).
+    if (fn && result) m.charge(m.costs().copyBytes(result.value().size()));
     return result;
 }
 

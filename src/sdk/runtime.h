@@ -18,6 +18,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -72,10 +73,18 @@ class LoadedEnclave {
     /** The primary outer enclave this one nests inside, if associated. */
     LoadedEnclave* outer() const { return outer_; }
 
+    /**
+     * Serializes TCS claims on this enclave: held from Urts::idleTcs
+     * through the EENTER/NEENTER that takes the picked TCS, so two
+     * threads entering concurrently never pick the same idle slot.
+     */
+    std::mutex& entryMutex() { return entryM_; }
+
   private:
     friend class Urts;
     friend class TrustedEnv;
 
+    std::mutex entryM_;
     SignedEnclave image_;
     hw::Paddr secsPage_ = 0;
     hw::Vaddr base_ = 0;
@@ -112,18 +121,19 @@ class TrustedEnv {
     /** ocall: enclave -> untrusted function registered with the Urts. */
     Result<Bytes> ocall(const std::string& name, ByteView arg);
 
-    /** n_ecall: outer -> inner enclave function (NEENTER/NEEXIT). */
+    /** n_ecall: outer -> inner enclave function (NEENTER/NEEXIT); a
+     *  one-hop nEcallChain. */
     Result<Bytes> nEcall(LoadedEnclave& inner, const std::string& name,
                          ByteView arg);
 
     /**
      * Chain-routed n_ecall: NEENTERs each enclave in `remaining` in
-     * order (pass-through hops), runs `name` in the last one, and
-     * NEEXITs back symmetrically. A one-element chain is exactly
-     * nEcall(). Every hop pays the n_ecall dispatch cost and publishes
-     * its own SdkNEcallBegin/End bracket.
+     * order (pass-through hops), runs `name` (an n_ecall entry point)
+     * in the last one, and NEEXITs back symmetrically. Every hop pays
+     * the n_ecall dispatch cost and publishes its own SdkNEcallBegin/End
+     * bracket.
      */
-    Result<Bytes> nEcallChain(const std::vector<LoadedEnclave*>& remaining,
+    Result<Bytes> nEcallChain(std::span<LoadedEnclave* const> remaining,
                               const std::string& name, ByteView arg);
 
     /** n_ocall: inner -> outer enclave function (NEEXIT/NEENTER). */
@@ -197,28 +207,22 @@ class Urts {
     /** Registers an untrusted function servable via ocall. */
     void registerOcall(const std::string& name, UntrustedFn fn);
 
-    /** ecall into an enclave (EENTER -> dispatch -> EEXIT). */
+    /** ecall into an enclave (EENTER -> dispatch -> EEXIT); a
+     *  one-element ecallChain. */
     Result<Bytes> ecall(LoadedEnclave* enclave, const std::string& name,
                         ByteView arg, hw::CoreId core = 0);
 
     /**
-     * Convenience for per-user inner calls: EENTER the outer enclave and
-     * NEENTER the inner from there (ecall + n_ecall in one round trip).
-     * Equivalent to ecallChain({outer, inner}, ...).
+     * Depth-parametric entry, the SDK's one entry walk: routes a call
+     * down an ancestor chain (root first, leaf last). Depth k costs one
+     * EENTER plus k-1 NEENTERs in, and the symmetric NEEXIT unwind plus
+     * one EEXIT out. Every adjacent pair is validated against the
+     * hardware-recorded association before any transition. A
+     * one-element chain runs `name` as an ecall (an n_ecall entry point
+     * also qualifies) and copies the result back out; deeper chains run
+     * it as the leaf's n_ecall (DESIGN §14).
      */
-    Result<Bytes> ecallNested(LoadedEnclave* outer, LoadedEnclave* inner,
-                              const std::string& name, ByteView arg,
-                              hw::CoreId core = 0);
-
-    /**
-     * Depth-parametric entry: routes a call down an ancestor chain
-     * (root first, leaf last). Depth k costs one EENTER plus k-1
-     * NEENTERs in, and the symmetric NEEXIT unwind plus one EEXIT out.
-     * Every adjacent pair is validated against the hardware-recorded
-     * association before any transition. A one-element chain is exactly
-     * ecall(); a two-element chain is exactly ecallNested().
-     */
-    Result<Bytes> ecallChain(const std::vector<LoadedEnclave*>& chain,
+    Result<Bytes> ecallChain(std::span<LoadedEnclave* const> chain,
                              const std::string& name, ByteView arg,
                              hw::CoreId core = 0);
 
@@ -246,8 +250,10 @@ class Urts {
 
     /**
      * First non-busy TCS of the enclave (GeneralProtection when every
-     * thread slot is taken). Public so the switchless layer can park
-     * poller threads on real TCSes without going through an ecall.
+     * thread slot is taken). Callers hold the enclave's entryMutex()
+     * from here through the EENTER/NEENTER that claims the TCS. Public
+     * so the switchless layer can park poller threads on real TCSes
+     * without going through an ecall.
      */
     Result<hw::Paddr> idleTcs(LoadedEnclave& enclave);
 

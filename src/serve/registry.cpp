@@ -221,15 +221,22 @@ TenantRegistry::makeGateway(std::size_t index)
 }
 
 Result<std::size_t>
-TenantRegistry::gatewayWithRoom()
+TenantRegistry::addGateway()
 {
-    if (!gateways_.empty() && gateways_.back().hasRoom()) {
-        return gateways_.size() - 1;
-    }
     auto gw = makeGateway(gateways_.size());
     if (!gw) return gw.status();
     gateways_.push_back(std::move(gw.value()));
     return gateways_.size() - 1;
+}
+
+Status
+TenantRegistry::remakeGateway(std::size_t index)
+{
+    auto rebuilt = makeGateway(index);
+    if (!rebuilt) return rebuilt.status();
+    gateways_[index].outer = rebuilt.value().outer;
+    gateways_[index].state = std::move(rebuilt.value().state);
+    return Status::ok();
 }
 
 std::uint32_t
@@ -404,7 +411,9 @@ TenantRegistry::ensure(TenantId id, Workload workload)
 {
     if (TenantHandle* existing = find(id)) return existing;
 
-    auto gwIndex = gatewayWithRoom();
+    auto gwIndex = !gateways_.empty() && gateways_.back().hasRoom()
+                       ? Result<std::size_t>(gateways_.size() - 1)
+                       : addGateway();
     if (!gwIndex) return gwIndex.status();
     Gateway& gateway = gateways_[gwIndex.value()];
 
@@ -534,24 +543,10 @@ TenantRegistry::evictTenant(TenantHandle& tenant)
     // reported as barren (0 pages) and the pressure loop moves on.
     std::unique_lock<std::mutex> own(tenant.m, std::try_to_lock);
     if (!own.owns_lock()) return 0;
-    if (!tenant.inner) return 0;
-    os::Kernel& kernel = urts_->kernel();
-    const os::EnclaveRecord* rec =
-        kernel.enclaveRecord(tenant.inner->secsPage());
-    if (!rec) return 0;
-
-    std::vector<hw::Vaddr> vas;
-    vas.reserve(rec->pages.size());
-    for (const auto& [va, pa] : rec->pages) vas.push_back(va);
-
-    std::uint64_t written = 0;
-    for (hw::Vaddr va : vas) {
-        // TCS pages refuse EBLOCK; everything evictable goes out.
-        if (kernel.evictPage(tenant.inner->secsPage(), va)) ++written;
-    }
+    const std::uint64_t written = writeOut(tenant.inner);
     if (written > 0) {
         ++tenant.evictions;
-        kernel.machine().trace().publishLight(
+        urts_->machine().trace().publishLight(
             trace::EventKind::ServeTenantEvict, trace::kNoCore, 0, tenant.id,
             written);
     }
@@ -559,38 +554,29 @@ TenantRegistry::evictTenant(TenantHandle& tenant)
 }
 
 Status
-TenantRegistry::rebuildTenant(TenantHandle& tenant)
+TenantRegistry::unloadInner(TenantHandle& tenant)
+{
+    if (!tenant.inner) return Status::ok();
+    // Detach from the gateway first so a failed unload cannot leave the
+    // slot pointing at a half-dead enclave.
+    GatewayState& state = *gateways_[tenant.gatewayIndex].state;
+    sdk::LoadedEnclave* old = tenant.inner;
+    state.slots[tenant.slot] = nullptr;
+    tenant.inner = nullptr;
+    Status st = urts_->unload(old);
+    if (!st) {
+        // Destroy refused (a page still busy): restore and report; the
+        // caller's retry contract takes it from there.
+        tenant.inner = old;
+        state.slots[tenant.slot] = old;
+    }
+    return st;
+}
+
+Status
+TenantRegistry::rebuildInner(TenantHandle& tenant)
 {
     Gateway& gateway = gateways_[tenant.gatewayIndex];
-    if (!gateway.outer) {
-        // A failed subtree rebuild left the gateway layer missing; the
-        // tenant cannot come back without it. Double-checked under the
-        // rebuild lock: a sibling's self-heal may already have restored
-        // it, and two concurrent makeGateway calls would orphan one
-        // gateway enclave (unevictable pages — eventual EPC exhaustion).
-        std::lock_guard<std::mutex> g(gatewayRebuildM_);
-        if (!gateway.outer) {
-            auto rebuilt = makeGateway(tenant.gatewayIndex);
-            if (!rebuilt) return rebuilt.status();
-            gateway.outer = rebuilt.value().outer;
-            gateway.state = std::move(rebuilt.value().state);
-        }
-    }
-    if (tenant.inner) {
-        // Detach from the gateway first so a failed unload cannot leave
-        // the slot pointing at a half-dead enclave.
-        sdk::LoadedEnclave* old = tenant.inner;
-        gateway.state->slots[tenant.slot] = nullptr;
-        tenant.inner = nullptr;
-        Status st = urts_->unload(old);
-        if (!st) {
-            // Destroy refused (a page still busy): restore and report;
-            // the worker retries on the tenant's next batch.
-            tenant.inner = old;
-            gateway.state->slots[tenant.slot] = old;
-            return st;
-        }
-    }
     auto inner = buildInner(tenant.id, tenant.workload, gateway);
     if (!inner) return inner.status();  // stays inner-less; retried lazily
     if (tenant.provisioned) {
@@ -618,6 +604,44 @@ TenantRegistry::rebuildTenant(TenantHandle& tenant)
 }
 
 std::uint64_t
+TenantRegistry::writeOut(sdk::LoadedEnclave* enclave)
+{
+    if (!enclave) return 0;
+    os::Kernel& kernel = urts_->kernel();
+    const os::EnclaveRecord* rec = kernel.enclaveRecord(enclave->secsPage());
+    if (!rec) return 0;
+    std::vector<hw::Vaddr> vas;
+    vas.reserve(rec->pages.size());
+    for (const auto& [va, pa] : rec->pages) vas.push_back(va);
+    std::uint64_t written = 0;
+    for (hw::Vaddr va : vas) {
+        // TCS pages refuse EBLOCK; everything evictable goes out.
+        if (kernel.evictPage(enclave->secsPage(), va)) ++written;
+    }
+    return written;
+}
+
+Status
+TenantRegistry::rebuildTenant(TenantHandle& tenant)
+{
+    if (!gateways_[tenant.gatewayIndex].outer) {
+        // A failed subtree rebuild left the gateway layer missing; the
+        // tenant cannot come back without it. Double-checked under the
+        // rebuild lock: a sibling's self-heal may already have restored
+        // it, and two concurrent makeGateway calls would orphan one
+        // gateway enclave (unevictable pages — eventual EPC exhaustion).
+        std::lock_guard<std::mutex> g(gatewayRebuildM_);
+        if (!gateways_[tenant.gatewayIndex].outer) {
+            Status st = remakeGateway(tenant.gatewayIndex);
+            if (!st) return st;
+        }
+    }
+    Status st = unloadInner(tenant);
+    if (!st) return st;  // the worker retries on the tenant's next batch
+    return rebuildInner(tenant);
+}
+
+std::uint64_t
 TenantRegistry::evictSubtree(std::size_t gatewayIndex)
 {
     if (gatewayIndex >= gateways_.size()) return 0;
@@ -627,19 +651,7 @@ TenantRegistry::evictSubtree(std::size_t gatewayIndex)
             written += evictTenant(*tenant);
         }
     }
-    Gateway& gateway = gateways_[gatewayIndex];
-    if (!gateway.outer) return written;
-    os::Kernel& kernel = urts_->kernel();
-    const os::EnclaveRecord* rec =
-        kernel.enclaveRecord(gateway.outer->secsPage());
-    if (!rec) return written;
-    std::vector<hw::Vaddr> vas;
-    vas.reserve(rec->pages.size());
-    for (const auto& [va, pa] : rec->pages) vas.push_back(va);
-    for (hw::Vaddr va : vas) {
-        if (kernel.evictPage(gateway.outer->secsPage(), va)) ++written;
-    }
-    return written;
+    return written + writeOut(gateways_[gatewayIndex].outer);
 }
 
 Status
@@ -671,16 +683,8 @@ TenantRegistry::rebuildGatewaySubtree(std::size_t gatewayIndex,
     // Leaves first: a gateway with live inner associations refuses
     // destruction.
     for (TenantHandle* tenant : members) {
-        if (!tenant->inner) continue;
-        sdk::LoadedEnclave* old = tenant->inner;
-        gateway.state->slots[tenant->slot] = nullptr;
-        tenant->inner = nullptr;
-        Status st = urts_->unload(old);
-        if (!st) {
-            tenant->inner = old;
-            gateway.state->slots[tenant->slot] = old;
-            return st;
-        }
+        Status st = unloadInner(*tenant);
+        if (!st) return st;
     }
     if (gateway.outer) {
         sdk::LoadedEnclave* old = gateway.outer;
@@ -694,36 +698,14 @@ TenantRegistry::rebuildGatewaySubtree(std::size_t gatewayIndex,
 
     // Bottom-up rebuild: gateway (re-associated under the CVM root when
     // nested), then every tenant back into its old slot.
-    auto rebuilt = makeGateway(gatewayIndex);
-    if (!rebuilt) return rebuilt.status();  // whole subtree stays down
-    gateway.outer = rebuilt.value().outer;
-    gateway.state = std::move(rebuilt.value().state);
-
-    Status result = Status::ok();
+    Status result = remakeGateway(gatewayIndex);
+    if (!result) return result;  // whole subtree stays down
     for (TenantHandle* tenant : members) {
-        auto inner = buildInner(tenant->id, tenant->workload, gateway);
-        if (!inner) {
-            // Inner-less until a later rebuild succeeds (same lazy-retry
-            // contract as rebuildTenant); keep restoring the rest.
-            result = inner.status();
-            continue;
-        }
-        if (tenant->provisioned) {
-            Status rk = rekeyInner(inner.value());
-            if (!rk) {
-                (void)urts_->unload(inner.value());
-                result = rk;
-                continue;
-            }
-        }
-        tenant->inner = inner.value();
-        gateway.state->slots[tenant->slot] = inner.value();
-        ++tenant->rebuilds;
-        tenant->epoch.fetch_add(1, std::memory_order_relaxed);
-        tenant->incarnation.fetch_add(1, std::memory_order_relaxed);
-        urts_->machine().trace().publishLight(
-            trace::EventKind::ServeTenantRebuild, trace::kNoCore, 0,
-            tenant->id, tenant->rebuilds);
+        // A tenant that fails stays inner-less until a later rebuild
+        // succeeds (same lazy-retry contract as rebuildTenant); keep
+        // restoring the rest.
+        Status st = rebuildInner(*tenant);
+        if (!st) result = st;
     }
     if (result.isOk()) {
         // The subtree is whole again: a crashed marker on this gateway
@@ -780,19 +762,7 @@ TenantRegistry::importInner(sdk::LoadedEnclave* inner,
 std::uint64_t
 TenantRegistry::drainTenantLocked(TenantHandle& tenant)
 {
-    if (!tenant.inner) return 0;
-    os::Kernel& kernel = urts_->kernel();
-    const os::EnclaveRecord* rec =
-        kernel.enclaveRecord(tenant.inner->secsPage());
-    if (!rec) return 0;
-    std::vector<hw::Vaddr> vas;
-    vas.reserve(rec->pages.size());
-    for (const auto& [va, pa] : rec->pages) vas.push_back(va);
-    std::uint64_t written = 0;
-    for (hw::Vaddr va : vas) {
-        if (kernel.evictPage(tenant.inner->secsPage(), va)) ++written;
-    }
-    return written;
+    return writeOut(tenant.inner);
 }
 
 Result<std::size_t>
@@ -804,10 +774,7 @@ TenantRegistry::pickGatewayExcept(std::size_t exclude)
             return i;
         }
     }
-    auto gw = makeGateway(gateways_.size());
-    if (!gw) return gw.status();
-    gateways_.push_back(std::move(gw.value()));
-    return gateways_.size() - 1;
+    return addGateway();
 }
 
 Result<TenantRegistry::RelocationTicket>
@@ -844,21 +811,11 @@ Status
 TenantRegistry::commitRelocation(TenantHandle& tenant,
                                  const RelocationTicket& ticket)
 {
-    Gateway& source = gateways_[tenant.gatewayIndex];
-    if (tenant.inner) {
-        sdk::LoadedEnclave* old = tenant.inner;
-        source.state->slots[tenant.slot] = nullptr;
-        tenant.inner = nullptr;
-        Status st = urts_->unload(old);
-        if (!st) {
-            // Source teardown refused (busy page): roll the swap back;
-            // the staged instance is abandoned by the caller.
-            tenant.inner = old;
-            source.state->slots[tenant.slot] = old;
-            return st;
-        }
-    }
-    releaseSlot(source, tenant.slot);
+    // A refused source teardown (busy page) leaves the source serving;
+    // the staged instance is abandoned by the caller.
+    Status st = unloadInner(tenant);
+    if (!st) return st;
+    releaseSlot(gateways_[tenant.gatewayIndex], tenant.slot);
     tenant.inner = ticket.inner;
     tenant.gatewayIndex = ticket.gatewayIndex;
     tenant.slot = ticket.slot;
@@ -881,20 +838,10 @@ TenantRegistry::retireTenant(TenantId id)
     {
         // Scoped: the handle (and its mutex) dies with the map entry.
         std::lock_guard<std::mutex> own(tenant->m);
-        Gateway& gateway = gateways_[tenant->gatewayIndex];
-        if (tenant->inner) {
-            sdk::LoadedEnclave* old = tenant->inner;
-            gateway.state->slots[tenant->slot] = nullptr;
-            tenant->inner = nullptr;
-            Status st = urts_->unload(old);
-            if (!st) {
-                tenant->inner = old;
-                gateway.state->slots[tenant->slot] = old;
-                return st;
-            }
-        }
+        Status st = unloadInner(*tenant);
+        if (!st) return st;
         // An inner-less tenant still owns its slot until it is retired.
-        releaseSlot(gateway, tenant->slot);
+        releaseSlot(gateways_[tenant->gatewayIndex], tenant->slot);
     }
     tenants_.erase(it);
     return Status::ok();

@@ -331,7 +331,6 @@ class TenantRegistry {
     };
 
     Status reserveEpc(std::uint64_t pages);
-    Result<std::size_t> gatewayWithRoom();
     /** Claims the gateway's first unowned slot for `inner` (the caller
      *  checked hasRoom()). ensure and stageRelocation both place tenants
      *  through here. */
@@ -341,12 +340,30 @@ class TenantRegistry {
     /** Builds (or rebuilds) the gateway enclave for `index` without
      *  touching the gateways_ vector; Cvm associates it under the root. */
     Result<Gateway> makeGateway(std::size_t index);
+    /** Builds the next gateway and appends it; returns its index. */
+    Result<std::size_t> addGateway();
+    /** Rebuilds gateway `index` in place: a fresh enclave and dispatch
+     *  table, slot ownership kept. */
+    Status remakeGateway(std::size_t index);
     /** Lazily builds the shared CVM root (Cvm topology). */
     Status ensureCvmRoot();
     /** Reloads every evicted page of `enclave` (chain residency). */
     Status reloadEnclave(sdk::LoadedEnclave* enclave, std::uint64_t* pages);
     Result<sdk::LoadedEnclave*> buildInner(TenantId id, Workload workload,
                                            Gateway& gateway);
+    /** Detaches the tenant's inner from its slot and unloads it; a
+     *  refused destroy restores both and returns the error. No-op for an
+     *  inner-less tenant. Every teardown of a tenant goes through here. */
+    Status unloadInner(TenantHandle& tenant);
+    /** Builds a fresh inner into the tenant's (empty) slot: build, rekey
+     *  when provisioned, install, bump rebuilds/epoch/incarnation and
+     *  publish ServeTenantRebuild. On failure the tenant stays
+     *  inner-less. */
+    Status rebuildInner(TenantHandle& tenant);
+    /** EWBs every evictable page of `enclave` (null-safe); returns pages
+     *  written. Tenant eviction, subtree eviction and the migration
+     *  drain all page out through here. */
+    std::uint64_t writeOut(sdk::LoadedEnclave* enclave);
 
     sdk::Urts* urts_;
     Config config_;

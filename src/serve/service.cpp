@@ -107,18 +107,43 @@ WorkerPool::breakerFor(TenantId tenant)
 }
 
 void
-WorkerPool::failQueuedRebuilt(TenantId tenantId)
+WorkerPool::failTyped(const std::vector<Request>& requests, Status status,
+                      bool rebuilt)
 {
-    sgx::Machine& machine = registry_->urts().machine();
+    if (requests.empty()) return;
+    const std::uint64_t now = registry_->urts().machine().clock().cycles();
     std::lock_guard<std::mutex> c(completionsM_);
-    for (Request& r : admission_->purge(tenantId)) {
+    for (const Request& r : requests) {
         Completion done;
         done.id = r.id;
         done.tenant = r.tenant;
-        done.latencyCycles = machine.clock().cycles() - r.enqueuedAt;
-        done.status = Err::Unavailable;
-        done.tenantRebuilt = true;
+        done.latencyCycles = now - r.enqueuedAt;
+        done.status = status;
+        done.tenantRebuilt = rebuilt;
         completions_.push_back(std::move(done));
+    }
+}
+
+void
+WorkerPool::quiesce(TenantId tenantId)
+{
+    // The switchless channel's poller is parked inside the instance
+    // about to be destroyed: drain-or-poison its rings and unpark it
+    // first, or EREMOVE would refuse the busy TCS pages forever.
+    if (engine_) engine_->disarm(tenantId);
+    // Everything the tenant still has queued was sealed against that
+    // instance; fail it typed so the client reseals against the rebuilt
+    // server instead of replaying stale sequence numbers.
+    failTyped(admission_->purge(tenantId), Err::Unavailable, true);
+}
+
+void
+WorkerPool::quiesceSubtree(std::size_t gatewayIndex, const TenantHandle* skip)
+{
+    for (const auto& [id, member] : registry_->tenants()) {
+        if (member->gatewayIndex == gatewayIndex && member.get() != skip) {
+            quiesce(id);
+        }
     }
 }
 
@@ -126,30 +151,15 @@ Status
 WorkerPool::rebuildTenantNow(TenantHandle& tenant)
 {
     sgx::Machine& machine = registry_->urts().machine();
-    // The switchless channel's poller is parked inside the inner that is
-    // about to be destroyed: drain-or-poison its rings and unpark it
-    // first, or EREMOVE would refuse the busy TCS pages forever.
-    if (engine_) engine_->disarm(tenant.id);
-    // Everything the tenant still has queued was sealed against the
-    // poisoned instance; fail it typed so the client reseals against
-    // the rebuilt server instead of replaying stale sequence numbers.
-    failQueuedRebuilt(tenant.id);
+    quiesce(tenant.id);
     const std::uint64_t begin = machine.clock().cycles();
     Status st = registry_->rebuildTenant(tenant);
     if (!st && registry_->topology() == Topology::Cvm) {
         // Cvm escalation: the tenant refused to come back on its own —
         // the gateway layer itself may be the casualty, so rebuild the
-        // whole subtree. Sibling tenants' pollers and queued requests
-        // ride on instances about to be destroyed; disarm and fail them
-        // typed first, exactly like the caller's own.
-        for (const auto& [id, sibling] : registry_->tenants()) {
-            if (sibling->gatewayIndex != tenant.gatewayIndex ||
-                sibling.get() == &tenant) {
-                continue;
-            }
-            if (engine_) engine_->disarm(id);
-            failQueuedRebuilt(id);
-        }
+        // whole subtree, quiescing the siblings exactly like the
+        // caller's own tenant first.
+        quiesceSubtree(tenant.gatewayIndex, &tenant);
         st = registry_->rebuildGatewaySubtree(tenant.gatewayIndex, &tenant);
         ++subtreeRebuilds_;
         machine.trace().publishLight(trace::EventKind::ServeTenantRebuild,
@@ -176,14 +186,7 @@ WorkerPool::rebuildSubtree(std::size_t gatewayIndex)
 {
     sgx::Machine& machine = registry_->urts().machine();
     const std::uint64_t begin = machine.clock().cycles();
-    // Every member's poller parks inside an instance about to be torn
-    // down, and every queued request was sealed against one: disarm and
-    // fail typed first, same contract as the in-batch Cvm escalation.
-    for (const auto& [id, member] : registry_->tenants()) {
-        if (member->gatewayIndex != gatewayIndex) continue;
-        if (engine_) engine_->disarm(id);
-        failQueuedRebuilt(id);
-    }
+    quiesceSubtree(gatewayIndex);
     Status st = registry_->rebuildGatewaySubtree(gatewayIndex);
     ++subtreeRebuilds_;
     {
@@ -228,8 +231,6 @@ void
 WorkerPool::processTenant(TenantId tenantId, hw::CoreId fixedCore,
                           bool haveFixedCore)
 {
-    sgx::Machine& machine = registry_->urts().machine();
-
     std::vector<Request> shedRequests;
     std::vector<Request> batch =
         admission_->takeBatch(tenantId, config_.batchSize, &shedRequests);
@@ -237,18 +238,7 @@ WorkerPool::processTenant(TenantId tenantId, hw::CoreId fixedCore,
     // Shed requests complete typed — the client sees Err::Deadline, not
     // silence — even (especially) when every entry at the head expired
     // and the batch below is empty.
-    if (!shedRequests.empty()) {
-        const std::uint64_t shedNow = machine.clock().cycles();
-        std::lock_guard<std::mutex> c(completionsM_);
-        for (Request& r : shedRequests) {
-            Completion done;
-            done.id = r.id;
-            done.tenant = r.tenant;
-            done.latencyCycles = shedNow - r.enqueuedAt;
-            done.status = Err::Deadline;
-            completions_.push_back(std::move(done));
-        }
-    }
+    failTyped(shedRequests, Err::Deadline, false);
     if (batch.empty()) return;  // everything at the head was shed
 
     TenantHandle* tenant = registry_->find(tenantId);
@@ -272,20 +262,6 @@ WorkerPool::serveBatch(TenantHandle& tenant, std::vector<Request> batch,
     // is mid-batch on another thread.
     std::lock_guard<std::mutex> own(tenant.m);
 
-    auto failBatchTyped = [&](Status st, bool rebuiltFlag) {
-        const std::uint64_t now = machine.clock().cycles();
-        std::lock_guard<std::mutex> c(completionsM_);
-        for (Request& r : batch) {
-            Completion done;
-            done.id = r.id;
-            done.tenant = r.tenant;
-            done.latencyCycles = now - r.enqueuedAt;
-            done.status = st;
-            done.tenantRebuilt = rebuiltFlag;
-            completions_.push_back(std::move(done));
-        }
-    };
-
     // Circuit breaker: while open, refuse the batch outright unless the
     // cooldown has elapsed — then exactly this batch goes through as the
     // half-open probe.
@@ -296,7 +272,7 @@ WorkerPool::serveBatch(TenantHandle& tenant, std::vector<Request> batch,
         probeDue = machine.clock().cycles() >= breaker.probeAt;
 #endif
         if (!probeDue) {
-            failBatchTyped(Err::Unavailable, false);
+            failTyped(batch, Err::Unavailable, false);
             return;
         }
     }
@@ -416,7 +392,7 @@ WorkerPool::serveBatch(TenantHandle& tenant, std::vector<Request> batch,
         }
     } else {
         ++dispatchFailures_;
-        failBatchTyped(finalStatus, rebuilt);
+        failTyped(batch, finalStatus, rebuilt);
     }
 
     // Breaker bookkeeping observes the batch outcome: any round trip

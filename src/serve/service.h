@@ -178,9 +178,21 @@ class WorkerPool {
      *  be the casualty. */
     Status rebuildTenantNow(TenantHandle& tenant);
 
-    /** Fails `tenantId`'s queued requests typed with the rebuilt flag
-     *  (the seals target an instance that is being destroyed). */
-    void failQueuedRebuilt(TenantId tenantId);
+    /** Completes every request typed with `status`, never ok: shed
+     *  deadlines, breaker refusals, failed batches and purged queues all
+     *  complete through here. `rebuilt` tells the client its seals
+     *  target a destroyed instance. */
+    void failTyped(const std::vector<Request>& requests, Status status,
+                   bool rebuilt);
+
+    /** Readies a tenant whose instance is about to be destroyed: disarms
+     *  its switchless channel and fails its queued requests typed with
+     *  the rebuilt flag. */
+    void quiesce(TenantId tenantId);
+
+    /** quiesce() for every tenant of the gateway subtree but `skip`. */
+    void quiesceSubtree(std::size_t gatewayIndex,
+                        const TenantHandle* skip = nullptr);
 
     /** One batched dispatch: through the armed switchless channel when
      *  available, classic gateway ecall otherwise. */

@@ -116,7 +116,8 @@ Machine::eaddImpl(hw::Paddr secsPage, hw::Paddr epcPage, hw::Vaddr vaddr,
         mem_.write(epcPage, src.data(), src.size());
     }
     if (type == PageType::Tcs) {
-        tcsTable_[epcPage] = Tcs{};
+        tcsTable_.erase(epcPage);
+        tcsTable_.try_emplace(epcPage);
     }
 
     secs->measurementLog.recordAdd(vaddr - secs->baseAddr, type, perms);

@@ -33,9 +33,9 @@ Status
 Machine::eenter(hw::CoreId coreId, hw::Paddr tcsPage)
 {
     // Transitions run in shared mode: they mutate only their own core's
-    // frame stack/TLB and the target TCS busy flag (whose ownership is
-    // serialized by the SDK/serving layers above), never the structural
-    // tables — those writers take the lock exclusive.
+    // frame stack/TLB and the target TCS busy flag (claimed atomically),
+    // never the structural tables — those writers take the lock
+    // exclusive.
     std::shared_lock<std::shared_mutex> g(stateMutex_);
     return tracedLeaf(trace::Leaf::Eenter, coreId, tcsPage,
                       [&] { return eenterImpl(coreId, tcsPage); });
@@ -60,8 +60,9 @@ Machine::eenterImpl(hw::CoreId coreId, hw::Paddr tcsPage)
     }
     Secs* secs = secsAt(entry.ownerSecs);
     if (!secs || !secs->initialized) return Err::GeneralProtection;
+    // The busy check is the claim: nothing after it can fail.
     Tcs* tcs = tcsAt(tcsPage);
-    if (!tcs || tcs->busy) return Err::GeneralProtection;
+    if (!tcs || tcs->busy.exchange(true)) return Err::GeneralProtection;
 
     charge(costs_.eenterCycles(config_.taggedTlb));
     // The TLB must never *serve* translations validated in a different
@@ -74,7 +75,6 @@ Machine::eenterImpl(hw::CoreId coreId, hw::Paddr tcsPage)
     } else {
         flushCoreTlbLocked(coreId);
     }
-    tcs->busy = true;
     core.pushFrame(entry.ownerSecs, tcsPage, secs->eid);
     return Status::ok();
 }
@@ -152,7 +152,7 @@ Machine::neenterImpl(hw::CoreId coreId, hw::Paddr tcsPage)
 #endif
     if (!adjacent) return Err::GeneralProtection;
     Tcs* tcs = tcsAt(tcsPage);
-    if (!tcs || tcs->busy) return Err::GeneralProtection;
+    if (!tcs || tcs->busy.exchange(true)) return Err::GeneralProtection;
 
     charge(costs_.neenterCycles(config_.taggedTlb));
     if (config_.taggedTlb) {
@@ -161,7 +161,6 @@ Machine::neenterImpl(hw::CoreId coreId, hw::Paddr tcsPage)
     } else {
         flushCoreTlbLocked(coreId);
     }
-    tcs->busy = true;
     core.pushFrame(entry.ownerSecs, tcsPage, target->eid);
     return Status::ok();
 }

@@ -9,6 +9,7 @@
  */
 #pragma once
 
+#include <atomic>
 #include <optional>
 #include <set>
 #include <vector>
@@ -74,7 +75,9 @@ struct Secs {
 };
 
 struct Tcs {
-    bool busy = false;       ///< an LP is executing on this thread
+    /** An LP is executing on this thread. EENTER/NEENTER claim it with
+     *  one exchange, so two cores can never both take the same TCS. */
+    std::atomic<bool> busy{false};
     hw::Vaddr entryPoint = 0;
     /** Frame stack saved by AEX for later ERESUME. */
     std::vector<hw::EnclaveFrame> savedFrames;

@@ -206,6 +206,7 @@ SwitchlessEngine::park(Hop& hop, const Chain& prefix, bool initRings)
                 return unwind();
             }
         }
+        std::lock_guard<std::mutex> entry(prefix[i]->entryMutex());
         auto tcs = urts_.idleTcs(*prefix[i]);
         if (!tcs) return unwind();
         kernel.touchEnclave(prefix[i]->secsPage());

@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "core/attest.h"
 #include "harness.h"
 
@@ -284,8 +286,8 @@ TEST_F(Attestation, NereportViaSdkEnvWorks)
 {
     Bytes arg(pair_.inner->mrenclave().begin(),
               pair_.inner->mrenclave().end());
-    auto raw = world_->urts->ecallNested(pair_.outer, pair_.inner, "report",
-                                         arg);
+    auto raw = world_->urts->ecallChain(std::array{pair_.outer, pair_.inner},
+                                        "report", arg);
     ASSERT_TRUE(raw.isOk()) << raw.status().name();
     EXPECT_GT(raw.value().size(), 32u);
 }

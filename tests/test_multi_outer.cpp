@@ -14,6 +14,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "core/channel.h"
 #include "harness.h"
 
@@ -177,10 +179,10 @@ TEST_F(MultiOuter, NOcallResolvesTheEnteredOuter)
     ASSERT_TRUE(world.urts->associate(bridge, outerA).isOk());
     ASSERT_TRUE(world.urts->associate(bridge, outerB).isOk());
 
-    auto viaA = world.urts->ecallNested(outerA, bridge, "ask", {});
+    auto viaA = world.urts->ecallChain(std::array{outerA, bridge}, "ask", {});
     ASSERT_TRUE(viaA.isOk()) << viaA.status().name();
     EXPECT_EQ(viaA.value(), bytesOf("outer-a"));
-    auto viaB = world.urts->ecallNested(outerB, bridge, "ask", {});
+    auto viaB = world.urts->ecallChain(std::array{outerB, bridge}, "ask", {});
     ASSERT_TRUE(viaB.isOk());
     EXPECT_EQ(viaB.value(), bytesOf("outer-b"));
 }

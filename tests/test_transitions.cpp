@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "harness.h"
 
 namespace nesgx::test {
@@ -108,8 +110,8 @@ TEST_F(Transitions, NestedCallChain)
 
 TEST_F(Transitions, EcallNestedHelper)
 {
-    auto result = world_->urts->ecallNested(pair_.outer, pair_.inner,
-                                            "inner_plain", bytesOf("z"));
+    auto result = world_->urts->ecallChain(
+        std::array{pair_.outer, pair_.inner}, "inner_plain", bytesOf("z"));
     ASSERT_TRUE(result.isOk());
     EXPECT_EQ(result.value(), bytesOf("plain:z"));
 }
@@ -276,7 +278,8 @@ TEST_F(Transitions, TransitionCostsMatchTable2)
     // n_ecall round trip on top of an ecall envelope.
     before = clock.cycles();
     ASSERT_TRUE(world_->urts
-                    ->ecallNested(pair_.outer, pair_.inner, "inner_plain", {})
+                    ->ecallChain(std::array{pair_.outer, pair_.inner},
+                                 "inner_plain", {})
                     .isOk());
     // Nested calls pass data by reference through the shared outer
     // enclave: no marshalling-copy charge beyond the round trips.

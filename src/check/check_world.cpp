@@ -435,8 +435,7 @@ CheckWorld::apply(const Step& step)
             // overwrites slot 0, and the first drain then surfaces a
             // sequence number ahead of the FIFO expectation, which
             // TraceSwitchlessPairing flags), drain everything, abandon
-            // the (empty) rest. The ring page is mapped lazily so
-            // default runs keep the historical kernel VA layout.
+            // the (empty) rest. The ring page is mapped on first use.
             constexpr std::uint64_t kCap = 4;
             if (switchlessVa_ == 0) {
                 switchlessVa_ = kernel_.mapUntrusted(pid_, 1);
@@ -469,9 +468,9 @@ CheckWorld::apply(const Step& step)
             return refused ? Status::ok() : Status(Err::Backpressure);
         }
         case Op::DeepChain: {
-            // Depth composite (opt-in --depth-ops): build/associate a
-            // root(slotA)->mid(slotB) chain, enter both, then attempt a
-            // third hop into the slot picked by `index` — legitimately
+            // Depth composite: build/associate a root(slotA)->mid(slotB)
+            // chain, enter both, then attempt a third hop into the slot
+            // picked by `index` — legitimately
             // associated first when `index` is odd, a hostile
             // unassociated NEENTER when even — and AEX. Everything
             // happens in ONE step on purpose: the per-step live-frame

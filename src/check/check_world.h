@@ -56,10 +56,8 @@ enum class Op : std::uint8_t {
     ReloadAll,        ///< reload every evicted page of slotA
     SwitchlessPostDrain, ///< exercise a switchless DescRing: push past
                          ///< capacity (the full check must refuse with
-                         ///< Backpressure), drain, abandon. Opt-in
-                         ///< (--switchless-ops) so default streams stay
-                         ///< bit-identical.
-    DeepChain,        ///< composite depth op (opt-in --depth-ops): build
+                         ///< Backpressure), drain, abandon.
+    DeepChain,        ///< composite depth op: build
                       ///< and associate a root->mid chain, enter both,
                       ///< attempt a third NEENTER hop picked by `index`
                       ///< (associated when bit 0, hostile otherwise), and
@@ -73,14 +71,7 @@ enum class Op : std::uint8_t {
                       ///< serving topology ever builds.
 };
 
-/** Op count of the classic (pre-switchless) generator. The default
- *  chaos draw uses this modulus so every historical seed replays the
- *  exact same stream; each opt-in tier only *appends* ops, so
- *  --switchless-ops streams are likewise frozen once shipped and
- *  --depth-ops widens further still. */
-constexpr std::uint8_t kClassicOpCount = std::uint8_t(Op::ReloadAll) + 1;
-constexpr std::uint8_t kSwitchlessOpCount =
-    std::uint8_t(Op::SwitchlessPostDrain) + 1;
+/** Op count: the chaos draw's modulus. */
 constexpr std::uint8_t kOpCount = std::uint8_t(Op::DeepChain) + 1;
 
 const char* opName(Op op);
@@ -172,9 +163,9 @@ class CheckWorld {
     os::Kernel kernel_;
     os::Pid pid_;
     hw::Vaddr untrustedVa_ = 0;
-    /** Lazily-mapped page backing the SwitchlessPostDrain op's DescRing.
-     *  Mapped on first use so worlds that never draw the op keep the
-     *  historical kernel VA layout (and with it every seeded stream). */
+    /** Lazily-mapped page backing the SwitchlessPostDrain op's DescRing:
+     *  a sequence that never draws the op leaves the kernel's untrusted
+     *  VA layout exactly as its other steps make it. */
     hw::Vaddr switchlessVa_ = 0;
     switchless::DescRing switchRing_;
     std::array<Slot, kSlots> slots_{};

@@ -27,8 +27,6 @@ struct CliOptions {
     bool runFlush = true;
     bool helpOnly = false;
     bool dumpTrace = false;
-    bool switchlessOps = false;
-    bool depthOps = false;
     std::string reproOut;
 };
 
@@ -74,10 +72,6 @@ parseArgs(int argc, char** argv, CliOptions* opts)
             }
         } else if (arg == "--trace") {
             opts->dumpTrace = true;
-        } else if (arg == "--switchless-ops") {
-            opts->switchlessOps = true;
-        } else if (arg == "--depth-ops") {
-            opts->depthOps = true;
         } else if (arg == "--repro-out") {
             const char* v = needValue("--repro-out");
             if (!v) return false;
@@ -86,18 +80,9 @@ parseArgs(int argc, char** argv, CliOptions* opts)
             std::printf(
                 "usage: nesgx_check [--seeds N] [--steps M] [--seed S]\n"
                 "                   [--tagged on|off|both] [--repro-out F]\n"
-                "                   [--trace] [--switchless-ops]\n"
-                "                   [--depth-ops]\n"
+                "                   [--trace]\n"
                 "  --trace  append the ring-buffer event log to each\n"
-                "           shrunk reproducer report\n"
-                "  --switchless-ops  widen the op set with the switchless\n"
-                "           DescRing post/drain cycle (off by default so\n"
-                "           historical seeded streams stay identical)\n"
-                "  --depth-ops  widen to the full op set including the\n"
-                "           DeepChain composite (depth-3/4 nest build +\n"
-                "           hostile hop + AEX in one step); exercises the\n"
-                "           SavedChainValidity rule past anything the\n"
-                "           serving topology nests\n");
+                "           shrunk reproducer report\n");
             opts->helpOnly = true;
             return true;
         } else {
@@ -152,8 +137,6 @@ main(int argc, char** argv)
             config.seed = opts.firstSeed + std::uint64_t(i);
             config.steps = opts.steps;
             config.taggedTlb = tagged;
-            config.switchlessOps = opts.switchlessOps;
-            config.depthOps = opts.depthOps;
             auto failure = nesgx::check::runSeed(config);
             if (failure) return reportFailure(*failure, opts);
         }

@@ -105,8 +105,8 @@ enabled(const CheckWorld& world, Op op)
         case Op::FaultNextEextend: return true;
         case Op::EvictAll: return anySlot(world, +hasPages);
         case Op::ReloadAll: return anySlot(world, +created);
-        // Self-contained (own untrusted page, own ring); never reached
-        // from kWeights, but the chaos draw may emit it when opted in.
+        // Self-contained (own untrusted page, own ring); drawn from the
+        // tail weight below, never from kWeights.
         case Op::SwitchlessPostDrain: return true;
         // Composite builds whatever it needs itself.
         case Op::DeepChain: return true;
@@ -120,49 +120,33 @@ Step
 SequenceGen::next(const CheckWorld& world)
 {
     Step step;
-    // Each opt-in op is appended *after* the classic table (and after
-    // the previous tier's appendix), so the default modulus and weighted
-    // totals — and with them every historical seeded stream, including
-    // the --switchless-ops stream once it shipped — are untouched.
+    // The two self-contained ops are weighted after the table: a pick
+    // past every weighted entry lands in their tail range.
     constexpr std::uint32_t kSwitchlessWeight = 5;
     constexpr std::uint32_t kDeepChainWeight = 4;
     // Chaos fraction: a fully random step, preconditions be damned. This
     // is where the sequences no sane runtime would issue come from.
     if (rng_.nextBelow(100) < 8) {
-        step.op = Op(rng_.nextBelow(
-            depthOps_ ? kOpCount
-                      : (switchlessOps_ ? kSwitchlessOpCount
-                                        : kClassicOpCount)));
+        step.op = Op(rng_.nextBelow(kOpCount));
     } else {
-        const std::uint64_t tail =
-            (switchlessOps_ ? kSwitchlessWeight : 0) +
-            (depthOps_ ? kDeepChainWeight : 0);
-        std::uint64_t total = tail;
+        std::uint64_t total = kSwitchlessWeight + kDeepChainWeight;
         for (const auto& w : kWeights) {
             if (enabled(world, w.op)) total += w.weight;
         }
-        if (total == 0) {
-            step.op = Op::Create;
-        } else {
-            std::uint64_t pick = rng_.nextBelow(total);
-            bool weighted = false;
-            for (const auto& w : kWeights) {
-                if (!enabled(world, w.op)) continue;
-                if (pick < w.weight) {
-                    step.op = w.op;
-                    weighted = true;
-                    break;
-                }
-                pick -= w.weight;
+        std::uint64_t pick = rng_.nextBelow(total);
+        bool weighted = false;
+        for (const auto& w : kWeights) {
+            if (!enabled(world, w.op)) continue;
+            if (pick < w.weight) {
+                step.op = w.op;
+                weighted = true;
+                break;
             }
-            if (!weighted) {
-                // A pick past every weighted entry lands in the appended
-                // tail ranges, switchless first (only reachable when the
-                // matching tier is opted in).
-                step.op = (switchlessOps_ && pick < kSwitchlessWeight)
-                              ? Op::SwitchlessPostDrain
-                              : Op::DeepChain;
-            }
+            pick -= w.weight;
+        }
+        if (!weighted) {
+            step.op = pick < kSwitchlessWeight ? Op::SwitchlessPostDrain
+                                               : Op::DeepChain;
         }
     }
     step.core = std::uint8_t(rng_.nextBelow(CheckWorld::kCores));
@@ -178,7 +162,7 @@ runSeed(const RunConfig& config)
     CheckWorld::Config wc;
     wc.taggedTlb = config.taggedTlb;
     CheckWorld world(wc);
-    SequenceGen gen(config.seed, config.switchlessOps, config.depthOps);
+    SequenceGen gen(config.seed);
     InvariantOracle oracle;
     TraceOracle traceOracle;
 

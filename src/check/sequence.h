@@ -29,36 +29,23 @@
 
 namespace nesgx::check {
 
-/** Precondition-aware seeded step generator. `switchlessOps` widens the
- *  op set with SwitchlessPostDrain and `depthOps` widens it further with
- *  the DeepChain composite; both default off so every historical seed
- *  keeps producing the exact same stream (each tier changes both the
- *  chaos-draw modulus and the weighted totals, and the tiers are
- *  strictly appended so enabling a later one never perturbs an earlier
- *  stream's draws). `depthOps` implies the full op set: its chaos draws
- *  may also emit SwitchlessPostDrain. */
+/** Precondition-aware seeded step generator over the full op set,
+ *  including the SwitchlessPostDrain ring cycle and the DeepChain
+ *  composite. */
 class SequenceGen {
   public:
-    explicit SequenceGen(std::uint64_t seed, bool switchlessOps = false,
-                         bool depthOps = false)
-        : rng_(seed), switchlessOps_(switchlessOps), depthOps_(depthOps)
-    {
-    }
+    explicit SequenceGen(std::uint64_t seed) : rng_(seed) {}
 
     Step next(const CheckWorld& world);
 
   private:
     Rng rng_;
-    bool switchlessOps_ = false;
-    bool depthOps_ = false;
 };
 
 struct RunConfig {
     std::uint64_t seed = 1;
     int steps = 300;
     bool taggedTlb = true;
-    bool switchlessOps = false;  ///< include Op::SwitchlessPostDrain
-    bool depthOps = false;       ///< include Op::DeepChain (full op set)
 };
 
 struct RunFailure {

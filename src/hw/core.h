@@ -39,10 +39,7 @@ struct TranslationCache {
 
 class Core {
   public:
-    explicit Core(CoreId id, std::size_t tlbCapacity = Tlb::kDefaultCapacity)
-        : id_(id), tlb_(tlbCapacity)
-    {
-    }
+    explicit Core(CoreId id) : id_(id) {}
 
     CoreId id() const { return id_; }
 

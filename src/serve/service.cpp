@@ -10,6 +10,9 @@ namespace nesgx::serve {
 
 namespace {
 
+/** Seed of the onboarding verifier's nonce stream. */
+constexpr std::uint64_t kAttestNonceSeed = 0x0a77e57;
+
 /** Errors that mean the tenant's inner enclave state can no longer be
  *  trusted or reached: a retry against the same instance is pointless,
  *  only destroy-and-rebuild recovers. */
@@ -522,7 +525,7 @@ TenantService::TenantService(sdk::Urts& urts, Config config)
     }
     if (config_.attestOnboarding) {
         verifier_ = std::make_unique<attest::TenantVerifier>(
-            urts.machine(), config_.attestNonceSeed);
+            urts.machine(), kAttestNonceSeed);
     }
 }
 

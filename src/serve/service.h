@@ -262,7 +262,6 @@ class TenantService {
          * Off = the legacy faith-based admission with out-of-band keys.
          */
         bool attestOnboarding = false;
-        std::uint64_t attestNonceSeed = 0x0a77e57;
         /** Override of the chain depth the verifier demands (tests/CI
          *  prove end-to-end refusal on a topology/depth mismatch). */
         std::optional<std::uint32_t> attestDepthOverride;

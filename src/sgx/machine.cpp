@@ -29,7 +29,7 @@ Machine::Machine(const Config& config)
     bus_.setClock(&clock_);
     cores_.reserve(config.coreCount);
     for (std::uint32_t i = 0; i < config.coreCount; ++i) {
-        cores_.emplace_back(i, config.tlbCapacity);
+        cores_.emplace_back(i);
         cores_.back().tlb().attachTrace(&bus_, i);
     }
     // Per-device root key: in real SGX this is fused; the model draws it

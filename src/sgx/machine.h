@@ -83,8 +83,6 @@ class Machine {
          * Off reproduces the paper-faithful flush-on-transition costs.
          */
         bool taggedTlb = true;
-        /** Per-core TLB capacity in entries (FIFO eviction). */
-        std::size_t tlbCapacity = hw::Tlb::kDefaultCapacity;
         /**
          * Price the memoized outer-closure as hardware (paper §VIII
          * ablation): a closure-cache *hit* on the nested TLB-miss path

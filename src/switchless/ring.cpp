@@ -86,13 +86,8 @@ DescRing::tryPush(sgx::Machine& machine, hw::CoreId core, Desc desc)
     st = writeU64(machine, core, baseVa_ + kTailOff, seq + 1);
     if (!st) return st;
 
-    trace::TraceBus& bus = machine.trace();
-    if (bus.active()) {
-        bus.publishLight(trace::EventKind::SwitchlessPost, core, ownerEid_,
-                         baseVa_, seq);
-    } else {
-        bus.countLight(trace::EventKind::SwitchlessPost, baseVa_, seq);
-    }
+    machine.trace().publishLight(trace::EventKind::SwitchlessPost, core,
+                                 ownerEid_, baseVa_, seq);
     machine.ringDoorbell(core, baseVa_);
     return Status::ok();
 }
@@ -129,13 +124,8 @@ DescRing::tryPop(sgx::Machine& machine, hw::CoreId core)
     // Drain publishes the sequence number read *from the slot*, not the
     // head counter — under a wraparound bug the two diverge, and that
     // divergence is precisely what the FIFO oracle catches.
-    trace::TraceBus& bus = machine.trace();
-    if (bus.active()) {
-        bus.publishLight(trace::EventKind::SwitchlessDrain, core, ownerEid_,
-                         baseVa_, out.seq);
-    } else {
-        bus.countLight(trace::EventKind::SwitchlessDrain, baseVa_, out.seq);
-    }
+    machine.trace().publishLight(trace::EventKind::SwitchlessDrain, core,
+                                 ownerEid_, baseVa_, out.seq);
     return out;
 }
 
@@ -159,27 +149,16 @@ DescRing::abandon(sgx::Machine& machine, hw::CoreId core)
     if (!tail) return tail.status();
     Status st = writeU64(machine, core, baseVa_ + kHeadOff, tail.value());
     if (!st) return st;
-    trace::TraceBus& bus = machine.trace();
-    if (bus.active()) {
-        bus.publishLight(trace::EventKind::SwitchlessFallback, core,
-                         ownerEid_, baseVa_, count.value());
-    } else {
-        bus.countLight(trace::EventKind::SwitchlessFallback, baseVa_,
-                       count.value());
-    }
+    machine.trace().publishLight(trace::EventKind::SwitchlessFallback, core,
+                                 ownerEid_, baseVa_, count.value());
     return count.value();
 }
 
 void
 DescRing::markAbandoned(sgx::Machine& machine)
 {
-    trace::TraceBus& bus = machine.trace();
-    if (bus.active()) {
-        bus.publishLight(trace::EventKind::SwitchlessFallback, trace::kNoCore,
-                         ownerEid_, baseVa_, 0);
-    } else {
-        bus.countLight(trace::EventKind::SwitchlessFallback, baseVa_, 0);
-    }
+    machine.trace().publishLight(trace::EventKind::SwitchlessFallback,
+                                 trace::kNoCore, ownerEid_, baseVa_, 0);
 }
 
 }  // namespace nesgx::switchless

@@ -14,6 +14,10 @@ namespace {
 
 class Orderliness : public ::testing::TestWithParam<bool> {};
 
+/** The full op set over a fixed seed corpus: the DeepChain composite
+ *  parks 2- to 4-deep nests in savedFrames every few steps (feeding the
+ *  SavedChainValidity rule) and SwitchlessPostDrain cycles a DescRing
+ *  past capacity (feeding TraceSwitchlessPairing). */
 TEST_P(Orderliness, FixedSeedCorpusHoldsInvariants)
 {
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
@@ -21,26 +25,6 @@ TEST_P(Orderliness, FixedSeedCorpusHoldsInvariants)
         config.seed = seed;
         config.steps = 240;
         config.taggedTlb = GetParam();
-        auto failure = runSeed(config);
-        if (failure) {
-            RunFailure shrunk = shrinkFailure(*failure);
-            FAIL() << formatFailure(shrunk);
-        }
-    }
-}
-
-/** The depth tier (--depth-ops): the DeepChain composite parks 2- and
- *  3-deep nests in savedFrames every few steps; the invariants — and in
- *  particular the SavedChainValidity rule those nests feed — must hold
- *  across a fixed seed corpus. */
-TEST_P(Orderliness, DepthOpsCorpusHoldsInvariants)
-{
-    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-        RunConfig config;
-        config.seed = seed;
-        config.steps = 240;
-        config.taggedTlb = GetParam();
-        config.depthOps = true;
         auto failure = runSeed(config);
         if (failure) {
             RunFailure shrunk = shrinkFailure(*failure);

@@ -238,8 +238,10 @@ class TraceStatsGolden : public ::testing::TestWithParam<bool> {};
  * Golden counter values on the fixed corpus: checker seed 12345, 400
  * steps (originally captured from the pre-bus inline `++stats_.x`
  * implementation; re-captured when the serve-layer EvictAll/ReloadAll
- * ops shifted the generator's streams). The bus must reproduce them
- * bit-for-bit, clock included, whether or not extra sinks are attached.
+ * ops shifted the generator's streams, and again when the generator
+ * began always drawing the full op set, ring and DeepChain ops
+ * included). The bus must reproduce them bit-for-bit, clock included,
+ * whether or not extra sinks are attached.
  */
 struct GoldenStats {
     std::uint64_t tlbMisses, tlbHits, nestedChecks, accessFaults;
@@ -253,11 +255,11 @@ GoldenStats
 golden(bool tagged)
 {
     if (tagged) {
-        return {67, 5, 2, 14, 11, 5, 0, 0, 10, 6, 9,
-                4,  20, 24, 22, 9, 8, 0, 3760975};
+        return {68, 1170, 6,  19, 14, 7, 2, 0, 10, 3, 4,
+                0,  1194, 22, 26, 46, 9, 1, 2426933};
     }
-    return {68, 4, 2, 14, 11, 5, 0, 0, 10, 6, 9,
-            4,  20, 46, 0, 9, 8, 0, 3784744};
+    return {68, 1170, 6,  19, 14, 7, 2, 0, 10, 3, 4,
+            0,  1194, 48, 0,  46, 9, 0, 2454938};
 }
 
 TEST_P(TraceStatsGolden, FixedCorpusMatchesPreBusCounters)

@@ -84,11 +84,11 @@ class LoadedEnclave {
     friend class Urts;
     friend class TrustedEnv;
 
-    std::mutex entryM_;
     SignedEnclave image_;
     hw::Paddr secsPage_ = 0;
     hw::Vaddr base_ = 0;
     std::vector<hw::Paddr> tcsPages_;
+    std::mutex entryM_;  ///< see entryMutex()
     TrustedHeap heap_;
     LoadedEnclave* outer_ = nullptr;
     std::vector<LoadedEnclave*> inners_;

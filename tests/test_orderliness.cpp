@@ -33,6 +33,39 @@ TEST_P(Orderliness, FixedSeedCorpusHoldsInvariants)
     }
 }
 
+/** The depth corpus (seeds 1-8): with no op tiers left, the generator's
+ *  full op set must itself land DeepChain composites — each a 2- to
+ *  4-deep nest parked in savedFrames, feeding SavedChainValidity — and
+ *  the invariants must hold across the corpus. A generator that stopped
+ *  drawing the depth composite would leave that rule unexercised while
+ *  the corpus still passed, so the parked nests are counted. */
+TEST_P(Orderliness, DepthOpsCorpusHoldsInvariants)
+{
+    int parkedNests = 0;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        CheckWorld::Config wc;
+        wc.taggedTlb = GetParam();
+        CheckWorld world(wc);
+        SequenceGen gen(seed);
+        for (int i = 0; i < 240; ++i) {
+            Step step = gen.next(world);
+            Status st = world.apply(step);
+            if (step.op == Op::DeepChain && st.isOk()) ++parkedNests;
+        }
+
+        RunConfig config;
+        config.seed = seed;
+        config.steps = 240;
+        config.taggedTlb = GetParam();
+        auto failure = runSeed(config);
+        if (failure) {
+            RunFailure shrunk = shrinkFailure(*failure);
+            FAIL() << formatFailure(shrunk);
+        }
+    }
+    EXPECT_GT(parkedNests, 0);
+}
+
 /** A hand-written DeepChain step (odd index = the third hop is
  *  legitimately associated) parks a full depth-3 nest; the saved chain
  *  must satisfy SavedChainValidity, and a later teardown must replay

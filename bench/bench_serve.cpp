@@ -467,7 +467,7 @@ main(int argc, char** argv)
     header("Serve bench 6/10: requests/sec vs real OS worker threads");
     note("a 24-tenant fleet with its whole request volume queued up front;");
     note("the parallel pool drains it with one OS thread per simulated core");
-    note("(sharded EPCM, per-core TLBs, merged trace) and a wall-clock timer");
+    note("(sharded EPCM, per-core TLBs, one sink lock) and a wall-clock timer");
     note("measures the drain alone — every response still verifies");
     {
         const std::uint64_t scalingTenants = 24;

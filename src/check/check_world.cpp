@@ -52,7 +52,6 @@ machineConfig(const CheckWorld::Config& config)
     mc.prmBytes = 1ull << 20;
     mc.coreCount = CheckWorld::kCores;
     mc.taggedTlb = config.taggedTlb;
-    mc.rngSeed = config.machineSeed;
     return mc;
 }
 

@@ -94,7 +94,6 @@ class CheckWorld {
 
     struct Config {
         bool taggedTlb = true;
-        std::uint64_t machineSeed = 42;
     };
 
     explicit CheckWorld(const Config& config);

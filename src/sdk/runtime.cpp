@@ -72,17 +72,6 @@ TrustedEnv::ocall(const std::string& name, ByteView arg)
     auto it = urts_.ocalls_.find(name);
     if (it == urts_.ocalls_.end()) return Err::NoSuchCall;
 
-    // Switchless first: an armed relay serves the call over shared
-    // rings with zero transitions. It declines (before any side
-    // effect) when this enclave has no armed channel.
-    if (urts_.ocallRelay_) {
-        if (auto relayed = urts_.ocallRelay_->relayOcall(enclave_, core_, name,
-                                                         it->second, arg)) {
-            ++urts_.stats_.ocalls;
-            return std::move(*relayed);
-        }
-    }
-
     sgx::Machine& m = machine();
     // The model restricts synchronous EEXIT to depth 1; the SDK routes
     // inner-enclave ocalls through the outer (use nOcall + outer ocall).
@@ -214,13 +203,6 @@ TrustedEnv::residentCall(const std::string& name, ByteView arg)
     Result<Bytes> result = (*fn)(*this, arg);
     publishSdk(m, trace::EventKind::SdkNEcallEnd, core_, name.c_str());
     return result;
-}
-
-Result<sgx::Report>
-TrustedEnv::getReport(const sgx::TargetInfo& target,
-                      const sgx::ReportData& data)
-{
-    return machine().ereport(core_, target, data);
 }
 
 Result<sgx::NestedReport>

@@ -17,7 +17,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -33,30 +32,6 @@
 namespace nesgx::sdk {
 
 class Urts;
-class LoadedEnclave;
-
-/**
- * Hook the switchless layer implements to serve ocalls without an
- * enclave exit. When armed, TrustedEnv::ocall offers the call here
- * first; the relay ships the argument over shared-memory descriptor
- * rings and runs the untrusted function on a host core while the
- * enclave thread stays resident — zero EEXIT/EENTER transitions.
- */
-class OcallRelay {
-  public:
-    virtual ~OcallRelay() = default;
-
-    /**
-     * Relays one ocall. Must return std::nullopt *before any side
-     * effect* when the calling enclave has no armed relay channel —
-     * the SDK then falls back to the classic EEXIT/EENTER path.
-     */
-    virtual std::optional<Result<Bytes>> relayOcall(LoadedEnclave& enclave,
-                                                    hw::CoreId core,
-                                                    const std::string& name,
-                                                    const UntrustedFn& fn,
-                                                    ByteView arg) = 0;
-};
 
 /** A loaded enclave instance. */
 class LoadedEnclave {
@@ -150,8 +125,6 @@ class TrustedEnv {
     Result<Bytes> residentCall(const std::string& name, ByteView arg);
 
     // --- attestation -------------------------------------------------------
-    Result<sgx::Report> getReport(const sgx::TargetInfo& target,
-                                  const sgx::ReportData& data);
     Result<sgx::NestedReport> getNestedReport(const sgx::TargetInfo& target,
                                               const sgx::ReportData& data);
     Result<crypto::Sha256Digest> getSealKey();
@@ -232,13 +205,6 @@ class Urts {
      */
     std::vector<LoadedEnclave*> chainTo(LoadedEnclave* leaf);
 
-    /**
-     * Arms (or with nullptr disarms) the switchless ocall relay.
-     * TrustedEnv::ocall offers every call to the relay first and falls
-     * back to the classic EEXIT/EENTER path when it declines.
-     */
-    void setOcallRelay(OcallRelay* relay) { ocallRelay_ = relay; }
-
     const CallStats& stats() const { return stats_; }
     void resetStats() { stats_ = CallStats{}; }
 
@@ -280,7 +246,6 @@ class Urts {
     std::vector<std::unique_ptr<LoadedEnclave>> enclaves_;
     hw::Vaddr nextEnclaveBase_ = 0x7000'0000'0000ull;
     CallStats stats_;
-    OcallRelay* ocallRelay_ = nullptr;
 };
 
 }  // namespace nesgx::sdk

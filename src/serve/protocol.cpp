@@ -4,25 +4,6 @@
 
 namespace nesgx::serve {
 
-const char*
-workloadName(Workload w)
-{
-    switch (w) {
-      case Workload::Echo: return "echo";
-      case Workload::Sql: return "sql";
-      case Workload::Svm: return "svm";
-    }
-    return "?";
-}
-
-Workload
-workloadFromName(const std::string& name)
-{
-    if (name == "sql") return Workload::Sql;
-    if (name == "svm") return Workload::Svm;
-    return Workload::Echo;
-}
-
 Bytes
 tenantKey(TenantId tenant)
 {

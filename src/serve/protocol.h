@@ -36,11 +36,6 @@ using TenantId = std::uint32_t;
 
 enum class Workload : std::uint8_t { Echo, Sql, Svm };
 
-const char* workloadName(Workload w);
-
-/** Parses "echo" / "sql" / "svm"; defaults to Echo on anything else. */
-Workload workloadFromName(const std::string& name);
-
 /** Deterministic 16-byte per-tenant session key (client + inner only). */
 Bytes tenantKey(TenantId tenant);
 

@@ -154,9 +154,6 @@ runScenario(const Scenario& s)
         sink = std::make_unique<trace::ChromeTraceSink>(
             machine.clock().frequencyHz() / 1e6, false);
         machine.trace().subscribe(sink.get());
-        // Real worker threads publish concurrently: buffer per shard and
-        // merge by global sequence at the end.
-        if (s.threads > 1) machine.trace().enableParallel(s.threads);
     }
 
     const TenantService::Config sc = serviceConfig(s);
@@ -333,9 +330,6 @@ runScenario(const Scenario& s)
     if (supervisor) r.supervision = supervisor->stats();
 
     if (sink) {
-        // Parallel mode buffers events per shard; drain the merged,
-        // seq-ordered stream into the sink before detaching it.
-        if (s.threads > 1) machine.trace().disableParallel();
         machine.trace().unsubscribe(sink.get());
         if (!sink->writeFile(s.chromeTracePath)) {
             std::fprintf(stderr, "error: cannot write %s\n",

@@ -62,7 +62,6 @@ EpcPressureManager::ensureFree(std::uint64_t pages)
             barren.insert(victim.value());
             continue;
         }
-        ++tenantsEvicted_;
         pagesWritten_ += written;
     }
     return Status::ok();
@@ -342,7 +341,6 @@ WorkerPool::serveBatch(TenantHandle& tenant, std::vector<Request> batch,
 
         machine.trace().publishLight(trace::EventKind::ServeBatchEnd, core,
                                      0, tenant.id, batch.size());
-        ++batches_;
 
         if (!respBlob) {
             finalStatus = respBlob.status();
@@ -383,7 +381,6 @@ WorkerPool::serveBatch(TenantHandle& tenant, std::vector<Request> batch,
             // so telling the client to reset again would wipe the very
             // expectations these responses verify against.
             if (done.ok) {
-                ++served_;
                 ++tenant.okServed;  // supervisor liveness heartbeat
             } else {
                 // The batch round-tripped but the server refused this

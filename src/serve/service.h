@@ -59,7 +59,6 @@ class EpcPressureManager {
      *  it is counted, logged, and published, never swallowed. */
     void relieve();
 
-    std::uint64_t tenantsEvicted() const { return tenantsEvicted_; }
     std::uint64_t pagesWritten() const { return pagesWritten_; }
     std::uint64_t watermarkMisses() const { return watermarkMisses_; }
 
@@ -69,7 +68,6 @@ class EpcPressureManager {
     Config config_;
     /** Relaxed atomics: every worker thread relieves pressure after its
      *  own batches, so the eviction accounting races benignly. */
-    Counter tenantsEvicted_;
     Counter pagesWritten_;
     Counter watermarkMisses_;
 };
@@ -122,8 +120,8 @@ class WorkerPool {
      * heap and TCSes are only ever driven by one thread and a tenant's
      * batches keep their seal-sequence order. threads <= 1 falls back to
      * the serial step() loop — byte-identical traces. Returns batches
-     * (steps) processed. All tenants must exist before this is called;
-     * enable the trace bus's parallel mode first when a sink listens.
+     * (steps) processed. All tenants must exist before this is called,
+     * and trace sinks attach or detach only while it is not running.
      */
     std::size_t runParallel(std::size_t threads = 0);
 
@@ -147,8 +145,6 @@ class WorkerPool {
      *  rebuilds the whole gateway subtree bottom-up. */
     Status rebuildSubtree(std::size_t gatewayIndex);
 
-    std::uint64_t batchesDispatched() const { return batches_; }
-    std::uint64_t requestsServed() const { return served_; }
     std::uint64_t dispatchFailures() const { return dispatchFailures_; }
     std::uint64_t retries() const { return retries_; }
     std::uint64_t rebuilds() const { return rebuilds_; }
@@ -233,8 +229,6 @@ class WorkerPool {
     std::map<TenantId, Breaker> breakers_;
     mutable std::mutex rebuildM_;  ///< rebuildLatency_ sample inserts
     Histogram rebuildLatency_;
-    Counter batches_;
-    Counter served_;
     Counter dispatchFailures_;
     Counter retries_;
     Counter rebuilds_;

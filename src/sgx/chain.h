@@ -1,14 +1,17 @@
 /**
- * Ancestor-chain validation shared by the transition microcode
+ * Ancestor-chain checks shared by the transition microcode
  * (machine_transitions.cpp), the orderliness oracle (check/oracle.cpp)
- * and the SDK's chain-routed entry (sdk/runtime.cpp).
+ * and the SDK's chain-routed entry (sdk/runtime.cpp). `chainAdjacent`
+ * decides one hop: NEENTER, NEEXIT and the SDK walk.
+ * `validateFrameChain` decides a whole frame stack: ERESUME's saved nest
+ * and the oracle's SavedChainValidity rule.
  *
  * A nest is valid when every frame's SECS is live and initialized, the
  * enclave id still matches (ids are never reused, so a match proves the
  * SECS frame was not recycled), and each frame's enclave lists the frame
  * below it among its outers — the same adjacency NEENTER enforces one
  * hop at a time (paper §IV-B; under kAttrMultiOuter any listed outer
- * qualifies). Routing every chain walk through this header keeps the
+ * qualifies). Routing every chain check through this header keeps the
  * microcode, the oracle and the SDK agreeing on what "valid chain"
  * means, so a skipped hop in one layer is caught by another.
  */
@@ -20,12 +23,6 @@
 #include "sgx/secs.h"
 
 namespace nesgx::sgx {
-
-/** One element of an ancestor chain, root (depth 1) first. */
-struct ChainLink {
-    hw::Paddr secs = 0;     ///< SECS physical address
-    std::uint64_t eid = 0;  ///< expected enclave id (0 = don't check)
-};
 
 /** Why a chain failed validation. */
 enum class ChainCheck : std::uint8_t {
@@ -42,18 +39,6 @@ struct ChainVerdict {
     bool ok() const { return check == ChainCheck::Ok; }
 };
 
-inline const char*
-chainCheckName(ChainCheck check)
-{
-    switch (check) {
-        case ChainCheck::Ok: return "ok";
-        case ChainCheck::DeadSecs: return "dead-secs";
-        case ChainCheck::EidMismatch: return "eid-mismatch";
-        case ChainCheck::BrokenAdjacency: return "broken-adjacency";
-    }
-    return "?";
-}
-
 /** One NEENTER hop: is `inner` directly nested inside the SECS at
  *  `outerPa`?  Thin named wrapper over Secs::hasOuter so every adjacency
  *  decision reads as a chain check. */
@@ -64,31 +49,11 @@ chainAdjacent(const Secs& inner, hw::Paddr outerPa)
 }
 
 /**
- * Validates `links[0..n)` as a root-first ancestor chain. `secsAt` maps
- * a SECS physical address to a live `const Secs*` (null when dead) —
- * pass a lambda over Machine::secsAt or the oracle's table view.
+ * Validates a core's live frames or a TCS's saved frames (any container
+ * of hw::EnclaveFrame, root first) as an ancestor chain. `secsAt` maps a
+ * SECS physical address to a live `const Secs*` (null when dead) — pass
+ * a lambda over Machine::secsAt or the oracle's table view.
  */
-template <typename Lookup>
-ChainVerdict
-validateAncestorChain(const ChainLink* links, std::size_t n, Lookup&& secsAt)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        const Secs* secs = secsAt(links[i].secs);
-        if (!secs || !secs->initialized) {
-            return {ChainCheck::DeadSecs, i};
-        }
-        if (links[i].eid != 0 && secs->eid != links[i].eid) {
-            return {ChainCheck::EidMismatch, i};
-        }
-        if (i > 0 && !chainAdjacent(*secs, links[i - 1].secs)) {
-            return {ChainCheck::BrokenAdjacency, i};
-        }
-    }
-    return {ChainCheck::Ok, n};
-}
-
-/** Frame-stack overload: validates a core's live frames or a TCS's
- *  saved frames (any container of hw::EnclaveFrame). */
 template <typename Frames, typename Lookup>
 ChainVerdict
 validateFrameChain(const Frames& frames, Lookup&& secsAt)

@@ -32,21 +32,6 @@ popFor(sgx::Machine& m, DescRing& ring, hw::CoreId core, std::uint64_t id)
     }
 }
 
-/** SDK ocall bracket events for the relay path (mirrors the runtime's
- *  publisher; the name is borrowed for the synchronous publish). */
-inline void
-publishOcall(sgx::Machine& m, trace::EventKind kind, hw::CoreId core,
-             const char* name)
-{
-    trace::TraceBus& bus = m.trace();
-    if (!bus.active()) return;
-    trace::TraceEvent event;
-    event.kind = kind;
-    event.core = core;
-    event.text = name;
-    bus.publish(event);
-}
-
 std::vector<sdk::LoadedEnclave*>
 prefixOf(const std::vector<sdk::LoadedEnclave*>& chain, std::size_t depth)
 {
@@ -103,7 +88,7 @@ SwitchlessEngine::releaseCore(hw::CoreId core)
 }
 
 bool
-SwitchlessEngine::mapHostRings(Rings& rings)
+SwitchlessEngine::mapHostRings(Hop& hop)
 {
     const std::uint64_t ringPages =
         pagesFor(DescRing::bytesFor(kRingCapacity));
@@ -118,28 +103,28 @@ SwitchlessEngine::mapHostRings(Rings& rings)
     }
     sgx::Machine& m = machine();
     const hw::Vaddr respVa = base + ringPages * hw::kPageSize;
-    if (!rings.req.init(m, kHostCore, base, kRingCapacity) ||
-        !rings.resp.init(m, kHostCore, respVa, kRingCapacity)) {
+    if (!hop.req.init(m, kHostCore, base, kRingCapacity) ||
+        !hop.resp.init(m, kHostCore, respVa, kRingCapacity)) {
         freeHostRegions_.push_back(base);
         return false;
     }
-    rings.reqVa = base;
-    rings.respVa = respVa;
-    rings.stagingVa = base + 2 * ringPages * hw::kPageSize;
+    hop.reqVa = base;
+    hop.respVa = respVa;
+    hop.stagingVa = base + 2 * ringPages * hw::kPageSize;
     return true;
 }
 
 void
-SwitchlessEngine::freeRings(Rings& rings, const Chain& prefix)
+SwitchlessEngine::freeRings(Hop& hop, const Chain& prefix)
 {
     if (prefix.size() == 1) {
-        if (rings.reqVa) freeHostRegions_.push_back(rings.reqVa);
+        if (hop.reqVa) freeHostRegions_.push_back(hop.reqVa);
         return;
     }
     sdk::TrustedHeap& heap = prefix[prefix.size() - 2]->heap();
-    if (rings.stagingVa) heap.free(rings.stagingVa);
-    if (rings.respVa) heap.free(rings.respVa);
-    if (rings.reqVa) heap.free(rings.reqVa);
+    if (hop.stagingVa) heap.free(hop.stagingVa);
+    if (hop.respVa) heap.free(hop.respVa);
+    if (hop.reqVa) heap.free(hop.reqVa);
 }
 
 SwitchlessEngine::Hop*
@@ -297,14 +282,14 @@ SwitchlessEngine::ready(std::uint64_t key, const Endpoint& ep)
     for (sdk::LoadedEnclave* enclave : ep.chain) {
         if (enclave == nullptr) return false;
     }
-    std::lock_guard<std::recursive_mutex> g(m_);
+    std::lock_guard<std::mutex> g(m_);
     auto it = tenants_.find(key);
     if (it != tenants_.end()) {
         // A rebuilt enclave comes back as a different LoadedEnclave;
         // any pointer mismatch along the chain means a poller is parked
         // in a dead enclave — tear it down and re-arm fresh.
         if (it->second.chain == ep.chain) return true;
-        disarm(key);
+        disarmLocked(key);
     }
     // Root first, one rider per hop; a link that fails to arm releases
     // the hops taken so far.
@@ -323,7 +308,13 @@ SwitchlessEngine::ready(std::uint64_t key, const Endpoint& ep)
 void
 SwitchlessEngine::disarm(std::uint64_t key)
 {
-    std::lock_guard<std::recursive_mutex> g(m_);
+    std::lock_guard<std::mutex> g(m_);
+    disarmLocked(key);
+}
+
+void
+SwitchlessEngine::disarmLocked(std::uint64_t key)
+{
     auto it = tenants_.find(key);
     if (it == tenants_.end()) return;
     const Chain chain = std::move(it->second.chain);
@@ -334,20 +325,14 @@ SwitchlessEngine::disarm(std::uint64_t key)
 void
 SwitchlessEngine::disarmAll()
 {
-    std::lock_guard<std::recursive_mutex> g(m_);
-    while (!tenants_.empty()) disarm(tenants_.begin()->first);
-    for (auto& [root, rings] : ocallRings_) {
-        (void)rings.req.abandon(machine(), kHostCore);
-        (void)rings.resp.abandon(machine(), kHostCore);
-        freeHostRegions_.push_back(rings.reqVa);
-    }
-    ocallRings_.clear();
+    std::lock_guard<std::mutex> g(m_);
+    while (!tenants_.empty()) disarmLocked(tenants_.begin()->first);
 }
 
 ChannelProgress
 SwitchlessEngine::channelProgress(std::uint64_t key) const
 {
-    std::lock_guard<std::recursive_mutex> g(m_);
+    std::lock_guard<std::mutex> g(m_);
     ChannelProgress out;
     auto it = tenants_.find(key);
     if (it == tenants_.end()) return out;
@@ -392,11 +377,11 @@ Result<Bytes>
 SwitchlessEngine::call(std::uint64_t key, const Endpoint& ep, ByteView blob,
                        hw::CoreId hostCore)
 {
-    std::lock_guard<std::recursive_mutex> g(m_);
+    std::lock_guard<std::mutex> g(m_);
     auto it = tenants_.find(key);
     if (it == tenants_.end()) return Err::Unavailable;
     Tenant& tenant = it->second;
-    const Chain& chain = tenant.chain;  // valid until a disarm(key)
+    const Chain& chain = tenant.chain;  // valid until a disarmLocked(key)
     // Every hop of an armed chain holds the tenant as a rider, so all of
     // them are present.
     std::vector<Hop*> hops;
@@ -433,7 +418,7 @@ SwitchlessEngine::call(std::uint64_t key, const Endpoint& ep, ByteView blob,
         return true;
     };
     if (!live()) {
-        disarm(key);
+        disarmLocked(key);
         return Err::Unavailable;
     }
 
@@ -460,7 +445,7 @@ SwitchlessEngine::call(std::uint64_t key, const Endpoint& ep, ByteView blob,
     // silent drop, never a wedge.
     if (m.faultFires(fault::FaultSite::RingStall, hostCore)) {
         ++stats_.ringStalls;
-        disarm(key);
+        disarmLocked(key);
         return Err::Unavailable;
     }
 
@@ -472,7 +457,7 @@ SwitchlessEngine::call(std::uint64_t key, const Endpoint& ep, ByteView blob,
     // rings of hops that other tenants still ride are tolerated by the
     // drain-until-match loops in the pump.
     auto hardFail = [&](Status s) -> Result<Bytes> {
-        disarm(key);
+        disarmLocked(key);
         return s;
     };
     Status pumped = pumpEnclaveSide(chain, hops, ep, reqId);
@@ -578,104 +563,6 @@ SwitchlessEngine::pumpEnclaveSide(const Chain& chain,
         if (!st) return st;
     }
     return Status::ok();
-}
-
-std::optional<Result<Bytes>>
-SwitchlessEngine::relayOcall(sdk::LoadedEnclave& enclave, hw::CoreId core,
-                             const std::string& name,
-                             const sdk::UntrustedFn& fn, ByteView arg)
-{
-    if (!config_.enabled) return std::nullopt;
-    // Ocall rings are per chain root: every enclave in a tree shares
-    // its root's rings.
-    sdk::LoadedEnclave* root = &enclave;
-    while (root->outer() != nullptr) root = root->outer();
-
-    // An ocall relayed from a leaf mid-pump re-enters the engine lock on
-    // the thread that holds it.
-    std::lock_guard<std::recursive_mutex> g(m_);
-    sgx::Machine& m = machine();
-
-    auto it = ocallRings_.find(root);
-    if (it == ocallRings_.end()) {
-        // Lazy arm: dedicated rings + staging in host-shared memory, so
-        // enclaves that never ocall pay nothing.
-        Rings rings;
-        if (!mapHostRings(rings)) return std::nullopt;
-        it = ocallRings_.emplace(root, rings).first;
-    }
-    Rings& oc = it->second;
-    // Staging layout: [u32 status][payload]. Oversized arguments fall
-    // back to the classic path (which has no marshalling limit).
-    if (arg.size() + 4 > kStagingBytes) return std::nullopt;
-
-    m.charge(m.costs().ocallDispatch);
-    publishOcall(m, trace::EventKind::SdkOcallBegin, core, name.c_str());
-    ++stats_.ocallRelays;
-    auto fail = [&](Status st) -> std::optional<Result<Bytes>> {
-        publishOcall(m, trace::EventKind::SdkOcallEnd, core, name.c_str());
-        return Result<Bytes>(st);
-    };
-
-    // Enclave side: stage the argument in untrusted memory (an enclave
-    // may legally write untrusted pages — that asymmetry is the whole
-    // trick) and post the descriptor. No EEXIT.
-    Status st = Status::ok();
-    if (!arg.empty()) {
-        st = m.write(core, oc.stagingVa + 4, arg.data(), arg.size());
-        if (!st) return fail(st);
-    }
-    const std::uint64_t id = nextRequestId_++;
-    Desc d;
-    d.id = id;
-    d.va = oc.stagingVa + 4;
-    d.len = arg.size();
-    st = oc.req.tryPush(m, core, d);
-    if (!st) return fail(st);
-
-    // Host worker side (deterministic, inline on the host core): drain,
-    // run the untrusted function, stage status + result.
-    auto req = popFor(m, oc.req, kHostCore, id);
-    if (!req) return fail(req.status());
-    Bytes hostArg(req.value().len);
-    if (!hostArg.empty()) {
-        st = m.read(kHostCore, req.value().va, hostArg.data(),
-                    hostArg.size());
-        if (!st) return fail(st);
-    }
-    Result<Bytes> hostResult = fn(ByteView(hostArg.data(), hostArg.size()));
-    std::uint8_t header[4];
-    storeLe32(header, std::uint32_t(hostResult.code()));
-    st = m.write(kHostCore, oc.stagingVa, header, 4);
-    if (!st) return fail(st);
-    std::uint64_t respLen = 0;
-    if (hostResult) {
-        respLen = hostResult.value().size();
-        if (respLen + 4 > kStagingBytes) return fail(Err::BadCallBuffer);
-        if (respLen != 0) {
-            st = m.write(kHostCore, oc.stagingVa + 4,
-                         hostResult.value().data(), respLen);
-            if (!st) return fail(st);
-        }
-    }
-    Desc back;
-    back.id = id;
-    back.va = oc.stagingVa;
-    back.len = respLen + 4;
-    st = oc.resp.tryPush(m, kHostCore, back);
-    if (!st) return fail(st);
-
-    // Enclave side: harvest, still resident — zero transitions paid.
-    auto done = popFor(m, oc.resp, core, id);
-    if (!done) return fail(done.status());
-    if (done.value().len < 4) return fail(Err::BadCallBuffer);
-    Bytes blob(done.value().len);
-    st = m.read(core, done.value().va, blob.data(), blob.size());
-    if (!st) return fail(st);
-    publishOcall(m, trace::EventKind::SdkOcallEnd, core, name.c_str());
-    const Err code = Err(loadLe32(blob.data()));
-    if (code != Err::Ok) return Result<Bytes>(code);
-    return Result<Bytes>(Bytes(blob.begin() + 4, blob.end()));
 }
 
 }  // namespace nesgx::switchless

@@ -85,7 +85,6 @@ struct EngineStats {
     Counter idleFallbacks;  ///< pollers unparked for idleness
     Counter ringStalls;     ///< injected ring-stall faults
     Counter pollerWedges;   ///< injected poller-wedge faults
-    Counter ocallRelays;    ///< ocalls served over rings (no exit)
 };
 
 /** Snapshot of one tenant channel's liveness for external supervision. */
@@ -95,10 +94,10 @@ struct ChannelProgress {
     std::uint64_t lastActive = 0;  ///< sim cycles of last successful pump
 };
 
-class SwitchlessEngine : public sdk::OcallRelay {
+class SwitchlessEngine {
   public:
     SwitchlessEngine(sdk::Urts& urts, Config config);
-    ~SwitchlessEngine() override;
+    ~SwitchlessEngine();
 
     SwitchlessEngine(const SwitchlessEngine&) = delete;
     SwitchlessEngine& operator=(const SwitchlessEngine&) = delete;
@@ -145,41 +144,23 @@ class SwitchlessEngine : public sdk::OcallRelay {
      */
     ChannelProgress channelProgress(std::uint64_t key) const;
 
-    /**
-     * sdk::OcallRelay (opt in with Urts::setOcallRelay): serves one
-     * enclave->host ocall over per-root ocall rings with zero
-     * transitions. Declines (std::nullopt, no side effects) when the
-     * engine is disabled or no rings can be mapped; the SDK then falls
-     * back to the classic EEXIT/EENTER path.
-     */
-    std::optional<Result<Bytes>> relayOcall(sdk::LoadedEnclave& enclave,
-                                            hw::CoreId core,
-                                            const std::string& name,
-                                            const sdk::UntrustedFn& fn,
-                                            ByteView arg) override;
-
   private:
     using Chain = std::vector<sdk::LoadedEnclave*>;
 
-    /** A descriptor ring pair plus the staging buffer payloads are
-     *  copied through, all in one memory placement. */
-    struct Rings {
+    /**
+     * One link of a serving chain, keyed by its chain prefix (root …
+     * self): a descriptor ring pair plus the staging buffer payloads are
+     * copied through, all in the parent's memory (host memory when the
+     * hop is the chain root, the parent's trusted heap otherwise), and a
+     * poller core parked inside `self` at the hop's depth. Refcounted by
+     * the tenant chains riding it; disarmed when the last one leaves.
+     */
+    struct Hop {
         DescRing req;
         DescRing resp;
         hw::Vaddr reqVa = 0;  ///< allocations to free on disarm
         hw::Vaddr respVa = 0;
         hw::Vaddr stagingVa = 0;
-    };
-
-    /**
-     * One link of a serving chain, keyed by its chain prefix (root …
-     * self): rings + staging in the parent's memory (host memory when
-     * the hop is the chain root, the parent's trusted heap otherwise)
-     * and a poller core parked inside `self` at the hop's depth.
-     * Refcounted by the tenant chains riding it; disarmed when the last
-     * one leaves.
-     */
-    struct Hop : Rings {
         hw::CoreId core = 0;
         /** Park TCSes, chain root first (the whole nest saves into the
          *  front one on AEX). */
@@ -209,13 +190,13 @@ class SwitchlessEngine : public sdk::OcallRelay {
     bool takeCore(hw::CoreId& out);
     void releaseCore(hw::CoreId core);
 
-    /** Places `rings` in host memory — a region released by a disarmed
-     *  root when one is free, else freshly mapped untrusted pages — and
-     *  initialises both rings from the host side. */
-    bool mapHostRings(Rings& rings);
+    /** Places a root hop's rings in host memory — a region released by
+     *  a disarmed root when one is free, else freshly mapped untrusted
+     *  pages — and initialises both rings from the host side. */
+    bool mapHostRings(Hop& hop);
     /** Returns the ring memory of the hop at `prefix` to where it came
      *  from: the host-region free list or the parent's heap. */
-    void freeRings(Rings& rings, const Chain& prefix);
+    void freeRings(Hop& hop, const Chain& prefix);
 
     /** The hop for `prefix`, armed now unless it exists; nullptr when
      *  arming fails. */
@@ -227,6 +208,10 @@ class SwitchlessEngine : public sdk::OcallRelay {
     bool resume(Hop& hop);
     void unpark(Hop& hop);
     void disarmHop(const Chain& prefix);
+    /** disarm() with the engine lock already held: the teardown every
+     *  in-lock failure path (a changed chain in ready(), a poisoned
+     *  call()) and disarmAll() share. */
+    void disarmLocked(std::uint64_t key);
     /** Drops one rider from each of the first `depth` hops of `chain`,
      *  deepest first, disarming every hop left without riders. */
     void release(const Chain& chain, std::size_t depth);
@@ -248,14 +233,13 @@ class SwitchlessEngine : public sdk::OcallRelay {
     EngineStats stats_;
     /**
      * One engine-wide lock over the hop and tenant maps, the core and
-     * host-region free lists, the ocall rings and every public entry
-     * point. Recursive because a failing call() hard-fails into
-     * disarm(), and an ocall relayed from a leaf mid-pump re-enters on
-     * the calling thread. Worker threads therefore serialise on the
-     * engine for a whole call. Lock order: engine lock -> hop core
+     * host-region free lists and every public entry point. Not
+     * recursive: a teardown under the lock calls disarmLocked(), and
+     * only the public disarm() takes it. Worker threads serialise on
+     * the engine for a whole call. Lock order: engine lock -> hop core
      * mutexes -> urts/kernel/machine, never the reverse.
      */
-    mutable std::recursive_mutex m_;
+    mutable std::mutex m_;
     std::map<Chain, Hop> hops_;
     std::map<std::uint64_t, Tenant> tenants_;
     std::vector<hw::CoreId> freeCores_;
@@ -265,8 +249,6 @@ class SwitchlessEngine : public sdk::OcallRelay {
      *  untrusted frames, so re-arming a root reuses one. */
     std::vector<hw::Vaddr> freeHostRegions_;
     std::uint64_t nextRequestId_ = 1;
-    /** Ocall relay rings, keyed by chain-root enclave. */
-    std::map<sdk::LoadedEnclave*, Rings> ocallRings_;
 };
 
 }  // namespace nesgx::switchless

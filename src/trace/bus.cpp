@@ -44,74 +44,9 @@ TraceBus::unsubscribe(TraceSink* sink)
 void
 TraceBus::dispatch(const TraceEvent& event)
 {
+    std::lock_guard<std::mutex> g(sinkM_);
     for (TraceSink* sink : sinks_) {
         sink->onEvent(event);
-    }
-}
-
-void
-TraceBus::enableParallel(std::size_t shards)
-{
-    if (shards == 0) shards = 1;
-    drainMerged();
-    shards_.clear();
-    shards_.reserve(shards);
-    for (std::size_t i = 0; i < shards; ++i) {
-        shards_.push_back(std::make_unique<Shard>());
-    }
-    seq_.store(0, std::memory_order_relaxed);
-    parallel_ = true;
-}
-
-void
-TraceBus::disableParallel()
-{
-    drainMerged();
-    parallel_ = false;
-    shards_.clear();
-}
-
-void
-TraceBus::bufferParallel(const TraceEvent& event)
-{
-    const std::size_t index =
-        event.core == kNoCore ? 0 : event.core % shards_.size();
-    Shard& shard = *shards_[index];
-    BufferedEvent buffered;
-    buffered.seq = seq_.fetch_add(1, std::memory_order_relaxed);
-    buffered.event = event;
-    if (event.text) {
-        buffered.hasText = true;
-        buffered.text = event.text;
-        buffered.event.text = nullptr;
-    }
-    std::lock_guard<std::mutex> g(shard.m);
-    shard.events.push_back(std::move(buffered));
-}
-
-void
-TraceBus::drainMerged()
-{
-    if (shards_.empty()) return;
-    std::vector<BufferedEvent> all;
-    for (auto& shard : shards_) {
-        std::lock_guard<std::mutex> g(shard->m);
-        for (auto& buffered : shard->events) {
-            all.push_back(std::move(buffered));
-        }
-        shard->events.clear();
-    }
-    // Sequence numbers are issued before the shard lock, so even one
-    // shard can hold a locally out-of-order pair; the sort restores the
-    // exact global publication order across all shards.
-    std::sort(all.begin(), all.end(),
-              [](const BufferedEvent& a, const BufferedEvent& b) {
-                  return a.seq < b.seq;
-              });
-    for (const auto& buffered : all) {
-        TraceEvent event = buffered.event;
-        if (buffered.hasText) event.text = buffered.text.c_str();
-        dispatch(event);
     }
 }
 

@@ -10,16 +10,20 @@
  *     `!sinks_.empty()` branch, so the no-subscriber hot path never pays
  *     an indirect call.
  *
+ * One delivery path for every thread count: sinks are called inline,
+ * under one bus-owned mutex taken only behind that branch, so worker
+ * threads publishing at once never call a sink concurrently. It is the
+ * innermost lock — a sink must not publish, log or take any other lock
+ * that a publisher may hold. Subscribe and unsubscribe only while no
+ * worker thread runs.
+ *
  * Events are stamped with the simulated-clock time at publish; the bus
  * never advances the clock, so attaching sinks cannot perturb modelled
  * timing or statistics.
  */
 #pragma once
 
-#include <atomic>
-#include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "hw/sim_clock.h"
@@ -63,10 +67,6 @@ class TraceBus {
         stats_.accumulate(event);
         if (!sinks_.empty()) {
             if (clock_) event.time = clock_->cycles();
-            if (parallel_) {
-                bufferParallel(event);
-                return;
-            }
             dispatch(event);
         }
     }
@@ -154,57 +154,14 @@ class TraceBus {
     void captureLog();
     void releaseLog();
 
-    // --- parallel mode ----------------------------------------------------
-    /**
-     * Real-thread mode: `publish` appends events to per-shard mutexed
-     * buffers (keyed by the publishing core) instead of dispatching to
-     * sinks inline, stamping each with a globally monotonic sequence
-     * number; `drainMerged` replays them to the sinks in sequence order.
-     * The StatsSink is untouched — counters are relaxed atomics and keep
-     * accumulating at publish time. Serial mode (the default) never
-     * touches any of this, so single-thread trace output is byte-for-byte
-     * the pre-parallel stream.
-     *
-     * Buffered events own a copy of their `text` payload: emission sites
-     * pass borrowed c_str() pointers that die with the caller's frame.
-     */
-    void enableParallel(std::size_t shards);
-
-    /** Drains whatever is buffered, then returns to inline dispatch. */
-    void disableParallel();
-
-    bool parallelEnabled() const { return parallel_; }
-
-    /** Replays all buffered events to the sinks in global-seq order. */
-    void drainMerged();
-
-    /** Number of sequence numbers issued since enableParallel. */
-    std::uint64_t parallelSeqCount() const
-    {
-        return seq_.load(std::memory_order_relaxed);
-    }
-
   private:
-    struct BufferedEvent {
-        std::uint64_t seq = 0;
-        TraceEvent event;
-        bool hasText = false;
-        std::string text;  ///< owned copy of the borrowed event text
-    };
-    struct alignas(64) Shard {
-        std::mutex m;
-        std::vector<BufferedEvent> events;
-    };
-
     void dispatch(const TraceEvent& event);
-    void bufferParallel(const TraceEvent& event);
 
     const hw::SimClock* clock_ = nullptr;
     StatsSink stats_;
     std::vector<TraceSink*> sinks_;
-    bool parallel_ = false;
-    std::atomic<std::uint64_t> seq_{0};
-    std::vector<std::unique_ptr<Shard>> shards_;
+    /** Serialises sink calls across publishing threads (see above). */
+    std::mutex sinkM_;
 };
 
 }  // namespace nesgx::trace

@@ -23,7 +23,6 @@
 
 #include "support/counter.h"
 #include "trace/event.h"
-#include "trace/sink.h"
 
 namespace nesgx::trace {
 
@@ -80,7 +79,7 @@ struct StatsCounters {
     Counter serveWrongEpochs;     ///< stale-epoch requests refused
 };
 
-class StatsSink : public TraceSink {
+class StatsSink {
   public:
     StatsCounters& counters() { return counters_; }
     const StatsCounters& counters() const { return counters_; }
@@ -185,8 +184,6 @@ class StatsSink : public TraceSink {
             accumulateLight(event.kind, event.arg0, event.arg1);
         }
     }
-
-    void onEvent(const TraceEvent& event) override { accumulate(event); }
 
   private:
     StatsCounters counters_;

@@ -565,7 +565,6 @@ TEST(SupervisionRace, HalfOpenProbesRaceSupervisorRebuildsUnderFourThreads)
     auto config = World::smallConfig();
     config.prmBytes = 24ull << 20;
     World world(config);
-    world.machine.trace().enableParallel(4);
 
     auto sc = attestedConfig();
     sc.registry.tenantsPerOuter = 2;
@@ -633,7 +632,6 @@ TEST(SupervisionRace, HalfOpenProbesRaceSupervisorRebuildsUnderFourThreads)
     EXPECT_EQ(completions, submitted);
     EXPECT_EQ(silentEmpties, 0u);
     EXPECT_GT(service.pool().breakerOpens(), 0u);
-    world.machine.trace().disableParallel();
 }
 
 }  // namespace

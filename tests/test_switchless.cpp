@@ -1,12 +1,13 @@
 /**
  * Switchless (exit-less) call layer tests: DescRing wraparound and
  * backpressure semantics, poller idle fallback with re-arm, end-to-end
- * equivalence with classic dispatch (zero transitions post-arming), and
- * the typed Err::Deadline completions for shed batches — all in both
- * TLB-tag modes.
+ * equivalence with classic dispatch (zero transitions post-arming), the
+ * typed Err::Deadline completions for shed batches, and every teardown
+ * the engine runs under its own lock — all in both TLB-tag modes.
  */
 #include <gtest/gtest.h>
 
+#include "fault/injector.h"
 #include "harness.h"
 #include "serve/client.h"
 #include "serve/service.h"
@@ -269,52 +270,6 @@ TEST_P(SwitchlessTest, IdlePollerFallsBackThenRearmsOnNextCall)
     }
 }
 
-TEST_P(SwitchlessTest, OcallRelayServesInEnclaveOcallWithZeroTransitions)
-{
-    // The engine registered as the SDK's OcallRelay serves an in-enclave
-    // ocall over shared-memory rings: the classic path would pay one
-    // EEXIT + one EENTER per ocall; the relayed path must pay none.
-    World world(machineConfig(4));
-    switchless::Config cfg;
-    cfg.enabled = true;
-    switchless::SwitchlessEngine engine(*world.urts, cfg);
-    world.urts->setOcallRelay(&engine);
-
-    world.urts->registerOcall(
-        "host_mark", [](ByteView arg) -> Result<Bytes> {
-            Bytes out(arg.begin(), arg.end());
-            out.push_back(0x7f);  // proof the host function actually ran
-            return out;
-        });
-    auto spec = tinySpec("oc-relay");
-    spec.interface->addEcall(
-        "do_ocall", [](sdk::TrustedEnv& env, ByteView arg) -> Result<Bytes> {
-            return env.ocall("host_mark", arg);
-        });
-    auto e =
-        world.urts->load(sdk::buildImage(spec, authorKey())).orThrow("load");
-
-    const auto& counters = world.machine.trace().counters();
-    // First call arms the per-root ocall rings lazily.
-    Bytes expect = bytesOf("abc");
-    expect.push_back(0x7f);
-    EXPECT_EQ(world.urts->ecall(e, "do_ocall", bytesOf("abc")).orThrow("warm"),
-              expect);
-    EXPECT_EQ(engine.engineStats().ocallRelays, 1u);
-
-    // Steady state: the ecall itself is exactly one EENTER/EEXIT pair —
-    // the ocall inside it must not add a transition in either direction.
-    const std::uint64_t eenters = counters.eenterCount;
-    const std::uint64_t eexits = counters.eexitCount;
-    EXPECT_EQ(world.urts->ecall(e, "do_ocall", bytesOf("abc")).orThrow("call"),
-              expect);
-    EXPECT_EQ(counters.eenterCount, eenters + 1);
-    EXPECT_EQ(counters.eexitCount, eexits + 1);
-    EXPECT_EQ(engine.engineStats().ocallRelays, 2u);
-
-    world.urts->setOcallRelay(nullptr);
-}
-
 TEST_P(SwitchlessTest, ExpiredBatchCompletesTypedDeadlineNeverSilent)
 {
     World world(machineConfig(4));
@@ -341,6 +296,174 @@ TEST_P(SwitchlessTest, ExpiredBatchCompletesTypedDeadlineNeverSilent)
     }
     EXPECT_EQ(service.admission().shed(), 4u);
     EXPECT_EQ(world.machine.trace().counters().serveSheds, 4u);
+}
+
+/** The endpoint the pool's batches for `id` ride: the tenant's full
+ *  dispatch chain, served by the leaf's serve_batch n-ecall. */
+switchless::Endpoint
+endpointOf(serve::TenantService& service, TenantId id)
+{
+    const serve::TenantHandle& tenant = *service.registry().find(id);
+    switchless::Endpoint ep;
+    ep.chain = service.registry().dispatchChain(tenant);
+    ep.innerCall = "serve_batch";
+    ep.slot = tenant.slot;
+    return ep;
+}
+
+/**
+ * Two echo tenants sharing gateway 0 of a flat switchless fleet, no
+ * channel armed yet. The teardown tests below drive the engine into the
+ * disarms it runs while already holding its own (non-recursive) lock:
+ * any of them re-taking the lock would deadlock here.
+ */
+struct TeardownFleet {
+    explicit TeardownFleet(const sgx::Machine::Config& config)
+        : world(config),
+          service(*world.urts, armedServiceConfig(serve::Topology::Flat))
+    {
+        for (TenantId t = 0; t < 2; ++t) {
+            EXPECT_TRUE(service.addTenant(t, Workload::Echo).isOk()) << t;
+            clients.push_back(
+                std::make_unique<serve::TenantClient>(t, Workload::Echo));
+        }
+    }
+
+    switchless::SwitchlessEngine& engine()
+    {
+        return *service.switchlessEngine();
+    }
+
+    /** One request for `id` through the pool; true when it verifies. */
+    bool serveOne(TenantId id)
+    {
+        if (!service.submit(id, clients[id]->nextRequest())) return false;
+        service.pump();
+        auto done = service.drain();
+        return done.size() == 1 && done[0].ok &&
+               clients[id]->onResponse(done[0].sealedResponse);
+    }
+
+    World world;
+    serve::TenantService service;
+    std::vector<std::unique_ptr<serve::TenantClient>> clients;
+};
+
+TEST_P(SwitchlessTest, ReadyOverChangedChainRearmsUnderEngineLock)
+{
+    // A rebuilt enclave comes back as a different LoadedEnclave, so
+    // ready() over a changed chain tears the old channel down and arms
+    // the new one, all inside the engine lock.
+    TeardownFleet fleet(machineConfig(8));
+    auto& engine = fleet.engine();
+    const switchless::Endpoint ep0 = endpointOf(fleet.service, 0);
+    const switchless::Endpoint ep1 = endpointOf(fleet.service, 1);
+    ASSERT_TRUE(engine.ready(0, ep0));
+    const std::uint64_t armings = engine.engineStats().armings;
+
+    // Key 0 over tenant 1's chain: both old hops lose their only rider
+    // and disarm, and both new ones park.
+    ASSERT_TRUE(engine.ready(0, ep1));
+    EXPECT_EQ(engine.engineStats().armings, armings + 2);
+    EXPECT_TRUE(engine.channelProgress(0).armed);
+
+    // The pool's next batch finds key 0 on the wrong chain again, re-arms
+    // it over tenant 0's own and verifies.
+    EXPECT_TRUE(fleet.serveOne(0));
+    EXPECT_EQ(engine.engineStats().armings, armings + 4);
+    EXPECT_TRUE(fleet.serveOne(1));
+}
+
+TEST_P(SwitchlessTest, MidPumpFailureDisarmsUnderEngineLock)
+{
+    // A batch whose slot header names another channel fails at the first
+    // relay hop, mid-pump: call() hard-fails typed and the channel comes
+    // back disarmed.
+    TeardownFleet fleet(machineConfig(8));
+    auto& engine = fleet.engine();
+    const switchless::Endpoint ep = endpointOf(fleet.service, 0);
+    ASSERT_TRUE(engine.ready(0, ep));
+
+    auto forged = engine.call(0, ep, serve::packBatch(ep.slot + 1, {}), 0);
+    EXPECT_EQ(forged.code(), Err::BadCallBuffer);
+    EXPECT_FALSE(engine.channelProgress(0).armed);
+    EXPECT_EQ(engine.engineStats().calls, 0u);
+
+    // ready() re-arms and the next batch verifies.
+    EXPECT_TRUE(fleet.serveOne(0));
+    EXPECT_TRUE(engine.channelProgress(0).armed);
+    EXPECT_EQ(engine.engineStats().calls, 1u);
+}
+
+TEST_P(SwitchlessTest, RingStallDisarmsUnderEngineLockAndPoolRetries)
+{
+    // ring-stall posts the descriptor but never drains it: call()
+    // refuses Unavailable and disarms, abandoning the orphan with one
+    // SwitchlessFallback — never a silent drop.
+    TeardownFleet fleet(machineConfig(8));
+    sgx::Machine& machine = fleet.world.machine;
+    auto& engine = fleet.engine();
+    const auto& counters = machine.trace().counters();
+    const switchless::Endpoint ep = endpointOf(fleet.service, 0);
+    ASSERT_TRUE(engine.ready(0, ep));
+    const auto plan = fault::FaultPlan::parse("ring-stall@n=1").orThrow("plan");
+
+    const std::uint64_t fallbacks = counters.switchlessFallbacks;
+    {
+        fault::FaultInjector injector(plan, 7);
+        machine.setFaultInjector(&injector);
+        auto stalled = engine.call(0, ep, serve::packBatch(ep.slot, {}), 0);
+        machine.setFaultInjector(nullptr);
+        EXPECT_EQ(stalled.code(), Err::Unavailable);
+    }
+    EXPECT_EQ(engine.engineStats().ringStalls, 1u);
+    EXPECT_EQ(counters.switchlessFallbacks, fallbacks + 1);
+    EXPECT_FALSE(engine.channelProgress(0).armed);
+    EXPECT_TRUE(fleet.serveOne(0));  // ready() re-arms
+
+    // Through the pool: the stalled attempt fails typed, and the pool's
+    // retry re-arms and still verifies the batch.
+    const std::uint64_t retries = fleet.service.pool().retries();
+    {
+        fault::FaultInjector injector(plan, 7);
+        machine.setFaultInjector(&injector);
+        EXPECT_TRUE(fleet.serveOne(0));
+        machine.setFaultInjector(nullptr);
+    }
+    EXPECT_EQ(engine.engineStats().ringStalls, 2u);
+    EXPECT_EQ(counters.switchlessFallbacks, fallbacks + 2);
+    EXPECT_EQ(fleet.service.pool().retries(), retries + 1);
+    EXPECT_TRUE(engine.channelProgress(0).armed);
+    EXPECT_TRUE(fleet.serveOne(0));
+}
+
+TEST_P(SwitchlessTest, RefusedIdleReparkDisarmsDeadHopUnderEngineLock)
+{
+    // Both hops idle past their budget and fall back; the leaf's re-park
+    // NEENTER is refused, so call() finds a hop that is not parked,
+    // disarms and refuses Unavailable. The pool's retry arms afresh.
+    TeardownFleet fleet(machineConfig(8));
+    sgx::Machine& machine = fleet.world.machine;
+    auto& engine = fleet.engine();
+    ASSERT_TRUE(fleet.serveOne(0));
+    const std::uint64_t calls = engine.engineStats().calls;
+    const std::uint64_t retries = fleet.service.pool().retries();
+
+    machine.charge(engine.config().idleParkCycles * 3);
+    {
+        const auto plan =
+            fault::FaultPlan::parse("neenter-fail@n=1").orThrow("plan");
+        fault::FaultInjector injector(plan, 7);
+        machine.setFaultInjector(&injector);
+        EXPECT_TRUE(fleet.serveOne(0));
+        machine.setFaultInjector(nullptr);
+        EXPECT_EQ(injector.injected(fault::FaultSite::NeenterFail), 1u);
+    }
+    EXPECT_EQ(engine.engineStats().idleFallbacks, 2u);
+    EXPECT_EQ(fleet.service.pool().retries(), retries + 1);
+    EXPECT_EQ(engine.engineStats().calls, calls + 1);  // the retry only
+    EXPECT_TRUE(engine.channelProgress(0).armed);
+    EXPECT_TRUE(fleet.serveOne(0));
 }
 
 /** The exact simulated figures of one armed-ring serve run. */

@@ -1,9 +1,10 @@
 /**
  * Real-thread parallelism tests: serial runs stay byte-identical
  * (determinism golden), a 4-thread drain under EPC pressure verifies
- * every response, the parallel trace merge replays the complete
- * buffered stream in global-seq order, and parallel workers drive
- * armed switchless rings down a CVM tree end to end.
+ * every response, four workers publishing to an attached sink deliver
+ * every event exactly once with per-core time order intact, and
+ * parallel workers drive armed switchless rings down a CVM tree end to
+ * end.
  */
 #include <gtest/gtest.h>
 
@@ -129,7 +130,6 @@ TEST(ThreadingStress, FourThreadDrainVerifiesEveryResponseUnderPressure)
     config.prmBase = 128ull << 20;
     config.prmBytes = (1024 + 64) * hw::kPageSize;
     World world(config);
-    world.machine.trace().enableParallel(4);
 
     auto sc = smallServiceConfig();
     sc.admission.maxQueueDepth = 20;
@@ -163,57 +163,75 @@ TEST(ThreadingStress, FourThreadDrainVerifiesEveryResponseUnderPressure)
     for (auto& client : clients) {
         EXPECT_EQ(client->failures(), 0u);
     }
-    world.machine.trace().disableParallel();
 }
 
-TEST(ThreadingTrace, MergedDrainReplaysCompleteBufferedStream)
+TEST(ThreadingTrace, FourWorkersDeliverEveryEventOnceToAttachedSink)
 {
-    // Parallel mode buffers events per shard with a global monotonic
-    // seq; disableParallel must replay every buffered event to the
-    // subscribed sinks — the replayed count equals the seq counter, so
-    // no event is lost or duplicated across the merge.
+    // Four worker threads publish into one attached sink. The bus calls
+    // sinks inline under its own lock, so the sink needs no lock of its
+    // own and every event arrives exactly once: the successful EENTER
+    // and NEENTER exits the sink saw equal the counters' deltas over the
+    // same window.
     World world;
-    RecordingSink sink;
-    world.machine.trace().subscribe(&sink);
-    world.machine.trace().enableParallel(4);
-
     auto sc = smallServiceConfig();
     serve::TenantService service(*world.urts, sc);
-    serve::TenantClient client(0, Workload::Echo);
-    ASSERT_TRUE(service.addTenant(0, Workload::Echo).isOk());
-    for (int i = 0; i < 8; ++i) {
-        ASSERT_TRUE(service.submit(0, client.nextRequest()).isOk());
+    const std::vector<Workload> mix = {Workload::Echo, Workload::Sql,
+                                       Workload::Svm};
+    std::vector<std::unique_ptr<serve::TenantClient>> clients;
+    for (TenantId t = 0; t < 12; ++t) {  // 4 gateways, one per worker
+        auto workload = mix[t % mix.size()];
+        ASSERT_TRUE(service.addTenant(t, workload).isOk()) << t;
+        clients.push_back(
+            std::make_unique<serve::TenantClient>(t, workload));
     }
-    service.pumpParallel(2);
+    ASSERT_EQ(service.registry().gatewayCount(), 4u);
+    for (int i = 0; i < 8; ++i) {
+        for (TenantId t = 0; t < 12; ++t) {
+            ASSERT_TRUE(
+                service.submit(t, clients[t]->nextRequest()).isOk());
+        }
+    }
+
+    // Attach only while no worker runs.
+    const auto& counters = world.machine.trace().counters();
+    const std::uint64_t eenterBase = counters.eenterCount;
+    const std::uint64_t neenterBase = counters.neenterCount;
+    RecordingSink sink;
+    world.machine.trace().subscribe(&sink);
+    service.pumpParallel(4);
+    world.machine.trace().unsubscribe(&sink);
+
     std::uint64_t verified = 0;
     for (serve::Completion& done : service.drain()) {
-        if (done.ok && client.onResponse(done.sealedResponse)) ++verified;
+        if (done.ok && clients[done.tenant]->onResponse(done.sealedResponse)) {
+            ++verified;
+        }
     }
-    EXPECT_EQ(verified, 8u);
+    EXPECT_EQ(verified, 96u);
 
-    // While parallel, events buffer: the sink saw only the pre-enable
-    // traffic. Stats counters accumulate at publish regardless.
-    const std::size_t beforeDrain = sink.events.size();
-    const std::uint64_t issued = world.machine.trace().parallelSeqCount();
-    EXPECT_GT(issued, 0u);
-    EXPECT_GT(world.machine.trace().counters().eenterCount, 0u);
+    std::uint64_t eenters = 0;
+    std::uint64_t neenters = 0;
+    for (const auto& rec : sink.events) {
+        if (rec.kind != trace::EventKind::LeafExit || rec.code != 0) continue;
+        if (rec.leaf == trace::Leaf::Eenter) ++eenters;
+        if (rec.leaf == trace::Leaf::Neenter) ++neenters;
+    }
+    EXPECT_GT(eenters, 0u);
+    EXPECT_EQ(eenters, counters.eenterCount - eenterBase);
+    EXPECT_EQ(neenters, counters.neenterCount - neenterBase);
 
-    world.machine.trace().disableParallel();
-    EXPECT_EQ(sink.events.size() - beforeDrain, issued);
-
-    // Replay is time-coherent per core: one worker thread owns one
-    // simulated core, so that core's events replay in program order and
+    // Delivery is time-coherent per core: one worker thread owns one
+    // simulated core, so that core's events arrive in program order and
     // its cycle stamps never run backwards. (kNoCore events — ENCLS
     // published as "the OS" — can come from any thread and are skipped.)
     std::vector<std::uint64_t> lastTime(world.machine.coreCount(), 0);
-    for (std::size_t i = beforeDrain; i < sink.events.size(); ++i) {
+    for (std::size_t i = 0; i < sink.events.size(); ++i) {
         const auto& rec = sink.events[i];
         if (rec.core == trace::kNoCore) continue;
         ASSERT_LT(rec.core, lastTime.size());
         EXPECT_GE(rec.time, lastTime[rec.core]) << "event " << i;
         lastTime[rec.core] = rec.time;
     }
-    world.machine.trace().unsubscribe(&sink);
 }
 
 TEST(ThreadingSwitchless, ParallelWorkersDriveArmedCvmRings)
@@ -227,7 +245,6 @@ TEST(ThreadingSwitchless, ParallelWorkersDriveArmedCvmRings)
     // 4 host workers + one poller per tenant, per gateway and the root.
     config.coreCount = 4 + kTenants + 4 + 1 + 1;
     World world(config);
-    world.machine.trace().enableParallel(4);
 
     auto sc = smallServiceConfig();
     sc.registry.topology = serve::Topology::Cvm;
@@ -275,7 +292,6 @@ TEST(ThreadingSwitchless, ParallelWorkersDriveArmedCvmRings)
     EXPECT_EQ(service.switchlessEngine()->engineStats().calls.load(),
               2 * kTenants);
     EXPECT_EQ(counters.eenterCount + counters.neenterCount, transitionsBase);
-    world.machine.trace().disableParallel();
 }
 
 }  // namespace

@@ -2,8 +2,98 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace nesgx::crypto {
+
+namespace {
+
+using Word = std::uint64_t;
+using Wide = unsigned __int128;
+
+/** Little-endian 32-bit limbs, zero-extended into k 64-bit words. */
+std::vector<Word>
+toWords(const std::vector<std::uint32_t>& limbs, std::size_t k)
+{
+    std::vector<Word> out(k, 0);
+    for (std::size_t i = 0; i < limbs.size(); ++i) {
+        out[i / 2] |= Word(limbs[i]) << (32 * (i % 2));
+    }
+    return out;
+}
+
+/**
+ * Montgomery multiplication modulo an odd m of k 64-bit words, R = 2^(64k),
+ * by CIOS (Koc, Acar and Kaliski, 1996): each outer step adds one row
+ * a * b[i] and one word of reduction q * m, then drops the now-zero low
+ * word, so the running sum stays within k + 2 words and no division runs.
+ */
+class Montgomery {
+  public:
+    explicit Montgomery(std::vector<Word> m)
+        : m_(std::move(m)), k_(m_.size()), mInv_(negInverse(m_[0])),
+          t_(k_ + 2)
+    {
+    }
+
+    /** out = a * b / R mod m, for a, b < m. out may alias a or b. */
+    void mul(const Word* a, const Word* b, Word* out)
+    {
+        const std::size_t k = k_;
+        const Word* m = m_.data();
+        Word* t = t_.data();
+        std::fill(t, t + k + 2, 0);
+        for (std::size_t i = 0; i < k; ++i) {
+            Word carry = 0;
+            for (std::size_t j = 0; j < k; ++j) {
+                Wide cur = Wide(a[j]) * b[i] + t[j] + carry;
+                t[j] = Word(cur);
+                carry = Word(cur >> 64);
+            }
+            Wide top = Wide(t[k]) + carry;
+            t[k] = Word(top);
+            t[k + 1] = Word(top >> 64);
+
+            // q makes t + q*m divisible by 2^64; shift down one word.
+            const Word q = t[0] * mInv_;
+            carry = Word((Wide(q) * m[0] + t[0]) >> 64);
+            for (std::size_t j = 1; j < k; ++j) {
+                Wide cur = Wide(q) * m[j] + t[j] + carry;
+                t[j - 1] = Word(cur);
+                carry = Word(cur >> 64);
+            }
+            top = Wide(t[k]) + carry;
+            t[k - 1] = Word(top);
+            t[k] = t[k + 1] + Word(top >> 64);
+        }
+
+        // t < 2m, so the result is t - m, or t itself when t < m: that is,
+        // when the k-word subtraction borrows and t did not spill into t[k].
+        Word borrow = 0;
+        for (std::size_t j = 0; j < k; ++j) {
+            Wide diff = Wide(t[j]) - m[j] - borrow;
+            out[j] = Word(diff);
+            borrow = Word(diff >> 127);
+        }
+        if (borrow && t[k] == 0) std::copy(t, t + k, out);
+    }
+
+  private:
+    /** -m0^-1 mod 2^64 by Newton's iteration, for odd m0. */
+    static Word negInverse(Word m0)
+    {
+        Word inv = m0;  // m0 * m0 == 1 (mod 8): 3 correct bits
+        for (int i = 0; i < 5; ++i) inv *= 2 - m0 * inv;  // 6, 12, .., 96
+        return 0 - inv;
+    }
+
+    std::vector<Word> m_;
+    std::size_t k_;
+    Word mInv_;
+    std::vector<Word> t_;  // CIOS accumulator, k + 2 words
+};
+
+}  // namespace
 
 BigUint::BigUint(std::uint64_t v)
 {
@@ -373,29 +463,52 @@ BigUint::powMod(const BigUint& e, const BigUint& m) const
     if (m.isZero()) {
         throw std::invalid_argument("BigUint::powMod: zero modulus");
     }
-    BigUint base = *this % m;
-    BigUint result(1);
-    result = result % m;
-    // Fixed-window (4-bit) exponentiation keeps the 1024-bit path fast
-    // enough for per-test key generation on one core.
-    std::array<BigUint, 16> table;
-    table[0] = result;
-    for (int i = 1; i < 16; ++i) table[i] = table[i - 1].mulMod(base, m);
+    if (!m.isOdd()) {
+        throw std::invalid_argument("BigUint::powMod: even modulus");
+    }
+    const std::size_t k = (m.limbs_.size() + 1) / 2;
+    Montgomery mont(toWords(m.limbs_, k));
 
-    std::size_t bits = e.bitLength();
-    if (bits == 0) return result;
-    std::size_t windows = (bits + 3) / 4;
+    // Enter the Montgomery domain (x -> xR mod m, R = 2^(64k)) through
+    // R^2 mod m. These two reductions are the only divisions: the window
+    // loop below runs on preallocated words.
+    const std::vector<Word> r2 =
+        toWords(((BigUint(1) << (128 * k)) % m).limbs_, k);
+    std::vector<Word> base = toWords((*this % m).limbs_, k);
+    mont.mul(base.data(), r2.data(), base.data());
+    std::vector<Word> one(k, 0);
+    one[0] = 1;
+
+    // Fixed 4-bit windows, most significant first; table[i] = base^i * R.
+    std::vector<Word> table(16 * k);
+    mont.mul(r2.data(), one.data(), table.data());
+    for (std::size_t i = 1; i < 16; ++i) {
+        mont.mul(&table[(i - 1) * k], base.data(), &table[i * k]);
+    }
+    std::vector<Word> acc(table.begin(), table.begin() + std::ptrdiff_t(k));
+    const std::size_t windows = (e.bitLength() + 3) / 4;
     for (std::size_t w = windows; w-- > 0;) {
         if (w != windows - 1) {
-            for (int i = 0; i < 4; ++i) result = result.mulMod(result, m);
+            for (int i = 0; i < 4; ++i) {
+                mont.mul(acc.data(), acc.data(), acc.data());
+            }
         }
-        int idx = 0;
+        std::size_t idx = 0;
         for (int i = 3; i >= 0; --i) {
-            idx = (idx << 1) | (e.bit(w * 4 + i) ? 1 : 0);
+            idx = (idx << 1) | (e.bit(w * 4 + std::size_t(i)) ? 1 : 0);
         }
-        if (idx) result = result.mulMod(table[idx], m);
+        if (idx) mont.mul(acc.data(), &table[idx * k], acc.data());
     }
-    return result;
+    mont.mul(acc.data(), one.data(), acc.data());  // leave the domain
+
+    BigUint out;
+    out.limbs_.resize(2 * k);
+    for (std::size_t i = 0; i < k; ++i) {
+        out.limbs_[2 * i] = std::uint32_t(acc[i]);
+        out.limbs_[2 * i + 1] = std::uint32_t(acc[i] >> 32);
+    }
+    out.trim();
+    return out;
 }
 
 BigUint

@@ -12,13 +12,18 @@ const std::uint8_t kSha256DigestInfo[] = {
     0x65, 0x03, 0x04, 0x02, 0x01, 0x05, 0x00, 0x04, 0x20,
 };
 
+// The narrowest modulus PKCS#1 can encode into: DigestInfo, digest and
+// 11 bytes of padding (RFC 8017 §9.2 step 3).
+constexpr std::size_t kMinModulusBytes =
+    sizeof(kSha256DigestInfo) + kSha256DigestSize + 11;
+
 /** EMSA-PKCS1-v1_5 encoding of SHA-256(message) into `width` bytes. */
 Bytes
 pkcs1Encode(ByteView message, std::size_t width)
 {
     Sha256Digest digest = Sha256::hash(message);
     std::size_t tLen = sizeof(kSha256DigestInfo) + digest.size();
-    if (width < tLen + 11) {
+    if (width < kMinModulusBytes) {
         throw std::invalid_argument("rsa: modulus too small for PKCS#1");
     }
     Bytes em(width, 0xff);
@@ -45,15 +50,19 @@ RsaKeyPair
 RsaKeyPair::generate(Rng& rng, std::size_t modulusBits)
 {
     const BigUint e(65537);
+    const BigUint one(1);
     for (;;) {
         BigUint p = BigUint::generatePrime(rng, modulusBits / 2);
         BigUint q = BigUint::generatePrime(rng, modulusBits - modulusBits / 2);
         if (p == q) continue;
-        BigUint n = p * q;
-        BigUint phi = (p - BigUint(1)) * (q - BigUint(1));
-        if (BigUint::gcd(e, phi) != BigUint(1)) continue;
-        BigUint d = e.invMod(phi);
-        return RsaKeyPair{RsaPublicKey{n, e}, d};
+        // e must be invertible mod (p-1)(q-1), that is, mod both factors.
+        BigUint pm1 = p - one;
+        BigUint qm1 = q - one;
+        if (BigUint::gcd(e, pm1) != one || BigUint::gcd(e, qm1) != one) {
+            continue;
+        }
+        return RsaKeyPair{RsaPublicKey{p * q, e}, p, q, e.invMod(pm1),
+                          e.invMod(qm1), q.invMod(p)};
     }
 }
 
@@ -61,16 +70,25 @@ Bytes
 rsaSign(const RsaKeyPair& key, ByteView message)
 {
     std::size_t width = key.pub.modulusBytes();
-    Bytes em = pkcs1Encode(message, width);
-    BigUint m = BigUint::fromBytesBe(em);
-    BigUint s = m.powMod(key.d, key.pub.n);
-    return s.toBytesBe(width);
+    BigUint m = BigUint::fromBytesBe(pkcs1Encode(message, width));
+    // RSASP1 in CRT form (RFC 8017 §5.1.2 step 2b): two half-width
+    // exponentiations, then Garner's recombination. s2 can exceed p when
+    // q > p, hence the reduction before the subtraction.
+    BigUint s1 = m.powMod(key.dp, key.p);
+    BigUint s2 = m.powMod(key.dq, key.q);
+    BigUint h = key.qInv.mulMod(s1.subMod(s2 % key.p, key.p), key.p);
+    return (s2 + key.q * h).toBytesBe(width);
 }
 
 bool
 rsaVerify(const RsaPublicKey& key, ByteView message, ByteView signature)
 {
     std::size_t width = key.modulusBytes();
+#ifndef NESGX_BUG_SIGNER_KEY_UNCHECKED
+    // Check the host-supplied key before any arithmetic: powMod needs an
+    // odd modulus and PKCS#1 a wide enough one.
+    if (!key.n.isOdd() || width < kMinModulusBytes) return false;
+#endif
     if (signature.size() != width) return false;
     BigUint s = BigUint::fromBytesBe(signature);
     if (s >= key.n) return false;

@@ -5,6 +5,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "crypto/aes.h"
 #include "crypto/bignum.h"
 #include "crypto/gcm.h"
@@ -335,6 +338,61 @@ TEST(BigUint, PowModSmall)
     EXPECT_EQ(r.toHex(), BigUint(expect).toHex());
 }
 
+// Binary square-and-multiply over mulMod (schoolbook product, Knuth
+// division): a reference that shares no code with powMod's Montgomery
+// kernel.
+BigUint
+referencePowMod(const BigUint& base, const BigUint& e, const BigUint& m)
+{
+    BigUint b = base % m;
+    BigUint result = BigUint(1) % m;
+    for (std::size_t i = e.bitLength(); i-- > 0;) {
+        result = result.mulMod(result, m);
+        if (e.bit(i)) result = result.mulMod(b, m);
+    }
+    return result;
+}
+
+TEST(BigUint, PowModMatchesSquareAndMultiply)
+{
+    Rng rng(0x90d);
+    // Odd 32-bit limb counts (33, 65, 96, ... bits) leave the top 64-bit
+    // word half full.
+    const std::size_t widths[] = {1,   2,   31,  32,   33,   63,   64,
+                                  65,  96,  127, 128,  129,  255,  256,
+                                  257, 511, 512, 544,  1023, 1024, 1056,
+                                  1536, 2047, 2048, 3072, 4096};
+    for (std::size_t bits : widths) {
+        SCOPED_TRACE(bits);
+        BigUint allOnes = (BigUint(1) << bits) - BigUint(1);
+        for (int round = 0; round < 4; ++round) {
+            BigUint m = round == 0 ? allOnes : BigUint::randomBits(rng, bits);
+            if (!m.isOdd()) m = m + BigUint(1);
+            // Bases at and above m, plus m - 1 and the all-ones words.
+            BigUint base = round == 1   ? m
+                           : round == 2 ? m - BigUint(1)
+                           : round == 3 ? allOnes
+                                        : BigUint::randomBits(rng, bits + 40);
+            std::size_t eBits = 1 + rng.nextBelow(std::min<std::size_t>(
+                                        bits + 64, 320));
+            for (const BigUint& e :
+                 {BigUint(), BigUint(1), BigUint::randomBits(rng, eBits)}) {
+                EXPECT_EQ(base.powMod(e, m).toHex(),
+                          referencePowMod(base, e, m).toHex())
+                    << "m=" << m.toHex() << " base=" << base.toHex()
+                    << " e=" << e.toHex();
+            }
+        }
+    }
+    EXPECT_TRUE(BigUint(7).powMod(BigUint(5), BigUint(1)).isZero());
+    EXPECT_THROW(BigUint(3).powMod(BigUint(5), BigUint(10)),
+                 std::invalid_argument);
+    EXPECT_THROW(BigUint(3).powMod(BigUint(5), BigUint(1) << 1024),
+                 std::invalid_argument);
+    EXPECT_THROW(BigUint(3).powMod(BigUint(5), BigUint()),
+                 std::invalid_argument);
+}
+
 TEST(BigUint, InvModProperty)
 {
     Rng rng(4);
@@ -418,6 +476,95 @@ TEST_F(RsaFixture, SignerMeasurementStable)
     RsaKeyPair other = RsaKeyPair::generate(rng, 512);
     EXPECT_NE(toHex(ByteView(m1.data(), 32)),
               toHex(ByteView(other.pub.signerMeasurement().data(), 32)));
+}
+
+struct CorpusKey {
+    std::uint64_t seed;
+    std::size_t bits;
+    int messages;
+};
+
+// 0xDEFA017 is core::defaultAuthorKey, 0xA07707/0xB18818 the test
+// harness authors, 2024/77/78 the fixture keys above (77 and 78 give
+// 511-bit moduli).
+constexpr CorpusKey kCorpusKeys[] = {
+    {0xDEFA017, 1024, 200}, {0xA07707, 512, 200}, {0xB18818, 512, 200},
+    {2024, 512, 200},       {77, 512, 200},       {78, 512, 200},
+    {0x204d, 2048, 20},
+};
+
+// Pins the exact bytes of key generation and rsaSign() over seeded keys of
+// every size the tree uses and a seeded corpus of 0-700 B messages, so any
+// rewrite of the bignum or RSA kernels must reproduce every modulus (hence
+// every MRSIGNER) and every SIGSTRUCT signature.
+TEST(Rsa, SeededGoldenCorpus)
+{
+    Rng msgRng(0x516e);
+    Sha256 corpus;
+    for (const CorpusKey& c : kCorpusKeys) {
+        SCOPED_TRACE(c.seed);
+        Rng keyRng(c.seed);
+        RsaKeyPair key = RsaKeyPair::generate(keyRng, c.bits);
+        corpus.update(key.pub.n.toBytesBe());
+        if (c.seed == 0xDEFA017) {
+            EXPECT_EQ(digestHex(key.pub.signerMeasurement()),
+                      "22ff2b2974bb895e84edad8fecc9fb44"
+                      "2df296037738514166b2bc843512f4da");
+        }
+        for (int i = 0; i < c.messages; ++i) {
+            Bytes msg = msgRng.bytes(msgRng.nextBelow(701));
+            Bytes sig = rsaSign(key, msg);
+            ASSERT_TRUE(rsaVerify(key.pub, msg, sig));
+            corpus.update(sig);
+        }
+    }
+    EXPECT_EQ(digestHex(corpus.finish()),
+              "520aed5ec38b57e8bb35db617fc6052bc579452b04160ed33d377fb575fccc50");
+}
+
+// Garner's recombination reduces s2 mod p before subtracting it from s1:
+// a no-op when p > q, a real reduction when q > p. The corpus above must
+// hold keys of both orders so both run.
+TEST(Rsa, CorpusCoversBothPrimeOrders)
+{
+    int pAbove = 0;
+    int pBelow = 0;
+    for (const CorpusKey& c : kCorpusKeys) {
+        SCOPED_TRACE(c.seed);
+        Rng keyRng(c.seed);
+        RsaKeyPair key = RsaKeyPair::generate(keyRng, c.bits);
+        const BigUint one(1);
+        EXPECT_TRUE(key.p * key.q == key.pub.n);
+        EXPECT_TRUE(key.dp.mulMod(key.pub.e, key.p - one) == one);
+        EXPECT_TRUE(key.dq.mulMod(key.pub.e, key.q - one) == one);
+        EXPECT_TRUE(key.qInv.mulMod(key.q, key.p) == one);
+        ++(key.p > key.q ? pAbove : pBelow);
+        if (c.seed == 0xA07707 || c.seed == 77) {
+            EXPECT_TRUE(key.p > key.q);
+        }
+    }
+    EXPECT_GT(pAbove, 0);
+    EXPECT_GT(pBelow, 0);
+}
+
+TEST(Rsa, SignVerifyTamperAt1024And3072Bits)
+{
+    const CorpusKey keys[] = {{1024, 1024, 4}, {3, 3072, 4}};
+    for (const CorpusKey& c : keys) {
+        SCOPED_TRACE(c.bits);
+        Rng rng(c.seed);
+        RsaKeyPair key = RsaKeyPair::generate(rng, c.bits);
+        EXPECT_EQ(key.pub.n.bitLength(), c.bits);
+        for (int i = 0; i < c.messages; ++i) {
+            Bytes msg = rng.bytes(rng.nextBelow(300));
+            Bytes sig = rsaSign(key, msg);
+            ASSERT_EQ(sig.size(), key.pub.modulusBytes());
+            EXPECT_TRUE(rsaVerify(key.pub, msg, sig));
+            std::size_t bit = rng.nextBelow(sig.size() * 8);
+            sig[bit / 8] ^= std::uint8_t(1u << (bit % 8));
+            EXPECT_FALSE(rsaVerify(key.pub, msg, sig));
+        }
+    }
 }
 
 // --- KDF ----------------------------------------------------------------------

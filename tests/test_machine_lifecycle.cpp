@@ -79,6 +79,36 @@ TEST(Lifecycle, EinitRejectsResignedByOtherAuthor)
     EXPECT_NE(secs->mrsigner, authorKey().pub.signerMeasurement());
 }
 
+TEST(Lifecycle, EinitRejectsUnusableSignerModulus)
+{
+    World world;
+    auto image = sdk::buildImage(tinySpec("signer-key"), authorKey());
+    // The signer key comes from the host-supplied SIGSTRUCT. A modulus the
+    // RSA kernel cannot use (too narrow for PKCS#1, even, or zero) must
+    // fail EINIT typed instead of throwing out of the leaf.
+    struct Hostile {
+        crypto::BigUint n;
+        Bytes signature;
+    };
+    const Hostile keys[] = {
+        {crypto::BigUint(0xc5), Bytes(1, 0)},
+        {authorKey().pub.n + crypto::BigUint(1), image.sigstruct.signature},
+        {crypto::BigUint(), Bytes{}},
+    };
+    for (const Hostile& h : keys) {
+        SCOPED_TRACE(h.n.toHex());
+        sdk::SignedEnclave forged = image;
+        forged.sigstruct.signerKey.n = h.n;
+        forged.sigstruct.signature = h.signature;
+        auto loaded = world.urts->load(forged);
+        ASSERT_FALSE(loaded.isOk());
+        EXPECT_EQ(loaded.code(), Err::InvalidSignature);
+    }
+    // After the refusals the genuine image still loads.
+    auto loaded = world.urts->load(image);
+    ASSERT_TRUE(loaded.isOk()) << loaded.status().name();
+}
+
 TEST(Lifecycle, EcreateRejectsMisalignedRange)
 {
     World world;

@@ -431,10 +431,12 @@ CheckWorld::apply(const Step& step)
             // One full producer/consumer cycle on an untrusted DescRing:
             // push capacity+1 descriptors (the last MUST refuse with
             // Backpressure — under NESGX_BUG_RING_WRAP it instead
-            // overwrites slot 0, and the first drain then surfaces a
-            // sequence number ahead of the FIFO expectation, which
-            // TraceSwitchlessPairing flags), drain everything, abandon
-            // the (empty) rest. The ring page is mapped on first use.
+            // overwrites slot 0 and leaves a header claiming more
+            // entries than the ring holds, so the first pop refuses
+            // with BadCallBuffer and every post stays unmatched, which
+            // TraceSwitchlessPairing flags at teardown), drain
+            // everything, abandon the (empty) rest. The ring page is
+            // mapped on first use.
             constexpr std::uint64_t kCap = 4;
             if (switchlessVa_ == 0) {
                 switchlessVa_ = kernel_.mapUntrusted(pid_, 1);
@@ -443,11 +445,7 @@ CheckWorld::apply(const Step& step)
             if (!st) return st;
             bool refused = false;
             for (std::uint64_t i = 0; i <= kCap; ++i) {
-                switchless::Desc d;
-                d.id = i + 1;
-                d.va = untrustedVa_;
-                d.len = 8 + i;
-                Status push = switchRing_.tryPush(machine_, core, d);
+                Status push = switchRing_.tryPush(machine_, core, 8 + i);
                 if (push.code() == Err::Backpressure) {
                     refused = true;
                     break;

@@ -69,8 +69,9 @@ enum class Rule : std::uint8_t {
     /** Trace rule: switchless rings are FIFO and lossless — every
      *  SwitchlessPost is matched, in order, by a SwitchlessDrain of the
      *  same sequence number or cleared by a SwitchlessFallback, and
-     *  nothing is left outstanding at teardown. An out-of-order drain is
-     *  the wraparound-overwrite signature (NESGX_BUG_RING_WRAP). */
+     *  nothing is left outstanding at teardown. A wraparound overwrite
+     *  (NESGX_BUG_RING_WRAP) leaves a header the consumer refuses, so
+     *  its posts are still outstanding at teardown. */
     TraceSwitchlessPairing,
 };
 

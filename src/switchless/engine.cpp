@@ -18,20 +18,6 @@ pagesFor(std::uint64_t bytes)
     return (bytes + hw::kPageSize - 1) / hw::kPageSize;
 }
 
-/** Pops until this call's own descriptor surfaces; older ids are
- *  orphans of failed pumps that were already covered by a fallback —
- *  draining them here just recycles their slots. */
-Result<Desc>
-popFor(sgx::Machine& m, DescRing& ring, hw::CoreId core, std::uint64_t id)
-{
-    for (;;) {
-        auto d = ring.tryPop(m, core);
-        if (!d) return d.status();
-        if (d.value().id == id) return d;
-        if (d.value().id > id) return Err::Unavailable;
-    }
-}
-
 std::vector<sdk::LoadedEnclave*>
 prefixOf(const std::vector<sdk::LoadedEnclave*>& chain, std::size_t depth)
 {
@@ -234,29 +220,34 @@ SwitchlessEngine::unpark(Hop& hop)
     releaseCore(hop.core);
 }
 
+bool
+SwitchlessEngine::abandonRings(Hop& hop, bool hostRings)
+{
+    // The host empties host-memory rings from outside; heap rings need
+    // an enclave-mode core, the parked poller, while it can resume.
+    if (!hostRings && !(hop.parked && resume(hop))) return false;
+    sgx::Machine& m = machine();
+    const hw::CoreId core = hostRings ? kHostCore : hop.core;
+    (void)hop.req.abandon(m, core);
+    (void)hop.resp.abandon(m, core);
+    return true;
+}
+
 void
 SwitchlessEngine::disarmHop(const Chain& prefix)
 {
     auto it = hops_.find(prefix);
     if (it == hops_.end()) return;
     Hop& hop = it->second;
-    sgx::Machine& m = machine();
-    // Never silently drop in-flight entries. The host drains host-memory
-    // rings from outside; heap rings need an enclave-mode core — the
-    // parked poller when it is still viable, else the trace-only poison
-    // marker (the backing enclave is dead and the caller's completion
-    // machinery re-issues through the classic path).
-    const bool hostRings = prefix.size() == 1;
-    const bool drainable = hostRings || (hop.parked && resume(hop));
-    if (drainable) {
-        const hw::CoreId core = hostRings ? kHostCore : hop.core;
-        if (hop.req.bound()) (void)hop.req.abandon(m, core);
-        if (hop.resp.bound()) (void)hop.resp.abandon(m, core);
-    }
+    // Never silently drop in-flight entries. A heap hop whose poller
+    // cannot resume keeps them: its enclave is gone, so nothing pops
+    // that hop again, and the trace-only poison marker clears them (the
+    // caller's completion machinery retries through the classic path).
+    const bool drained = abandonRings(hop, prefix.size() == 1);
     unpark(hop);
-    if (!drainable) {
-        if (hop.req.bound()) hop.req.markAbandoned(m);
-        if (hop.resp.bound()) hop.resp.markAbandoned(m);
+    if (!drained) {
+        hop.req.markAbandoned(machine());
+        hop.resp.markAbandoned(machine());
     }
     freeRings(hop, prefix);
     hops_.erase(it);
@@ -346,18 +337,16 @@ void
 SwitchlessEngine::idleCheck(const Chain& chain, const std::vector<Hop*>& hops)
 {
     const std::uint64_t t = now();
-    sgx::Machine& m = machine();
     // A poller whose rings stayed empty past the threshold has given the
     // core back (spin -> yield -> exit); the request that finds it gone
     // pays the classic re-entry. This is the knob that makes transition
-    // count scale with idleness instead of load.
+    // count scale with idleness instead of load. Rings are empty between
+    // calls, so there is nothing to abandon.
     for (std::size_t depth = hops.size(); depth-- > 0;) {
         Hop& hop = *hops[depth];
         if (!hop.parked || t - hop.lastActive <= config_.idleParkCycles) {
             continue;
         }
-        (void)hop.req.abandon(m, hop.core);
-        (void)hop.resp.abandon(m, hop.core);
         ++stats_.idleFallbacks;
         unpark(hop);
         // Re-park immediately for the request being served now: this is
@@ -430,44 +419,38 @@ SwitchlessEngine::call(std::uint64_t key, const Endpoint& ep, ByteView blob,
     Hop& root = *hops.front();
     Status st = m.write(hostCore, root.stagingVa, blob.data(), blob.size());
     if (!st) return st;
-    const std::uint64_t reqId = nextRequestId_++;
-    Desc d;
-    d.id = reqId;
-    d.va = root.stagingVa;
-    d.len = blob.size();
-    st = root.req.tryPush(m, hostCore, d);
+    st = root.req.tryPush(m, hostCore, blob.size());
     if (!st) return st;
 
-    // Deterministic ring-stall fault site: the descriptor is posted but
-    // the consumer never drains it. Recovery must abandon the in-flight
-    // entry (SwitchlessFallback pairs the orphaned SwitchlessPost) and
-    // poison the channel so the caller retries classically — never a
-    // silent drop, never a wedge.
-    if (m.faultFires(fault::FaultSite::RingStall, hostCore)) {
-        ++stats_.ringStalls;
-        disarmLocked(key);
-        return Err::Unavailable;
-    }
-
-    // A mid-pump failure (faulted access, evicted pages, poisoned
-    // tenant) may leave descriptors in flight. Poisoning the channel —
-    // disarm abandons the rings of every hop it releases with
-    // SwitchlessFallback — keeps the post/drain pairing whole; the
-    // caller retries classically and a later ready() re-arms. Orphans on
-    // rings of hops that other tenants still ride are tolerated by the
-    // drain-until-match loops in the pump.
+    // Once the request is posted, every failure empties the rings of the
+    // whole chain — shared hops included, so no later call meets an
+    // orphan — and poisons the channel: the caller retries classically
+    // and a later ready() re-arms.
     auto hardFail = [&](Status s) -> Result<Bytes> {
+        for (Hop* hop : hops) abandonRings(*hop, hop == hops.front());
         disarmLocked(key);
         return s;
     };
-    Status pumped = pumpEnclaveSide(chain, hops, ep, reqId);
+
+    // Deterministic ring-stall fault site: the descriptor is posted but
+    // the consumer never drains it. Recovery abandons the in-flight
+    // entry (SwitchlessFallback pairs the orphaned SwitchlessPost) and
+    // poisons the channel — never a silent drop, never a wedge.
+    if (m.faultFires(fault::FaultSite::RingStall, hostCore)) {
+        ++stats_.ringStalls;
+        return hardFail(Err::Unavailable);
+    }
+
+    // A mid-pump failure (faulted access, evicted pages, poisoned
+    // tenant, a lying ring header) may leave descriptors in flight.
+    Status pumped = pumpEnclaveSide(chain, hops, ep);
     if (!pumped) return hardFail(pumped);
 
     // ---- host: harvest -----------------------------------------------
-    auto done = popFor(m, root.resp, hostCore, reqId);
+    auto done = root.resp.tryPop(m, hostCore);
     if (!done) return hardFail(done.status());
     Bytes result(done.value().len);
-    st = m.read(hostCore, done.value().va, result.data(), result.size());
+    st = m.read(hostCore, root.stagingVa, result.data(), result.size());
     if (!st) return hardFail(st);
 
     ++stats_.calls;
@@ -477,7 +460,7 @@ SwitchlessEngine::call(std::uint64_t key, const Endpoint& ep, ByteView blob,
 Status
 SwitchlessEngine::pumpEnclaveSide(const Chain& chain,
                                   const std::vector<Hop*>& hops,
-                                  const Endpoint& ep, std::uint64_t reqId)
+                                  const Endpoint& ep)
 {
     sgx::Machine& m = machine();
     // Several leaves relay through one hop; each hop's poller core takes
@@ -491,16 +474,16 @@ SwitchlessEngine::pumpEnclaveSide(const Chain& chain,
     for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
         Hop& hop = *hops[i];
         Hop& next = *hops[i + 1];
-        auto req = popFor(m, hop.req, hop.core, reqId);
+        auto req = hop.req.tryPop(m, hop.core);
         if (!req) return req.status();
         if (req.value().len > kStagingBytes || req.value().len < 4) {
             return Err::BadCallBuffer;
         }
-        // Copy through enclave-validated staging: the descriptor's
-        // [va,len] is only ever dereferenced by the hop's own validated
-        // access, and the payload's slot header must match the channel.
+        // Copy through enclave-validated staging: the hop reads its own
+        // staging window with its own access rights, and the payload's
+        // slot header must match the channel.
         Bytes payload(req.value().len);
-        Status st = m.read(hop.core, req.value().va, payload.data(),
+        Status st = m.read(hop.core, hop.stagingVa, payload.data(),
                            payload.size());
         if (!st) return st;
         if (loadLe32(payload.data()) != ep.slot) {
@@ -511,20 +494,16 @@ SwitchlessEngine::pumpEnclaveSide(const Chain& chain,
         if (!st) return st;
         hop.lastActive = now();
 
-        Desc fwd;
-        fwd.id = reqId;
-        fwd.va = next.stagingVa;
-        fwd.len = payload.size();
-        st = next.req.tryPush(m, hop.core, fwd);
+        st = next.req.tryPush(m, hop.core, payload.size());
         if (!st) return st;
     }
 
     // ---- leaf poller: drain and serve without any transition ---------
     Hop& leaf = *hops.back();
-    auto inReq = popFor(m, leaf.req, leaf.core, reqId);
+    auto inReq = leaf.req.tryPop(m, leaf.core);
     if (!inReq) return inReq.status();
     Bytes desc(16);
-    storeLe64(desc.data(), inReq.value().va);
+    storeLe64(desc.data(), leaf.stagingVa);
     storeLe64(desc.data() + 8, inReq.value().len);
     sdk::TrustedEnv leafEnv(urts_, *chain.back(), leaf.core);
     auto servedLen = leafEnv.residentCall(ep.innerCall, desc);
@@ -534,32 +513,24 @@ SwitchlessEngine::pumpEnclaveSide(const Chain& chain,
     if (respLen > kStagingBytes) return Err::BadCallBuffer;
     leaf.lastActive = now();
 
-    Desc back;
-    back.id = reqId;
-    back.va = leaf.stagingVa;
-    back.len = respLen;
-    Status st = leaf.resp.tryPush(m, leaf.core, back);
+    Status st = leaf.resp.tryPush(m, leaf.core, respLen);
     if (!st) return st;
 
     // ---- upward: relay the response hop by hop to the host ring ------
     for (std::size_t i = hops.size() - 1; i-- > 0;) {
         Hop& hop = *hops[i];
         Hop& next = *hops[i + 1];
-        auto inResp = popFor(m, next.resp, hop.core, reqId);
+        auto inResp = next.resp.tryPop(m, hop.core);
         if (!inResp) return inResp.status();
         if (inResp.value().len > kStagingBytes) return Err::BadCallBuffer;
         Bytes respBytes(inResp.value().len);
-        st = m.read(hop.core, inResp.value().va, respBytes.data(),
+        st = m.read(hop.core, next.stagingVa, respBytes.data(),
                     respBytes.size());
         if (!st) return st;
         st = m.write(hop.core, hop.stagingVa, respBytes.data(),
                      respBytes.size());
         if (!st) return st;
-        Desc out;
-        out.id = reqId;
-        out.va = hop.stagingVa;
-        out.len = respBytes.size();
-        st = hop.resp.tryPush(m, hop.core, out);
+        st = hop.resp.tryPush(m, hop.core, respBytes.size());
         if (!st) return st;
     }
     return Status::ok();

@@ -20,13 +20,15 @@
  * the core back (NEEXITs + EEXIT) and the next request re-parks it with
  * classic entries. Transitions therefore scale with *idleness*, not load.
  *
- * Security argument (mirrors the by-reference contract of the serving
- * layer): ring descriptors carry only [va, len]. The consumer never
- * dereferences host-chosen pointers blindly — each relaying poller
- * validates the length against the staging capacity and *copies* the
- * payload into the next hop's staging through its own access rights
- * before the hop below ever sees it. A malicious descriptor can at worst
- * fault the poller's own validated access, never corrupt enclave state.
+ * Security argument: a ring descriptor is [len, seq] and names no
+ * memory. Each consumer reads the staging window its hop fixed at arm
+ * time with its own access rights, so a hostile producer cannot aim a
+ * poller's enclave-privileged read anywhere. The header and the length
+ * are fetched once and bounded before use (ring capacity, staging size,
+ * the payload's slot header); a lie fails the call typed and the caller
+ * retries classically. Every failure after a post abandons the rings of
+ * every hop on the chain, so rings are empty between calls and a pop
+ * only ever meets the descriptor of the call in flight.
  *
  * The engine is deliberately serve-layer agnostic: tenants are keyed by
  * an opaque `key` (the serve layer passes tenant ids) and each call
@@ -207,6 +209,10 @@ class SwitchlessEngine {
     /** Re-enters an AEX'd parked poller (ERESUME); false -> disarm. */
     bool resume(Hop& hop);
     void unpark(Hop& hop);
+    /** Abandons everything outstanding on the hop's two rings from the
+     *  side that can reach them: the host for host-memory rings, else
+     *  the parked poller if it can resume. False when nothing can. */
+    bool abandonRings(Hop& hop, bool hostRings);
     void disarmHop(const Chain& prefix);
     /** disarm() with the engine lock already held: the teardown every
      *  in-lock failure path (a changed chain in ready(), a poisoned
@@ -226,7 +232,7 @@ class SwitchlessEngine {
      * back up hop by hop onto the host-facing ring.
      */
     Status pumpEnclaveSide(const Chain& chain, const std::vector<Hop*>& hops,
-                           const Endpoint& ep, std::uint64_t reqId);
+                           const Endpoint& ep);
 
     sdk::Urts& urts_;
     Config config_;
@@ -248,7 +254,6 @@ class SwitchlessEngine {
     /** Host ring regions of disarmed roots: the kernel never frees
      *  untrusted frames, so re-arming a root reuses one. */
     std::vector<hw::Vaddr> freeHostRegions_;
-    std::uint64_t nextRequestId_ = 1;
 };
 
 }  // namespace nesgx::switchless

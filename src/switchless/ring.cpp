@@ -9,13 +9,10 @@ namespace {
 // Header field offsets.
 constexpr std::uint64_t kHeadOff = 0;
 constexpr std::uint64_t kTailOff = 8;
-constexpr std::uint64_t kCapOff = 16;
 
 // Slot field offsets (relative to the slot base).
-constexpr std::uint64_t kSlotId = 0;
-constexpr std::uint64_t kSlotVa = 8;
-constexpr std::uint64_t kSlotLen = 16;
-constexpr std::uint64_t kSlotSeq = 24;
+constexpr std::uint64_t kSlotLen = 0;
+constexpr std::uint64_t kSlotSeq = 8;
 
 }  // namespace
 
@@ -28,13 +25,19 @@ DescRing::writeU64(sgx::Machine& machine, hw::CoreId core, hw::Vaddr va,
     return machine.write(core, va, buf, sizeof buf);
 }
 
-Result<std::uint64_t>
-DescRing::readU64(sgx::Machine& machine, hw::CoreId core, hw::Vaddr va)
+Result<DescRing::Header>
+DescRing::readHeader(sgx::Machine& machine, hw::CoreId core)
 {
-    std::uint8_t buf[8];
-    Status st = machine.read(core, va, buf, sizeof buf);
+    std::uint8_t buf[kHeaderBytes];
+    Status st = machine.read(core, baseVa_, buf, sizeof buf);
     if (!st) return st;
-    return loadLe64(buf);
+    return Header{loadLe64(buf + kHeadOff), loadLe64(buf + kTailOff)};
+}
+
+hw::Vaddr
+DescRing::slotVa(std::uint64_t seq) const
+{
+    return baseVa_ + kHeaderBytes + (seq % capacity_) * kSlotBytes;
 }
 
 Status
@@ -45,49 +48,40 @@ DescRing::init(sgx::Machine& machine, hw::CoreId core, hw::Vaddr baseVa,
     baseVa_ = baseVa;
     capacity_ = capacity;
     ownerEid_ = ownerEid;
-    Status st = writeU64(machine, core, baseVa_ + kHeadOff, 0);
-    if (!st) return st;
-    st = writeU64(machine, core, baseVa_ + kTailOff, 0);
-    if (!st) return st;
-    return writeU64(machine, core, baseVa_ + kCapOff, capacity_);
+    const std::uint8_t empty[kHeaderBytes] = {};
+    return machine.write(core, baseVa_, empty, sizeof empty);
 }
 
 Status
-DescRing::tryPush(sgx::Machine& machine, hw::CoreId core, Desc desc)
+DescRing::tryPush(sgx::Machine& machine, hw::CoreId core, std::uint64_t len)
 {
-    auto head = readU64(machine, core, baseVa_ + kHeadOff);
-    if (!head) return head.status();
-    auto tail = readU64(machine, core, baseVa_ + kTailOff);
-    if (!tail) return tail.status();
+    auto header = readHeader(machine, core);
+    if (!header) return header.status();
+    const auto [head, tail] = header.value();
 
 #ifndef NESGX_BUG_RING_WRAP
     // Full ring: refuse, never overwrite an unconsumed slot. The
     // NESGX_BUG_RING_WRAP mutation removes exactly this check — the
-    // producer then wraps onto a live slot, and the consumer later
-    // drains a sequence number ahead of the FIFO front, which the
-    // TraceSwitchlessPairing rule flags.
-    if (tail.value() - head.value() >= capacity_) return Err::Backpressure;
+    // producer then wraps onto a live slot and bumps the tail past
+    // `head + capacity`. The consumer's bound in tryPop refuses that
+    // header before the overwritten slot can surface, so the posts stay
+    // unmatched and the TraceSwitchlessPairing rule flags them.
+    if (tail - head >= capacity_) return Err::Backpressure;
 #endif
 
-    const std::uint64_t seq = tail.value();
-    const hw::Vaddr slot =
-        baseVa_ + kHeaderBytes + (seq % capacity_) * kSlotBytes;
-    Status st = writeU64(machine, core, slot + kSlotId, desc.id);
-    if (!st) return st;
-    st = writeU64(machine, core, slot + kSlotVa, desc.va);
-    if (!st) return st;
-    st = writeU64(machine, core, slot + kSlotLen, desc.len);
-    if (!st) return st;
-    st = writeU64(machine, core, slot + kSlotSeq, seq);
+    std::uint8_t slot[kSlotBytes];
+    storeLe64(slot + kSlotLen, len);
+    storeLe64(slot + kSlotSeq, tail);
+    Status st = machine.write(core, slotVa(tail), slot, sizeof slot);
     if (!st) return st;
 
     // Publish the slot before the tail bump, mirroring the release-store
     // ordering a real SPSC ring needs.
-    st = writeU64(machine, core, baseVa_ + kTailOff, seq + 1);
+    st = writeU64(machine, core, baseVa_ + kTailOff, tail + 1);
     if (!st) return st;
 
     machine.trace().publishLight(trace::EventKind::SwitchlessPost, core,
-                                 ownerEid_, baseVa_, seq);
+                                 ownerEid_, baseVa_, tail);
     machine.ringDoorbell(core, baseVa_);
     return Status::ok();
 }
@@ -96,62 +90,47 @@ Result<Desc>
 DescRing::tryPop(sgx::Machine& machine, hw::CoreId core)
 {
     machine.ringPoll(core, baseVa_);
-    auto head = readU64(machine, core, baseVa_ + kHeadOff);
-    if (!head) return head.status();
-    auto tail = readU64(machine, core, baseVa_ + kTailOff);
-    if (!tail) return tail.status();
-    if (head.value() == tail.value()) return Err::NotFound;
+    auto header = readHeader(machine, core);
+    if (!header) return header.status();
+    const auto [head, tail] = header.value();
+    if (head == tail) return Err::NotFound;
 
-    const hw::Vaddr slot =
-        baseVa_ + kHeaderBytes + (head.value() % capacity_) * kSlotBytes;
-    Desc out;
-    auto field = readU64(machine, core, slot + kSlotId);
-    if (!field) return field.status();
-    out.id = field.value();
-    field = readU64(machine, core, slot + kSlotVa);
-    if (!field) return field.status();
-    out.va = field.value();
-    field = readU64(machine, core, slot + kSlotLen);
-    if (!field) return field.status();
-    out.len = field.value();
-    field = readU64(machine, core, slot + kSlotSeq);
-    if (!field) return field.status();
-    out.seq = field.value();
+#ifndef NESGX_BUG_RING_BOUNDS_UNCHECKED
+    // The producer may lie about its count (a hostile host owns the
+    // header of a host-memory ring). More entries than slots, or a tail
+    // behind the head, is refused before any slot is read, and the
+    // header is left as it was.
+    if (tail - head > capacity_) return Err::BadCallBuffer;
+#endif
 
-    Status st = writeU64(machine, core, baseVa_ + kHeadOff, head.value() + 1);
+    std::uint8_t slot[kSlotBytes];
+    Status st = machine.read(core, slotVa(head), slot, sizeof slot);
+    if (!st) return st;
+    const Desc out{loadLe64(slot + kSlotLen), loadLe64(slot + kSlotSeq)};
+
+    st = writeU64(machine, core, baseVa_ + kHeadOff, head + 1);
     if (!st) return st;
 
     // Drain publishes the sequence number read *from the slot*, not the
-    // head counter — under a wraparound bug the two diverge, and that
-    // divergence is precisely what the FIFO oracle catches.
+    // head counter — a slot overwritten out of turn makes the two
+    // diverge, and that divergence is what the FIFO oracle catches.
     machine.trace().publishLight(trace::EventKind::SwitchlessDrain, core,
                                  ownerEid_, baseVa_, out.seq);
     return out;
 }
 
 Result<std::uint64_t>
-DescRing::pending(sgx::Machine& machine, hw::CoreId core)
-{
-    auto head = readU64(machine, core, baseVa_ + kHeadOff);
-    if (!head) return head.status();
-    auto tail = readU64(machine, core, baseVa_ + kTailOff);
-    if (!tail) return tail.status();
-    return tail.value() - head.value();
-}
-
-Result<std::uint64_t>
 DescRing::abandon(sgx::Machine& machine, hw::CoreId core)
 {
-    auto count = pending(machine, core);
-    if (!count) return count.status();
-    if (count.value() == 0) return count.value();
-    auto tail = readU64(machine, core, baseVa_ + kTailOff);
-    if (!tail) return tail.status();
-    Status st = writeU64(machine, core, baseVa_ + kHeadOff, tail.value());
+    auto header = readHeader(machine, core);
+    if (!header) return header.status();
+    const auto [head, tail] = header.value();
+    if (head == tail) return std::uint64_t{0};
+    Status st = writeU64(machine, core, baseVa_ + kHeadOff, tail);
     if (!st) return st;
     machine.trace().publishLight(trace::EventKind::SwitchlessFallback, core,
-                                 ownerEid_, baseVa_, count.value());
-    return count.value();
+                                 ownerEid_, baseVa_, tail - head);
+    return tail - head;
 }
 
 void

@@ -238,9 +238,12 @@ class TraceStatsGolden : public ::testing::TestWithParam<bool> {};
  * Golden counter values on the fixed corpus: checker seed 12345, 400
  * steps (originally captured from the pre-bus inline `++stats_.x`
  * implementation; re-captured when the serve-layer EvictAll/ReloadAll
- * ops shifted the generator's streams, and again when the generator
+ * ops shifted the generator's streams, again when the generator
  * began always drawing the full op set, ring and DeepChain ops
- * included). The bus must reproduce them bit-for-bit, clock included,
+ * included, and once more when ring descriptors shrank to [len, seq]
+ * and each push or pop came to one header read, one slot access and
+ * one index write, which moved only tlbHits, llcHitLines and the
+ * clock). The bus must reproduce them bit-for-bit, clock included,
  * whether or not extra sinks are attached.
  */
 struct GoldenStats {
@@ -255,11 +258,11 @@ GoldenStats
 golden(bool tagged)
 {
     if (tagged) {
-        return {68, 1170, 6,  19, 14, 7, 2, 0, 10, 3, 4,
-                0,  1194, 22, 26, 46, 9, 1, 2426933};
+        return {68, 504, 6,  19, 14, 7, 2, 0, 10, 3, 4,
+                0,  529, 22, 26, 46, 9, 1, 2418167};
     }
-    return {68, 1170, 6,  19, 14, 7, 2, 0, 10, 3, 4,
-            0,  1194, 48, 0,  46, 9, 0, 2454938};
+    return {68, 504, 6,  19, 14, 7, 2, 0, 10, 3, 4,
+            0,  529, 48, 0,  46, 9, 0, 2446172};
 }
 
 TEST_P(TraceStatsGolden, FixedCorpusMatchesPreBusCounters)

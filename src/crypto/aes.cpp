@@ -157,6 +157,16 @@ Aes::encryptBlock(std::uint8_t* block) const
     storeBe32(block + 12, lastColumn(s3, s0, s1, s2) ^ rk[3]);
 }
 
+AesBlock
+Aes::roundKey(int r) const
+{
+    AesBlock out;
+    for (int i = 0; i < 4; ++i) {
+        storeBe32(out.data() + 4 * i, roundKeys_[4 * r + i]);
+    }
+    return out;
+}
+
 void
 aesCtrXcrypt(const Aes& aes, const AesBlock& iv, ByteView in, std::uint8_t* out)
 {

@@ -29,6 +29,9 @@ class Aes {
 
     int rounds() const { return rounds_; }
 
+    /** Round key r (0..rounds()) as bytes, the layout AES-NI takes. */
+    AesBlock roundKey(int r) const;
+
   private:
     void expandKey(ByteView key);
 

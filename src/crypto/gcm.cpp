@@ -3,6 +3,10 @@
 #include <cstring>
 #include <stdexcept>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace nesgx::crypto {
 
 namespace {
@@ -46,12 +50,202 @@ mulH(std::uint8_t x[16], const std::uint64_t table[16][2])
     storeBe64(x + 8, zl);
 }
 
+#if defined(__x86_64__)
+
+#define NESGX_GCM_TARGET __attribute__((target("aes,pclmul,ssse3,sse4.1")))
+
+// The x86 kernel keeps GHASH values byte-reversed, so a block's x^0
+// coefficient is the register's top bit: the layout PCLMULQDQ multiplies
+// in (Gueron and Kounavis, "Intel Carry-Less Multiplication Instruction
+// and its Usage for Computing the GCM Mode").
+NESGX_GCM_TARGET inline __m128i
+reverseBytes(__m128i v)
+{
+    return _mm_shuffle_epi8(
+        v, _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15));
+}
+
+NESGX_GCM_TARGET inline __m128i
+loadReversed(const std::uint8_t* p)
+{
+    return reverseBytes(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+}
+
+// A sum of unreduced 256-bit carry-less products, as the sums of their
+// low, middle and high partial products.
+struct WideProduct {
+    __m128i lo = _mm_setzero_si128();
+    __m128i mid = _mm_setzero_si128();
+    __m128i hi = _mm_setzero_si128();
+};
+
+NESGX_GCM_TARGET inline void
+mulAccumulate(WideProduct& w, __m128i a, __m128i b)
+{
+    w.lo = _mm_xor_si128(w.lo, _mm_clmulepi64_si128(a, b, 0x00));
+    w.hi = _mm_xor_si128(w.hi, _mm_clmulepi64_si128(a, b, 0x11));
+    w.mid = _mm_xor_si128(w.mid,
+                          _mm_xor_si128(_mm_clmulepi64_si128(a, b, 0x01),
+                                        _mm_clmulepi64_si128(a, b, 0x10)));
+}
+
+/** Reduces a WideProduct modulo x^128 + x^7 + x^2 + x + 1. */
+NESGX_GCM_TARGET inline __m128i
+reduce(const WideProduct& w)
+{
+    __m128i lo = _mm_xor_si128(w.lo, _mm_slli_si128(w.mid, 8));
+    __m128i hi = _mm_xor_si128(w.hi, _mm_srli_si128(w.mid, 8));
+
+    // Reversed operands leave the product one bit low: shift [hi:lo] left.
+    __m128i loCarry = _mm_srli_epi32(lo, 31);
+    __m128i hiCarry = _mm_srli_epi32(hi, 31);
+    lo = _mm_or_si128(_mm_slli_epi32(lo, 1), _mm_slli_si128(loCarry, 4));
+    hi = _mm_or_si128(_mm_slli_epi32(hi, 1), _mm_slli_si128(hiCarry, 4));
+    hi = _mm_or_si128(hi, _mm_srli_si128(loCarry, 12));
+
+    // Fold the x^128..x^255 half (lo) into hi in two shift-and-XOR phases.
+    __m128i a = _mm_xor_si128(
+        _mm_xor_si128(_mm_slli_epi32(lo, 31), _mm_slli_epi32(lo, 30)),
+        _mm_slli_epi32(lo, 25));
+    lo = _mm_xor_si128(lo, _mm_slli_si128(a, 12));
+    __m128i b = _mm_xor_si128(
+        _mm_xor_si128(_mm_srli_epi32(lo, 1), _mm_srli_epi32(lo, 2)),
+        _mm_srli_epi32(lo, 7));
+    b = _mm_xor_si128(b, _mm_srli_si128(a, 4));
+    return _mm_xor_si128(hi, _mm_xor_si128(lo, b));
+}
+
+NESGX_GCM_TARGET inline __m128i
+gfMul(__m128i a, __m128i b)
+{
+    WideProduct w;
+    mulAccumulate(w, a, b);
+    return reduce(w);
+}
+
+/** powers[i] = H^(i+1), byte-reversed. */
+NESGX_GCM_TARGET void
+ghashPowersX86(const std::uint8_t h[16], AesBlock powers[4])
+{
+    const __m128i h1 = loadReversed(h);
+    __m128i p = h1;
+    for (int i = 0; i < 4; ++i) {
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(powers[i].data()), p);
+        p = gfMul(p, h1);
+    }
+}
+
+NESGX_GCM_TARGET void
+ghashBlocksX86(std::uint8_t y[16], const AesBlock powers[4],
+               const std::uint8_t* p, std::size_t count)
+{
+    __m128i h[4];
+    for (int i = 0; i < 4; ++i) {
+        h[i] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(powers[i].data()));
+    }
+    __m128i acc = loadReversed(y);
+    // Four blocks, one reduction:
+    // Y' = (Y + X0)·H^4 + X1·H^3 + X2·H^2 + X3·H.
+    for (; count >= 4; count -= 4, p += 64) {
+        WideProduct w;
+        mulAccumulate(w, h[3], _mm_xor_si128(acc, loadReversed(p)));
+        mulAccumulate(w, h[2], loadReversed(p + 16));
+        mulAccumulate(w, h[1], loadReversed(p + 32));
+        mulAccumulate(w, h[0], loadReversed(p + 48));
+        acc = reduce(w);
+    }
+    for (; count > 0; --count, p += 16) {
+        acc = gfMul(_mm_xor_si128(acc, loadReversed(p)), h[0]);
+    }
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(y), reverseBytes(acc));
+}
+
+/** The counter block for `word`: `prefix` with its last 4 bytes big-endian. */
+NESGX_GCM_TARGET inline __m128i
+counterBlock(__m128i prefix, std::uint32_t word)
+{
+    return _mm_insert_epi32(prefix, static_cast<int>(__builtin_bswap32(word)),
+                            3);
+}
+
+NESGX_GCM_TARGET inline __m128i
+encryptX86(__m128i b, const __m128i* rk, int rounds)
+{
+    b = _mm_xor_si128(b, rk[0]);
+    for (int r = 1; r < rounds; ++r) b = _mm_aesenc_si128(b, rk[r]);
+    return _mm_aesenclast_si128(b, rk[rounds]);
+}
+
+/** aesCtrXcrypt on AES-NI: the low counter word wraps mod 2^32 the same way. */
+NESGX_GCM_TARGET void
+ctrX86(const AesBlock roundKeys[15], int rounds, const AesBlock& counter,
+       ByteView in, std::uint8_t* out)
+{
+    __m128i rk[15];
+    for (int r = 0; r <= rounds; ++r) {
+        rk[r] = _mm_loadu_si128(
+            reinterpret_cast<const __m128i*>(roundKeys[r].data()));
+    }
+    const __m128i prefix =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(counter.data()));
+    std::uint32_t word = loadBe32(counter.data() + 12);
+    const std::uint8_t* src = in.data();
+    std::size_t left = in.size();
+
+    // Eight independent blocks keep the AES unit's pipeline full.
+    for (; left >= 128; left -= 128, src += 128, out += 128, word += 8) {
+        __m128i b[8];
+#pragma GCC unroll 8
+        for (int i = 0; i < 8; ++i) {
+            b[i] = _mm_xor_si128(counterBlock(prefix, word + i), rk[0]);
+        }
+        for (int r = 1; r < rounds; ++r) {
+#pragma GCC unroll 8
+            for (int i = 0; i < 8; ++i) b[i] = _mm_aesenc_si128(b[i], rk[r]);
+        }
+#pragma GCC unroll 8
+        for (int i = 0; i < 8; ++i) {
+            __m128i data = _mm_loadu_si128(
+                reinterpret_cast<const __m128i*>(src + 16 * i));
+            _mm_storeu_si128(
+                reinterpret_cast<__m128i*>(out + 16 * i),
+                _mm_xor_si128(_mm_aesenclast_si128(b[i], rk[rounds]), data));
+        }
+    }
+    for (; left >= 16; left -= 16, src += 16, out += 16, ++word) {
+        __m128i data = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src));
+        _mm_storeu_si128(
+            reinterpret_cast<__m128i*>(out),
+            _mm_xor_si128(encryptX86(counterBlock(prefix, word), rk, rounds),
+                          data));
+    }
+    if (left > 0) {
+        std::uint8_t ks[16];
+        _mm_storeu_si128(
+            reinterpret_cast<__m128i*>(ks),
+            encryptX86(counterBlock(prefix, word), rk, rounds));
+        for (std::size_t i = 0; i < left; ++i) out[i] = src[i] ^ ks[i];
+    }
+}
+
+#endif  // __x86_64__
+
 }  // namespace
 
-AesGcm::AesGcm(ByteView key) : aes_(key)
+AesGcm::AesGcm(ByteView key, Kernel kernel) : aes_(key), kernel_(kernel)
 {
+    if (kernel != Kernel::Portable && kernel != gcmKernel()) {
+        throw std::invalid_argument("AesGcm: the host cannot run this kernel");
+    }
     std::uint8_t h[16] = {};
     aes_.encryptBlock(h);
+#if defined(__x86_64__)
+    if (kernel == Kernel::X86) {
+        for (int r = 0; r <= aes_.rounds(); ++r) roundKeys_[r] = aes_.roundKey(r);
+        ghashPowersX86(h, hPowers_);
+        return;
+    }
+#endif
     // A nibble's high bit is its x^0 coefficient, so entry 8 is H and
     // entries 4, 2, 1 are H*x, H*x^2, H*x^3; the rest are XORs of those.
     std::uint64_t vh = loadBe64(h);
@@ -73,19 +267,46 @@ AesGcm::AesGcm(ByteView key) : aes_(key)
 }
 
 void
+AesGcm::ctrXcrypt(const AesBlock& counter, ByteView in, std::uint8_t* out) const
+{
+#if defined(__x86_64__)
+    if (kernel_ == Kernel::X86) {
+        ctrX86(roundKeys_, aes_.rounds(), counter, in, out);
+        return;
+    }
+#endif
+    aesCtrXcrypt(aes_, counter, in, out);
+}
+
+void
+AesGcm::ghashBlocks(std::uint8_t y[16], const std::uint8_t* blocks,
+                    std::size_t count) const
+{
+#if defined(__x86_64__)
+    if (kernel_ == Kernel::X86) {
+        ghashBlocksX86(y, hPowers_, blocks, count);
+        return;
+    }
+#endif
+    for (; count > 0; --count, blocks += 16) {
+        for (int i = 0; i < 16; ++i) y[i] ^= blocks[i];
+        mulH(y, hTable_);
+    }
+}
+
+void
 AesGcm::ghash(ByteView aad, ByteView ct, std::uint8_t out[16]) const
 {
     std::memset(out, 0, 16);
 
+    // Each input is zero-padded to whole blocks.
     auto absorb = [&](ByteView data) {
-        std::size_t offset = 0;
-        while (offset < data.size()) {
-            std::size_t take = std::min<std::size_t>(16, data.size() - offset);
-            for (std::size_t i = 0; i < take; ++i) {
-                out[i] ^= data[offset + i];
-            }
-            mulH(out, hTable_);
-            offset += take;
+        std::size_t whole = data.size() / 16;
+        ghashBlocks(out, data.data(), whole);
+        if (std::size_t tail = data.size() % 16) {
+            std::uint8_t last[16] = {};
+            std::memcpy(last, data.data() + 16 * whole, tail);
+            ghashBlocks(out, last, 1);
         }
     };
 
@@ -95,8 +316,7 @@ AesGcm::ghash(ByteView aad, ByteView ct, std::uint8_t out[16]) const
     std::uint8_t lengths[16];
     storeBe64(lengths, std::uint64_t(aad.size()) * 8);
     storeBe64(lengths + 8, std::uint64_t(ct.size()) * 8);
-    for (int i = 0; i < 16; ++i) out[i] ^= lengths[i];
-    mulH(out, hTable_);
+    ghashBlocks(out, lengths, 1);
 }
 
 Bytes
@@ -116,7 +336,7 @@ AesGcm::seal(ByteView iv, ByteView aad, ByteView plaintext) const
     }
 
     Bytes out(plaintext.size() + kGcmTagSize);
-    aesCtrXcrypt(aes_, ctr, plaintext, out.data());
+    ctrXcrypt(ctr, plaintext, out.data());
 
     std::uint8_t s[16];
     ghash(aad, ByteView(out.data(), plaintext.size()), s);
@@ -161,7 +381,7 @@ AesGcm::open(ByteView iv, ByteView aad, ByteView sealed) const
         if (++ctr[i] != 0) break;
     }
     Bytes plain(ctLen);
-    aesCtrXcrypt(aes_, ctr, ByteView(sealed.data(), ctLen), plain.data());
+    ctrXcrypt(ctr, ByteView(sealed.data(), ctLen), plain.data());
     return plain;
 }
 

@@ -9,6 +9,7 @@
 #pragma once
 
 #include "crypto/aes.h"
+#include "crypto/kernel.h"
 #include "support/bytes.h"
 #include "support/status.h"
 
@@ -20,8 +21,11 @@ constexpr std::size_t kGcmIvSize = 12;
 /** AES-GCM context bound to one key. */
 class AesGcm {
   public:
-    /** key.size() must be 16 or 32. */
-    explicit AesGcm(ByteView key);
+    /**
+     * key.size() must be 16 or 32, and the host must be able to run
+     * `kernel` (see gcmKernel()); otherwise throws std::invalid_argument.
+     */
+    explicit AesGcm(ByteView key, Kernel kernel = gcmKernel());
 
     /**
      * Encrypts `plaintext` with the given 12-byte IV and additional data.
@@ -36,12 +40,25 @@ class AesGcm {
     Result<Bytes> open(ByteView iv, ByteView aad, ByteView sealed) const;
 
   private:
+    // The two bulk primitives, each on the context's kernel.
+    void ctrXcrypt(const AesBlock& counter, ByteView in,
+                   std::uint8_t* out) const;
+    void ghashBlocks(std::uint8_t y[16], const std::uint8_t* blocks,
+                     std::size_t count) const;
+
     void ghash(ByteView aad, ByteView ct, std::uint8_t out[16]) const;
 
     Aes aes_;
-    // i * H for every 4-bit i as big-endian (high, low) halves, where H =
-    // E(0^128) is the GHASH subkey (Shoup's 4-bit table).
-    std::uint64_t hTable_[16][2];
+    Kernel kernel_;
+    // Portable: i * H for every 4-bit i as big-endian (high, low) halves,
+    // where H = E(0^128) is the GHASH subkey (Shoup's 4-bit table).
+    std::uint64_t hTable_[16][2] = {};
+#if defined(__x86_64__)
+    // X86: the round keys of aes_'s schedule, and H^1..H^4 byte-reversed
+    // for PCLMULQDQ.
+    AesBlock roundKeys_[15] = {};
+    AesBlock hPowers_[4] = {};
+#endif
 };
 
 }  // namespace nesgx::crypto

@@ -1,6 +1,11 @@
 #include "crypto/sha256.h"
 
 #include <cstring>
+#include <stdexcept>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace nesgx::crypto {
 
@@ -31,11 +36,86 @@ rotr(std::uint32_t x, int n)
     return (x >> n) | (x << (32 - n));
 }
 
+#if defined(__x86_64__)
+
+/**
+ * SHA-NI compression. SHA256RNDS2 runs two rounds on the state split as
+ * (A, B, E, F) and (C, D, G, H); SHA256MSG1/MSG2 extend the message
+ * schedule four words at a time.
+ */
+__attribute__((target("sha,ssse3,sse4.1"))) void
+compressX86(std::uint32_t state[8], const std::uint8_t* blocks,
+            std::size_t count)
+{
+    const __m128i byteSwap =
+        _mm_set_epi64x(0x0c0d0e0f08090a0bll, 0x0405060700010203ll);
+    __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+    __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+    __m128i cdab = _mm_shuffle_epi32(dcba, 0xb1);
+    __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+    __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+    __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+    for (; count > 0; --count, blocks += 64) {
+        const __m128i abefIn = abef;
+        const __m128i cdghIn = cdgh;
+        // w[j] holds schedule words 4g..4g+3 for the group g = j mod 4.
+        __m128i w[4];
+        for (int j = 0; j < 4; ++j) {
+            w[j] = _mm_shuffle_epi8(
+                _mm_loadu_si128(
+                    reinterpret_cast<const __m128i*>(blocks + 16 * j)),
+                byteSwap);
+        }
+#pragma GCC unroll 16
+        for (int g = 0; g < 16; ++g) {
+            __m128i wk = _mm_add_epi32(
+                w[g % 4],
+                _mm_loadu_si128(reinterpret_cast<const __m128i*>(kRound + 4 * g)));
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+            if (g < 12) {
+                // Words 4(g+4).. from groups g, g+1, g+2 and g+3.
+                __m128i next = _mm_add_epi32(
+                    _mm_sha256msg1_epu32(w[g % 4], w[(g + 1) % 4]),
+                    _mm_alignr_epi8(w[(g + 3) % 4], w[(g + 2) % 4], 4));
+                w[g % 4] = _mm_sha256msg2_epu32(next, w[(g + 3) % 4]);
+            }
+        }
+        abef = _mm_add_epi32(abef, abefIn);
+        cdgh = _mm_add_epi32(cdgh, cdghIn);
+    }
+
+    __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+    __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                     _mm_blend_epi16(feba, dchg, 0xf0));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                     _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#endif  // __x86_64__
+
 }  // namespace
 
-Sha256::Sha256()
+Sha256::Sha256(Kernel kernel) : kernel_(kernel)
 {
+    if (kernel != Kernel::Portable && kernel != sha256Kernel()) {
+        throw std::invalid_argument("Sha256: the host cannot run this kernel");
+    }
     std::memcpy(state_, kInit, sizeof(state_));
+}
+
+void
+Sha256::compress(const std::uint8_t* blocks, std::size_t count)
+{
+#if defined(__x86_64__)
+    if (kernel_ == Kernel::X86) {
+        compressX86(state_, blocks, count);
+        return;
+    }
+#endif
+    for (; count > 0; --count, blocks += 64) processBlock(blocks);
 }
 
 void
@@ -49,14 +129,13 @@ Sha256::update(ByteView data)
         bufferLen_ += take;
         offset = take;
         if (bufferLen_ == 64) {
-            processBlock(buffer_);
+            compress(buffer_, 1);
             bufferLen_ = 0;
         }
     }
-    while (offset + 64 <= data.size()) {
-        processBlock(data.data() + offset);
-        offset += 64;
-    }
+    std::size_t whole = (data.size() - offset) / 64;
+    compress(data.data() + offset, whole);
+    offset += 64 * whole;
     if (offset < data.size()) {
         bufferLen_ = data.size() - offset;
         std::memcpy(buffer_, data.data() + offset, bufferLen_);

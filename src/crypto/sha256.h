@@ -10,6 +10,7 @@
 #include <array>
 #include <cstdint>
 
+#include "crypto/kernel.h"
 #include "support/bytes.h"
 
 namespace nesgx::crypto {
@@ -21,7 +22,11 @@ using Sha256Digest = std::array<std::uint8_t, kSha256DigestSize>;
 /** Incremental SHA-256 context. */
 class Sha256 {
   public:
-    Sha256();
+    /**
+     * The host must be able to run `kernel` (see sha256Kernel());
+     * otherwise throws std::invalid_argument.
+     */
+    explicit Sha256(Kernel kernel = sha256Kernel());
 
     /** Absorbs more message bytes. */
     void update(ByteView data);
@@ -33,8 +38,12 @@ class Sha256 {
     static Sha256Digest hash(ByteView data);
 
   private:
+    /** Compresses `count` whole 64-byte blocks on the context's kernel. */
+    void compress(const std::uint8_t* blocks, std::size_t count);
+    /** The portable kernel's compression of one block. */
     void processBlock(const std::uint8_t* block);
 
+    Kernel kernel_;
     std::uint32_t state_[8];
     std::uint8_t buffer_[64];
     std::size_t bufferLen_ = 0;

@@ -1,18 +1,21 @@
 /**
  * Crypto substrate tests: known-answer vectors for SHA-256, HMAC, AES and
- * AES-GCM (NIST/RFC test vectors), a seeded AES-GCM golden corpus, plus
- * property tests for bignum/RSA.
+ * AES-GCM (NIST/RFC test vectors), seeded SHA-256 and AES-GCM golden
+ * corpora and differentials of each x86 kernel against the portable one,
+ * plus property tests for bignum/RSA.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 #include "crypto/aes.h"
 #include "crypto/bignum.h"
 #include "crypto/gcm.h"
 #include "crypto/hmac.h"
 #include "crypto/kdf.h"
+#include "crypto/kernel.h"
 #include "crypto/rsa.h"
 #include "crypto/sha256.h"
 
@@ -25,45 +28,188 @@ digestHex(const Sha256Digest& d)
     return toHex(ByteView(d.data(), d.size()));
 }
 
+// --- Kernels ---------------------------------------------------------------
+
+// The first CPUID flag the x86 kernel needs that the host lacks, or nullptr.
+// Read through the compiler's __builtin_cpu_supports, independently of the
+// library's own CPUID query.
+const char*
+missingGcmFlag()
+{
+#if defined(__x86_64__)
+    if (!__builtin_cpu_supports("aes")) return "aes";
+    if (!__builtin_cpu_supports("pclmul")) return "pclmul";
+    if (!__builtin_cpu_supports("ssse3")) return "ssse3";
+    if (!__builtin_cpu_supports("sse4.1")) return "sse4.1";
+    return nullptr;
+#else
+    return "x86-64";
+#endif
+}
+
+const char*
+missingSha256Flag()
+{
+#if defined(__x86_64__)
+    if (!__builtin_cpu_supports("sha")) return "sha";
+    if (!__builtin_cpu_supports("ssse3")) return "ssse3";
+    if (!__builtin_cpu_supports("sse4.1")) return "sse4.1";
+    return nullptr;
+#else
+    return "x86-64";
+#endif
+}
+
+/** Skips, naming the missing flag, where the host cannot run the kernel. */
+template <const char* (*missingFlag)()>
+class X86Kernel : public testing::Test {
+  protected:
+    void SetUp() override
+    {
+        if (const char* flag = missingFlag()) {
+            GTEST_SKIP() << "the x86 kernel needs " << flag
+                         << ", which this host lacks";
+        }
+    }
+};
+
+using AesGcmX86 = X86Kernel<missingGcmFlag>;
+using Sha256X86 = X86Kernel<missingSha256Flag>;
+
+// Defines Suite.Name, run on the portable kernel (the reference, which
+// every host runs), and SuiteX86.Name, run on the x86 kernel. The body
+// that follows the macro sees the kernel as `kernel`.
+#define TEST_ON_EACH_KERNEL(Suite, Name)                                    \
+    void Suite##Name##Body(Kernel kernel);                                  \
+    TEST(Suite, Name) { Suite##Name##Body(Kernel::Portable); }              \
+    TEST_F(Suite##X86, Name) { Suite##Name##Body(Kernel::X86); }            \
+    void Suite##Name##Body(Kernel kernel)
+
+TEST(CryptoKernel, SelectionFollowsCpuid)
+{
+    EXPECT_EQ(gcmKernel(), missingGcmFlag() ? Kernel::Portable : Kernel::X86);
+    EXPECT_EQ(sha256Kernel(),
+              missingSha256Flag() ? Kernel::Portable : Kernel::X86);
+
+    // Asking for a kernel the host cannot run fails like a bad key size.
+    Bytes key(16, 0x5a);
+    EXPECT_NO_THROW(AesGcm(key, Kernel::Portable));
+    EXPECT_NO_THROW(Sha256(Kernel::Portable));
+    if (missingGcmFlag()) {
+        EXPECT_THROW(AesGcm(key, Kernel::X86), std::invalid_argument);
+    } else {
+        EXPECT_NO_THROW(AesGcm(key, Kernel::X86));
+    }
+    if (missingSha256Flag()) {
+        EXPECT_THROW(Sha256(Kernel::X86), std::invalid_argument);
+    } else {
+        EXPECT_NO_THROW(Sha256(Kernel::X86));
+    }
+}
+
 // --- SHA-256 (FIPS 180-4 examples) -------------------------------------
 
-TEST(Sha256, EmptyString)
+Sha256Digest
+hashOn(Kernel kernel, ByteView data)
 {
-    EXPECT_EQ(digestHex(Sha256::hash({})),
+    Sha256 ctx(kernel);
+    ctx.update(data);
+    return ctx.finish();
+}
+
+/** `msg` cut into 1-4 consecutive pieces of random sizes. */
+std::vector<ByteView>
+randomPieces(ByteView msg, Rng& rng)
+{
+    std::vector<ByteView> pieces;
+    std::size_t offset = 0;
+    for (std::uint64_t cuts = rng.nextBelow(4); cuts > 0; --cuts) {
+        std::size_t take = rng.nextBelow(msg.size() - offset + 1);
+        pieces.push_back(msg.subspan(offset, take));
+        offset += take;
+    }
+    pieces.push_back(msg.subspan(offset));
+    return pieces;
+}
+
+TEST_ON_EACH_KERNEL(Sha256, EmptyString)
+{
+    EXPECT_EQ(digestHex(hashOn(kernel, {})),
               "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
 }
 
-TEST(Sha256, Abc)
+TEST_ON_EACH_KERNEL(Sha256, Abc)
 {
     Bytes msg = bytesOf("abc");
-    EXPECT_EQ(digestHex(Sha256::hash(msg)),
+    EXPECT_EQ(digestHex(hashOn(kernel, msg)),
               "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
 }
 
-TEST(Sha256, TwoBlockMessage)
+TEST_ON_EACH_KERNEL(Sha256, TwoBlockMessage)
 {
     Bytes msg = bytesOf("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq");
-    EXPECT_EQ(digestHex(Sha256::hash(msg)),
+    EXPECT_EQ(digestHex(hashOn(kernel, msg)),
               "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
 }
 
-TEST(Sha256, MillionAs)
+TEST_ON_EACH_KERNEL(Sha256, MillionAs)
 {
-    Sha256 ctx;
+    Sha256 ctx(kernel);
     Bytes chunk(1000, 'a');
     for (int i = 0; i < 1000; ++i) ctx.update(chunk);
     EXPECT_EQ(digestHex(ctx.finish()),
               "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
-TEST(Sha256, IncrementalMatchesOneShot)
+TEST_ON_EACH_KERNEL(Sha256, IncrementalMatchesOneShot)
 {
     Bytes msg = bytesOf("the quick brown fox jumps over the lazy dog!");
     for (std::size_t split = 0; split <= msg.size(); ++split) {
-        Sha256 ctx;
+        Sha256 ctx(kernel);
         ctx.update(ByteView(msg.data(), split));
         ctx.update(ByteView(msg.data() + split, msg.size() - split));
-        EXPECT_EQ(ctx.finish(), Sha256::hash(msg)) << "split=" << split;
+        EXPECT_EQ(ctx.finish(), hashOn(kernel, msg)) << "split=" << split;
+    }
+}
+
+// Pins one digest over the digests of a seeded corpus: every length from 0
+// to 299 (each block tail and both padding shapes), then random lengths up
+// to 9,000 bytes, each message fed in 1-4 updates of random size. Recorded
+// when the portable kernel was the only one.
+TEST_ON_EACH_KERNEL(Sha256, SeededGoldenCorpus)
+{
+    Rng rng(0x73686132);
+    Sha256 corpus(kernel);
+    for (int i = 0; i < 1000; ++i) {
+        Bytes msg = rng.bytes(i < 300 ? i : rng.nextBelow(9001));
+        Sha256 ctx(kernel);
+        for (ByteView piece : randomPieces(msg, rng)) ctx.update(piece);
+        corpus.update(toBytes(ctx.finish()));
+    }
+    EXPECT_EQ(digestHex(corpus.finish()),
+              "8564a170b53e26aa32fe89191954e208477e7eced32fa01ffd66b1a4066341f0");
+}
+
+// Seeded differential of the x86 kernel against the portable reference:
+// messages of 0-9,000 bytes, each fed in 1-4 updates of random size, so
+// buffered partial blocks and bulk whole-block runs interleave.
+TEST(Sha256, KernelsAgree)
+{
+    if (const char* flag = missingSha256Flag()) {
+        GTEST_SKIP() << "the x86 kernel needs " << flag
+                     << ", which this host lacks";
+    }
+    Rng rng(0x6b65726e);
+    for (int i = 0; i < 4000; ++i) {
+        SCOPED_TRACE(i);
+        Bytes msg = rng.bytes(rng.nextBelow(9001));
+        Sha256 portable(Kernel::Portable);
+        Sha256 x86(Kernel::X86);
+        for (ByteView piece : randomPieces(msg, rng)) {
+            portable.update(piece);
+            x86.update(piece);
+        }
+        ASSERT_EQ(digestHex(x86.finish()), digestHex(portable.finish()));
     }
 }
 
@@ -138,9 +284,9 @@ TEST(AesCtr, RoundTripAllLengths)
 
 // --- AES-GCM (NIST GCM spec test cases) -----------------------------------
 
-TEST(AesGcm, NistCase3)
+TEST_ON_EACH_KERNEL(AesGcm, NistCase3)
 {
-    AesGcm gcm(fromHex("feffe9928665731c6d6a8f9467308308"));
+    AesGcm gcm(fromHex("feffe9928665731c6d6a8f9467308308"), kernel);
     Bytes iv = fromHex("cafebabefacedbaddecaf888");
     Bytes plain = fromHex(
         "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
@@ -158,9 +304,9 @@ TEST(AesGcm, NistCase3)
     EXPECT_EQ(opened.value(), plain);
 }
 
-TEST(AesGcm, NistCase4WithAad)
+TEST_ON_EACH_KERNEL(AesGcm, NistCase4WithAad)
 {
-    AesGcm gcm(fromHex("feffe9928665731c6d6a8f9467308308"));
+    AesGcm gcm(fromHex("feffe9928665731c6d6a8f9467308308"), kernel);
     Bytes iv = fromHex("cafebabefacedbaddecaf888");
     Bytes plain = fromHex(
         "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
@@ -174,9 +320,9 @@ TEST(AesGcm, NistCase4WithAad)
     EXPECT_EQ(opened.value(), plain);
 }
 
-TEST(AesGcm, TamperDetected)
+TEST_ON_EACH_KERNEL(AesGcm, TamperDetected)
 {
-    AesGcm gcm(Bytes(16, 0x11));
+    AesGcm gcm(Bytes(16, 0x11), kernel);
     Bytes iv(12, 0x22);
     Bytes plain = bytesOf("attack at dawn");
     Bytes sealed = gcm.seal(iv, {}, plain);
@@ -193,9 +339,9 @@ TEST(AesGcm, TamperDetected)
     EXPECT_FALSE(gcm.open(iv, bytesOf("x"), wrongAad).isOk());
 }
 
-TEST(AesGcm, EmptyPlaintext)
+TEST_ON_EACH_KERNEL(AesGcm, EmptyPlaintext)
 {
-    AesGcm gcm(Bytes(16, 0));
+    AesGcm gcm(Bytes(16, 0), kernel);
     Bytes iv(12, 0);
     Bytes sealed = gcm.seal(iv, {}, {});
     EXPECT_EQ(sealed.size(), kGcmTagSize);
@@ -203,7 +349,7 @@ TEST(AesGcm, EmptyPlaintext)
 }
 
 // NIST GCM spec test cases 1, 2 (AES-128) and 13, 14, 16 (AES-256).
-TEST(AesGcm, NistSpecVectors)
+TEST_ON_EACH_KERNEL(AesGcm, NistSpecVectors)
 {
     struct Case {
         const char* name;
@@ -239,7 +385,7 @@ TEST(AesGcm, NistSpecVectors)
     };
     for (const Case& c : cases) {
         SCOPED_TRACE(c.name);
-        AesGcm gcm(fromHex(c.key));
+        AesGcm gcm(fromHex(c.key), kernel);
         Bytes iv = fromHex(c.iv);
         Bytes aad = fromHex(c.aad);
         Bytes plain = fromHex(c.plain);
@@ -257,13 +403,13 @@ TEST(AesGcm, NistSpecVectors)
 // Pins the exact bytes of seal() over a seeded corpus of key sizes, AAD and
 // plaintext lengths (every block-tail shape, plus a full EPC page every 50th
 // case), so any rewrite of the AES or GHASH kernels must reproduce them.
-TEST(AesGcm, SeededGoldenCorpus)
+TEST_ON_EACH_KERNEL(AesGcm, SeededGoldenCorpus)
 {
     Rng rng(0x6c6f6e67);
-    Sha256 corpus;
+    Sha256 corpus(Kernel::Portable);
     for (int i = 0; i < 3000; ++i) {
         SCOPED_TRACE(i);
-        AesGcm gcm(rng.bytes(rng.nextBelow(2) ? 32 : 16));
+        AesGcm gcm(rng.bytes(rng.nextBelow(2) ? 32 : 16), kernel);
         Bytes iv = rng.bytes(kGcmIvSize);
         Bytes aad = rng.bytes(rng.nextBelow(70));
         Bytes plain = rng.bytes(i % 50 == 49 ? 4096 : rng.nextBelow(601));
@@ -281,6 +427,38 @@ TEST(AesGcm, SeededGoldenCorpus)
     }
     EXPECT_EQ(digestHex(corpus.finish()),
               "ec628633a63ac1429e6de59284235e83ad8a9192f9bd81f00cedf2c571341c1c");
+}
+
+// Seeded differential of the x86 kernel against the portable reference:
+// both key sizes, plaintexts of 0-9,000 bytes (every CTR and GHASH tail
+// after the 8- and 4-block strides), AAD of 0-79 bytes, and a one-bit
+// tamper the x86 kernel must refuse.
+TEST(AesGcm, KernelsAgree)
+{
+    if (const char* flag = missingGcmFlag()) {
+        GTEST_SKIP() << "the x86 kernel needs " << flag
+                     << ", which this host lacks";
+    }
+    Rng rng(0x78383667);
+    for (int i = 0; i < 4000; ++i) {
+        SCOPED_TRACE(i);
+        Bytes key = rng.bytes(rng.nextBelow(2) ? 32 : 16);
+        AesGcm portable(key, Kernel::Portable);
+        AesGcm x86(key, Kernel::X86);
+        Bytes iv = rng.bytes(kGcmIvSize);
+        Bytes aad = rng.bytes(rng.nextBelow(80));
+        Bytes plain = rng.bytes(rng.nextBelow(9001));
+
+        Bytes sealed = portable.seal(iv, aad, plain);
+        ASSERT_EQ(x86.seal(iv, aad, plain), sealed);
+        auto opened = x86.open(iv, aad, sealed);
+        ASSERT_TRUE(opened.isOk());
+        ASSERT_EQ(opened.value(), plain);
+
+        std::size_t bit = rng.nextBelow(sealed.size() * 8);
+        sealed[bit / 8] ^= std::uint8_t(1u << (bit % 8));
+        ASSERT_FALSE(x86.open(iv, aad, sealed).isOk());
+    }
 }
 
 // --- BigUint ---------------------------------------------------------------

@@ -56,16 +56,6 @@ OuterChannel::create(sdk::LoadedEnclave& owner, std::uint64_t capacity)
     return ch;
 }
 
-Result<std::uint64_t>
-OuterChannel::freeSpace(sdk::TrustedEnv& env) const
-{
-    auto head = env.readU64(headVa_);
-    if (!head) return head.status();
-    auto tail = env.readU64(tailVa_);
-    if (!tail) return tail.status();
-    return capacity_ - (tail.value() - head.value());
-}
-
 Status
 OuterChannel::send(sdk::TrustedEnv& env, ByteView message) const
 {

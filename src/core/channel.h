@@ -34,9 +34,6 @@ class OuterChannel {
     static Result<OuterChannel> create(sdk::LoadedEnclave& owner,
                                        std::uint64_t capacity);
 
-    /** Bytes of ring space currently free. */
-    Result<std::uint64_t> freeSpace(sdk::TrustedEnv& env) const;
-
     /**
      * Appends one length-prefixed message. Fails with OutOfMemory when the
      * ring lacks space (caller drains first). Access validation applies:

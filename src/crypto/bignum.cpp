@@ -437,14 +437,6 @@ BigUint::operator/(const BigUint& d) const
 }
 
 BigUint
-BigUint::addMod(const BigUint& o, const BigUint& m) const
-{
-    BigUint s = *this + o;
-    if (s >= m) s = s - m;
-    return s;
-}
-
-BigUint
 BigUint::subMod(const BigUint& o, const BigUint& m) const
 {
     if (*this >= o) return *this - o;

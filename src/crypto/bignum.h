@@ -64,8 +64,6 @@ class BigUint {
     BigUint operator<<(std::size_t bits) const;
     BigUint operator>>(std::size_t bits) const;
 
-    /** (this + o) mod m; operands must already be < m. */
-    BigUint addMod(const BigUint& o, const BigUint& m) const;
     /** (this - o) mod m; operands must already be < m. */
     BigUint subMod(const BigUint& o, const BigUint& m) const;
     /** (this * o) mod m. */

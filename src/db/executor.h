@@ -30,11 +30,6 @@ class Database {
     /** Total tree work performed so far (for cycle charging). */
     std::uint64_t workUnits() const;
 
-    bool hasTable(const std::string& name) const
-    {
-        return tables_.count(name) > 0;
-    }
-
     std::size_t tableSize(const std::string& name) const;
 
   private:

@@ -36,7 +36,6 @@ class LastLevelCache {
     /** Drops everything (used between benchmark configurations). */
     void flush();
 
-    std::uint64_t capacityLines() const { return capacityLines_; }
     std::uint64_t hits() const
     {
         std::lock_guard<std::mutex> g(m_);

@@ -145,9 +145,6 @@ struct CostModel {
         return (bytes * copyPerByteNum + copyPerByteDen - 1) / copyPerByteDen;
     }
 
-    /** Measurement cost of one 4 KiB page (EADD + 16 EEXTEND chunks). */
-    std::uint64_t measurePage() const { return eadd + 16 * eextendChunk; }
-
     static CostModel forPreset(CostPreset preset);
 };
 

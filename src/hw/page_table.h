@@ -38,12 +38,6 @@ class PageTable {
     /** Raw entry even if not present (used by the OS paging code). */
     std::optional<Pte> entry(Vaddr va) const;
 
-    std::size_t entryCount() const
-    {
-        std::lock_guard<std::mutex> g(m_);
-        return entries_.size();
-    }
-
   private:
     /** One process page table is walked by every core of the process
      *  (translation misses) while the OS model maps/unmaps/evicts from

@@ -34,7 +34,6 @@ class SimClock {
 
     double seconds() const { return double(cycles()) / double(hz_); }
     double micros() const { return seconds() * 1e6; }
-    double nanos() const { return seconds() * 1e9; }
 
     /** Converts a cycle delta to microseconds at this clock's frequency. */
     double cyclesToMicros(std::uint64_t cycles) const

@@ -48,8 +48,6 @@ class EnclaveInterface {
      *  declared interface is part of the enclave identity. */
     Bytes interfaceDigestInput() const;
 
-    std::size_t ecallCount() const { return ecalls_.size(); }
-
     /** Registered names per boundary (EDL binding validation). */
     std::vector<std::string> ecallNames() const;
     std::vector<std::string> nEcallNames() const;

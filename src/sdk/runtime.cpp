@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "sgx/chain.h"
-
 namespace nesgx::sdk {
 
 namespace {
@@ -359,8 +357,7 @@ Result<hw::Paddr>
 Urts::idleTcs(LoadedEnclave& enclave)
 {
     for (hw::Paddr tcs : enclave.tcsPages_) {
-        sgx::Tcs* t = machine().tcsAt(tcs);
-        if (t && !t->busy) return tcs;
+        if (machine().tcsIdle(tcs)) return tcs;
     }
     return Err::GeneralProtection;
 }
@@ -382,9 +379,8 @@ Urts::ecallChain(std::span<LoadedEnclave* const> chain,
     // before any transition (any of a link's outers qualifies under
     // the multi-outer extension).
     for (std::size_t i = 1; i < chain.size(); ++i) {
-        const sgx::Secs* innerSecs = machine().secsAt(chain[i]->secsPage_);
-        if (!innerSecs ||
-            !sgx::chainAdjacent(*innerSecs, chain[i - 1]->secsPage_)) {
+        if (!machine().chainLinked(chain[i]->secsPage_,
+                                   chain[i - 1]->secsPage_)) {
             return Err::GeneralProtection;
         }
     }

@@ -226,8 +226,6 @@ class Urts {
   private:
     friend class TrustedEnv;
 
-    Result<Bytes> dispatchTrusted(LoadedEnclave& enclave, const TrustedFn& fn,
-                                  ByteView arg, hw::CoreId core);
     hw::Vaddr nextBase(std::uint64_t sizeBytes);
 
     os::Kernel& kernel_;

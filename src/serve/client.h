@@ -72,7 +72,6 @@ class TenantClient {
      *  rebuild-marked completion — repeats re-clear already-empty state. */
     void onTenantRebuilt();
 
-    std::uint64_t requestsSent() const { return sendSeq_; }
     std::uint64_t verified() const { return verified_; }
     std::uint64_t failures() const { return failures_; }
     std::uint64_t rebuildsSeen() const { return rebuildsSeen_; }

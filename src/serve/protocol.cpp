@@ -199,6 +199,11 @@ parseBatch(ByteView blob)
     out.slot = loadLe32(blob.data());
     std::uint32_t count = loadLe32(blob.data() + 4);
     std::size_t at = 8;
+#ifndef NESGX_BUG_BATCH_COUNT_UNCHECKED
+    // The host writes `count`: every message takes at least its 4-byte
+    // length, so refuse a count the blob cannot hold before allocating.
+    if (count > (blob.size() - at) / 4) return Err::BadCallBuffer;
+#endif
     out.msgs.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
         if (at + 4 > blob.size()) return Err::BadCallBuffer;
@@ -216,9 +221,12 @@ parseResponses(ByteView blob)
 {
     if (blob.size() < 4) return Err::BadCallBuffer;
     std::uint32_t count = loadLe32(blob.data());
+    std::size_t at = 4;
+#ifndef NESGX_BUG_BATCH_COUNT_UNCHECKED
+    if (count > (blob.size() - at) / 4) return Err::BadCallBuffer;
+#endif
     std::vector<Bytes> out;
     out.reserve(count);
-    std::size_t at = 4;
     for (std::uint32_t i = 0; i < count; ++i) {
         if (at + 4 > blob.size()) return Err::BadCallBuffer;
         std::uint32_t len = loadLe32(blob.data() + at);

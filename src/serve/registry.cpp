@@ -111,6 +111,13 @@ TenantRegistry::find(TenantId id)
     return it == tenants_.end() ? nullptr : it->second.get();
 }
 
+const TenantHandle*
+TenantRegistry::find(TenantId id) const
+{
+    auto it = tenants_.find(id);
+    return it == tenants_.end() ? nullptr : it->second.get();
+}
+
 Status
 TenantRegistry::ensureCvmRoot()
 {
@@ -136,7 +143,7 @@ TenantRegistry::ensureCvmRoot()
     return Status::ok();
 }
 
-Result<TenantRegistry::Gateway>
+Status
 TenantRegistry::makeGateway(std::size_t index)
 {
     Status root = ensureCvmRoot();
@@ -213,30 +220,23 @@ TenantRegistry::makeGateway(std::size_t index)
         }
     }
 
-    Gateway gw;
+    Gateway& gw = gateways_[index];
     gw.outer = loaded.value();
     gw.state = std::move(state);
-    gw.owned.assign(config_.tenantsPerOuter, false);
-    return gw;
+    return Status::ok();
 }
 
 Result<std::size_t>
 TenantRegistry::addGateway()
 {
-    auto gw = makeGateway(gateways_.size());
-    if (!gw) return gw.status();
-    gateways_.push_back(std::move(gw.value()));
-    return gateways_.size() - 1;
-}
-
-Status
-TenantRegistry::remakeGateway(std::size_t index)
-{
-    auto rebuilt = makeGateway(index);
-    if (!rebuilt) return rebuilt.status();
-    gateways_[index].outer = rebuilt.value().outer;
-    gateways_[index].state = std::move(rebuilt.value().state);
-    return Status::ok();
+    const std::size_t index = gateways_.size();
+    gateways_.emplace_back().owned.assign(config_.tenantsPerOuter, false);
+    Status st = makeGateway(index);
+    if (!st) {
+        gateways_.pop_back();
+        return st;
+    }
+    return index;
 }
 
 std::uint32_t
@@ -432,20 +432,6 @@ TenantRegistry::ensure(TenantId id, Workload workload)
     return out;
 }
 
-void
-TenantRegistry::crashGateway(std::size_t index)
-{
-    std::lock_guard<std::mutex> g(healthM_);
-    crashedGateways_.insert(index);
-}
-
-bool
-TenantRegistry::gatewayCrashed(std::size_t index) const
-{
-    std::lock_guard<std::mutex> g(healthM_);
-    return crashedGateways_.count(index) != 0;
-}
-
 Result<Bytes>
 TenantRegistry::dispatch(TenantHandle& tenant, ByteView blob, hw::CoreId core)
 {
@@ -463,9 +449,7 @@ TenantRegistry::dispatch(TenantHandle& tenant, ByteView blob, hw::CoreId core)
     if (degraded()) return Err::Unavailable;
     if (gatewayCrashed(tenant.gatewayIndex)) return Err::Unavailable;
     if (!tenant.inner) return Err::Unavailable;
-    if (config_.requireVerification && !tenant.verified) {
-        return Err::AttestationFailed;
-    }
+    if (!tenant.verified) return Err::AttestationFailed;
     std::vector<sdk::LoadedEnclave*> chain = dispatchChain(tenant);
     if (chain.empty()) return Err::Unavailable;  // mid subtree rebuild
     // Enter the chain down to the gateway (EENTER the root, NEENTER each
@@ -579,7 +563,7 @@ TenantRegistry::rebuildInner(TenantHandle& tenant)
     Gateway& gateway = gateways_[tenant.gatewayIndex];
     auto inner = buildInner(tenant.id, tenant.workload, gateway);
     if (!inner) return inner.status();  // stays inner-less; retried lazily
-    if (tenant.provisioned) {
+    if (!tenant.sessionKey.empty()) {
         // The client holds the EGETKEY-rooted session key; the fresh
         // instance must re-derive it or every post-rebuild reseal would
         // be refused. On failure the tenant stays inner-less (the rekey
@@ -632,7 +616,7 @@ TenantRegistry::rebuildTenant(TenantHandle& tenant)
         // gateway enclave (unevictable pages — eventual EPC exhaustion).
         std::lock_guard<std::mutex> g(gatewayRebuildM_);
         if (!gateways_[tenant.gatewayIndex].outer) {
-            Status st = remakeGateway(tenant.gatewayIndex);
+            Status st = makeGateway(tenant.gatewayIndex);
             if (!st) return st;
         }
     }
@@ -698,7 +682,7 @@ TenantRegistry::rebuildGatewaySubtree(std::size_t gatewayIndex,
 
     // Bottom-up rebuild: gateway (re-associated under the CVM root when
     // nested), then every tenant back into its old slot.
-    Status result = remakeGateway(gatewayIndex);
+    Status result = makeGateway(gatewayIndex);
     if (!result) return result;  // whole subtree stays down
     for (TenantHandle* tenant : members) {
         // A tenant that fails stays inner-less until a later rebuild
@@ -710,8 +694,7 @@ TenantRegistry::rebuildGatewaySubtree(std::size_t gatewayIndex,
     if (result.isOk()) {
         // The subtree is whole again: a crashed marker on this gateway
         // has been healed by the rebuild.
-        std::lock_guard<std::mutex> g(healthM_);
-        crashedGateways_.erase(gatewayIndex);
+        gateway.crashed.store(false, std::memory_order_relaxed);
     }
     return result;
 }

@@ -27,10 +27,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <vector>
 
 #include "core/compose.h"
@@ -71,13 +71,25 @@ struct TenantHandle {
     /** A dispatch is in flight. Read lock-free by the eviction victim
      *  filter on other worker threads; `m` is the real exclusion. */
     std::atomic<bool> busy{false};
-    /** The inner holds an EGETKEY-rooted session key (installed by a
-     *  provisioning ecall); rebuilds must re-run provisioning so the
-     *  fresh instance re-derives the same key the client still holds. */
-    bool provisioned = false;
-    /** Onboarding attestation passed (service layer sets this; dispatch
-     *  refuses unverified tenants when Config::requireVerification). */
+    /** EGETKEY-rooted session key recorded by onboarding attestation:
+     *  the service's copy handed to clients (the authoritative one lives
+     *  inside the inner). Empty while the tenant is on the out-of-band
+     *  tenantKey(). A rebuild re-runs provisioning when it is set, so the
+     *  fresh instance re-derives the key the client still holds. */
+    Bytes sessionKey;
+    /** Admission mark: addTenant sets it once onboarding passed
+     *  (attestation, when enabled). dispatch refuses a tenant without
+     *  it. */
     bool verified = false;
+    /** Circuit breaker (DESIGN.md §11 state machine). Only the owning
+     *  worker writes it, under `m`; `open` is atomic because the
+     *  supervisor reads it from its own thread. It lives and dies with
+     *  this record, so a tenant onboarded again starts closed. */
+    struct Breaker {
+        std::uint32_t consecutiveFailures = 0;
+        std::atomic<bool> open{false};
+        std::uint64_t probeAt = 0;  ///< cycles; half-open gate
+    } breaker;
     Counter evictions;  ///< times paged out by pressure
     Counter reloads;    ///< cold-start reloads
     Counter rebuilds;   ///< destroy-and-rebuild recoveries
@@ -124,10 +136,6 @@ class TenantRegistry {
         std::uint64_t cvmCodePages = 24;
         std::uint64_t cvmHeapPages = 64;
         std::uint32_t cvmTcs = 4;
-        /** Refuse dispatch to tenants that have not passed onboarding
-         *  attestation (TenantHandle::verified). Off by default so the
-         *  raw registry stays usable without the trust path. */
-        bool requireVerification = false;
     };
 
     TenantRegistry(sdk::Urts& urts, Config config);
@@ -141,6 +149,7 @@ class TenantRegistry {
 
     /** Existing tenant or nullptr (never instantiates). */
     TenantHandle* find(TenantId id);
+    const TenantHandle* find(TenantId id) const;
 
     /** Lazily instantiates the tenant's inner (and a gateway if the
      *  current one is full). */
@@ -148,7 +157,7 @@ class TenantRegistry {
 
     /** One batched round trip: EENTER gateway, NEENTER inner, responses
      *  staged back by reference. `blob` is a packBatch() for this
-     *  tenant's slot. */
+     *  tenant's slot. Refuses a tenant not yet `verified`. */
     Result<Bytes> dispatch(TenantHandle& tenant, ByteView blob,
                            hw::CoreId core);
 
@@ -262,8 +271,14 @@ class TenantRegistry {
      *  refuses with Err::Unavailable until rebuildGatewaySubtree brings
      *  the subtree back (which clears the marker). The gateway-crash
      *  fault site sets this from the dispatch path. */
-    void crashGateway(std::size_t index);
-    bool gatewayCrashed(std::size_t index) const;
+    void crashGateway(std::size_t index)
+    {
+        gateways_[index].crashed.store(true, std::memory_order_relaxed);
+    }
+    bool gatewayCrashed(std::size_t index) const
+    {
+        return gateways_[index].crashed.load(std::memory_order_relaxed);
+    }
 
     /** Marks the whole host degraded: the data plane refuses while the
      *  control plane (provision/export/import/rebuild) keeps working, so
@@ -313,6 +328,8 @@ class TenantRegistry {
         std::vector<sdk::LoadedEnclave*> slots;
     };
 
+    /** One gateway's record. It never moves (gateways_ is a deque), so
+     *  workers read `crashed` without a lock. */
     struct Gateway {
         sdk::LoadedEnclave* outer = nullptr;
         std::shared_ptr<GatewayState> state;
@@ -322,6 +339,10 @@ class TenantRegistry {
          *  the dispatch table alone cannot tell free from quarantined.
          *  Survives gateway rebuilds, which replace `state`. */
         std::vector<bool> owned;
+        /** Crash marker, read on every dispatch through this gateway.
+         *  Survives gateway rebuilds; only a fully successful subtree
+         *  rebuild clears it. */
+        std::atomic<bool> crashed{false};
 
         bool hasRoom() const
         {
@@ -337,14 +358,14 @@ class TenantRegistry {
     std::uint32_t claimSlot(Gateway& gateway, sdk::LoadedEnclave* inner);
     /** Frees a slot: ownership and dispatch entry together. */
     void releaseSlot(Gateway& gateway, std::uint32_t slot);
-    /** Builds (or rebuilds) the gateway enclave for `index` without
-     *  touching the gateways_ vector; Cvm associates it under the root. */
-    Result<Gateway> makeGateway(std::size_t index);
-    /** Builds the next gateway and appends it; returns its index. */
+    /** Builds (or rebuilds) gateway `index`'s enclave into its record: a
+     *  fresh enclave and dispatch table, slot ownership and crash marker
+     *  kept; the record is untouched on failure. Cvm associates the
+     *  enclave under the root. */
+    Status makeGateway(std::size_t index);
+    /** Appends the next gateway record and builds it; returns its
+     *  index. */
     Result<std::size_t> addGateway();
-    /** Rebuilds gateway `index` in place: a fresh enclave and dispatch
-     *  table, slot ownership kept. */
-    Status remakeGateway(std::size_t index);
     /** Lazily builds the shared CVM root (Cvm topology). */
     Status ensureCvmRoot();
     /** Reloads every evicted page of `enclave` (chain residency). */
@@ -356,9 +377,9 @@ class TenantRegistry {
      *  inner-less tenant. Every teardown of a tenant goes through here. */
     Status unloadInner(TenantHandle& tenant);
     /** Builds a fresh inner into the tenant's (empty) slot: build, rekey
-     *  when provisioned, install, bump rebuilds/epoch/incarnation and
-     *  publish ServeTenantRebuild. On failure the tenant stays
-     *  inner-less. */
+     *  when it holds a session key, install, bump
+     *  rebuilds/epoch/incarnation and publish ServeTenantRebuild. On
+     *  failure the tenant stays inner-less. */
     Status rebuildInner(TenantHandle& tenant);
     /** EWBs every evictable page of `enclave` (null-safe); returns pages
      *  written. Tenant eviction, subtree eviction and the migration
@@ -369,12 +390,8 @@ class TenantRegistry {
     Config config_;
     std::function<Status(std::uint64_t)> epcReserve_;
     sdk::LoadedEnclave* cvmRoot_ = nullptr;
-    std::vector<Gateway> gateways_;
+    std::deque<Gateway> gateways_;
     std::map<TenantId, std::unique_ptr<TenantHandle>> tenants_;
-    /** Crash markers are read on every dispatch from every worker
-     *  thread; a small mutex keeps the set coherent (the hot path takes
-     *  it once per batch, not per request). */
-    mutable std::mutex healthM_;
     /** Serializes gateway-layer reconstruction. Two workers self-healing
      *  different tenants of the same downed gateway (each under its own
      *  tenant mutex only) would otherwise both makeGateway and the
@@ -382,7 +399,6 @@ class TenantRegistry {
      *  pressure manager can never evict. Ordering: tenant mutexes are
      *  always taken before this one, never after. */
     std::mutex gatewayRebuildM_;
-    std::set<std::size_t> crashedGateways_;
     std::atomic<bool> degraded_{false};
 };
 

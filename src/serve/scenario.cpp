@@ -301,7 +301,7 @@ runScenario(const Scenario& s)
                 "unrecovered tenant %llu: queued %zu, breaker %s, gateway "
                 "%s, inner %s\n",
                 (unsigned long long)t, service.admission().depth(TenantId(t)),
-                service.pool().breakerOpen(TenantId(t)) ? "open" : "closed",
+                h && h->breaker.open ? "open" : "closed",
                 h && service.registry().gatewayCrashed(h->gatewayIndex)
                     ? "crashed"
                     : "up",

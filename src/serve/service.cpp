@@ -93,21 +93,6 @@ WorkerPool::WorkerPool(TenantRegistry& registry,
     }
 }
 
-bool
-WorkerPool::breakerOpen(TenantId tenant) const
-{
-    std::lock_guard<std::mutex> g(breakersM_);
-    auto it = breakers_.find(tenant);
-    return it != breakers_.end() && it->second.open;
-}
-
-WorkerPool::Breaker&
-WorkerPool::breakerFor(TenantId tenant)
-{
-    std::lock_guard<std::mutex> g(breakersM_);
-    return breakers_[tenant];
-}
-
 void
 WorkerPool::failTyped(const std::vector<Request>& requests, Status status,
                       bool rebuilt)
@@ -267,7 +252,7 @@ WorkerPool::serveBatch(TenantHandle& tenant, std::vector<Request> batch,
     // Circuit breaker: while open, refuse the batch outright unless the
     // cooldown has elapsed — then exactly this batch goes through as the
     // half-open probe.
-    Breaker& breaker = breakerFor(tenant.id);
+    TenantHandle::Breaker& breaker = tenant.breaker;
     if (breaker.open) {
         bool probeDue = false;
 #ifndef NESGX_BUG_BREAKER_STUCK
@@ -486,9 +471,6 @@ WorkerPool::drain()
 TenantService::Config
 TenantService::tuned(Config config)
 {
-    // Attested onboarding implies the registry refuses dispatch to any
-    // tenant that has not passed verification.
-    if (config.attestOnboarding) config.registry.requireVerification = true;
     if (config.switchless.enabled) {
         // Parked pollers hold real TCSes: one outer slot for the gateway
         // poller plus one per tenant poller entering through the
@@ -549,12 +531,6 @@ TenantService::attestInner(sdk::LoadedEnclave* inner, TenantId id,
     const Bytes nonce = verifier_->nextNonce();
     auto evidence =
         registry_.provisionInner(inner, verifier_->measurement(), nonce);
-    if (TenantHandle* tenant = registry_.find(id)) {
-        // The provisioning entry ran (even if the evidence is later
-        // rejected): the instance now holds a derived session key, and
-        // rebuilds must re-run it.
-        if (evidence) tenant->provisioned = true;
-    }
     if (!evidence) return verdict;
     auto report = attest::decodeNestedReport(evidence.value());
     if (!report) return verdict;
@@ -571,15 +547,16 @@ TenantService::attestInner(sdk::LoadedEnclave* inner, TenantId id,
             : std::uint32_t(registry_.topology() == Topology::Cvm ? 2 : 1);
 
     verdict = verifier_->verify(id, report.value(), policy, nonce);
-    if (verdict.trusted()) sessionKeys_[id] = verdict.sessionKey;
+    TenantHandle* tenant = registry_.find(id);
+    if (tenant && verdict.trusted()) tenant->sessionKey = verdict.sessionKey;
     return verdict;
 }
 
 Bytes
 TenantService::sessionKeyFor(TenantId id) const
 {
-    auto it = sessionKeys_.find(id);
-    return it == sessionKeys_.end() ? Bytes{} : it->second;
+    const TenantHandle* tenant = registry_.find(id);
+    return tenant ? tenant->sessionKey : Bytes{};
 }
 
 Status
@@ -588,7 +565,6 @@ TenantService::removeTenant(TenantId id)
     if (!registry_.find(id)) return Err::NotFound;
     if (switchless_) switchless_->disarm(id);
     (void)admission_.purge(id);
-    sessionKeys_.erase(id);
     return registry_.retireTenant(id);
 }
 
@@ -596,12 +572,12 @@ Result<TenantHandle*>
 TenantService::addTenant(TenantId id, Workload workload)
 {
     auto tenant = registry_.ensure(id, workload);
-    if (!tenant || !config_.attestOnboarding) return tenant;
-    if (tenant.value()->verified) return tenant;  // pre-existing tenant
+    // A failed build, or a tenant already onboarded.
+    if (!tenant || tenant.value()->verified) return tenant;
 
-    attest::Verdict verdict =
-        attestInner(tenant.value()->inner, id, tenant.value()->gatewayIndex);
-    if (!verdict.trusted()) {
+    if (config_.attestOnboarding &&
+        !attestInner(tenant.value()->inner, id, tenant.value()->gatewayIndex)
+             .trusted()) {
         // Admission on faith is exactly what the trust path forbids:
         // tear the instance straight back down.
         (void)removeTenant(id);

@@ -25,7 +25,6 @@
 #pragma once
 
 #include <atomic>
-#include <map>
 #include <memory>
 #include <mutex>
 
@@ -152,20 +151,9 @@ class WorkerPool {
     std::uint64_t subtreeRebuilds() const { return subtreeRebuilds_; }
     std::uint64_t breakerOpens() const { return breakerOpens_; }
     std::uint64_t breakerCloses() const { return breakerCloses_; }
-    bool breakerOpen(TenantId tenant) const;
     const Histogram& rebuildLatency() const { return rebuildLatency_; }
 
   private:
-    /** Per-tenant circuit breaker (DESIGN.md §11 state machine). The
-     *  fields are written only by the tenant's owning worker thread, but
-     *  the supervisor reads them from its own thread (breakerOpen), so
-     *  they are relaxed atomics rather than plain ints. */
-    struct Breaker {
-        Counter consecutiveFailures;
-        std::atomic<bool> open{false};
-        std::atomic<std::uint64_t> probeAt{0};  ///< cycles; half-open gate
-    };
-
     /** Destroys and rebuilds a poisoned tenant: fails its whole queue
      *  typed (the seals target the dead instance) and times the rebuild.
      *  On failure the tenant stays inner-less and is retried lazily.
@@ -203,16 +191,13 @@ class WorkerPool {
                        bool haveFixedCore);
 
     /** The locked middle of processTenant: everything from the breaker
-     *  gate through breaker bookkeeping, under the tenant's own lock. */
+     *  gate through breaker bookkeeping, under the tenant's own lock
+     *  (the breaker is the tenant's, TenantHandle::breaker). */
     void serveBatch(TenantHandle& tenant, std::vector<Request> batch,
                     hw::CoreId fixedCore, bool haveFixedCore);
 
     /** Serial-mode round-robin core pick (single-thread only). */
     hw::CoreId pickCore();
-
-    /** Per-tenant breaker slot; std::map node, so the reference stays
-     *  valid while other threads insert their own tenants' slots. */
-    Breaker& breakerFor(TenantId tenant);
 
     TenantRegistry* registry_;
     switchless::SwitchlessEngine* engine_ = nullptr;
@@ -223,10 +208,6 @@ class WorkerPool {
     /** Completions are pushed by every worker and swapped out by drain. */
     mutable std::mutex completionsM_;
     std::vector<Completion> completions_;
-    /** Guards only the breaker map's structure; each Breaker's fields are
-     *  owned by the tenant's single worker thread (partitioning). */
-    mutable std::mutex breakersM_;
-    std::map<TenantId, Breaker> breakers_;
     mutable std::mutex rebuildM_;  ///< rebuildLatency_ sample inserts
     Histogram rebuildLatency_;
     Counter dispatchFailures_;
@@ -263,25 +244,28 @@ class TenantService {
 
     TenantService(sdk::Urts& urts, Config config);
 
-    /** Lazily instantiates the tenant (registry + pressure headroom).
-     *  Under attestOnboarding the tenant is admitted only after NEREPORT
-     *  chain verification; a failed verification tears the instance back
-     *  down and returns Err::AttestationFailed. */
+    /** Lazily instantiates the tenant (registry + pressure headroom) and
+     *  marks it `verified`, the mark dispatch requires. Under
+     *  attestOnboarding the mark waits for NEREPORT chain verification;
+     *  a failed verification tears the instance back down and returns
+     *  Err::AttestationFailed. */
     Result<TenantHandle*> addTenant(TenantId id, Workload workload);
 
     /** Attestation-gated onboarding active? (Migration re-attests.) */
     bool attestationEnabled() const { return config_.attestOnboarding; }
 
-    /** The tenant's EGETKEY-rooted session key (empty = never attested:
-     *  the client should fall back to the out-of-band tenantKey). */
+    /** The tenant's EGETKEY-rooted session key, TenantHandle::sessionKey
+     *  (empty = never attested or unknown here: the client should fall
+     *  back to the out-of-band tenantKey). */
     Bytes sessionKeyFor(TenantId id) const;
 
     /**
      * Challenges `inner` (freshly built, associated, and reachable via
      * its ancestor chain) and verifies the evidence against this
      * service's policy for tenant `id` hosted by gateway `gatewayIndex`.
-     * On success the session key is recorded. Used at onboarding and by
-     * the migration engine to re-attest a staged destination instance.
+     * On success the session key is recorded on the tenant's handle.
+     * Used at onboarding and by the migration engine to re-attest a
+     * staged destination instance.
      */
     attest::Verdict attestInner(sdk::LoadedEnclave* inner, TenantId id,
                                 std::size_t gatewayIndex);
@@ -352,9 +336,6 @@ class TenantService {
     WorkerPool pool_;
     std::unique_ptr<switchless::SwitchlessEngine> switchless_;
     std::unique_ptr<attest::TenantVerifier> verifier_;
-    /** Session keys recorded by attestInner (service-side copy handed to
-     *  clients; the authoritative copy lives inside the inner). */
-    std::map<TenantId, Bytes> sessionKeys_;
 };
 
 }  // namespace nesgx::serve

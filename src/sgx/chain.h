@@ -1,8 +1,9 @@
 /**
  * Ancestor-chain checks shared by the transition microcode
  * (machine_transitions.cpp), the orderliness oracle (check/oracle.cpp)
- * and the SDK's chain-routed entry (sdk/runtime.cpp). `chainAdjacent`
- * decides one hop: NEENTER, NEEXIT and the SDK walk.
+ * and the SDK's chain-routed entry (sdk/runtime.cpp, through
+ * `Machine::chainLinked`). `chainAdjacent` decides one hop: NEENTER,
+ * NEEXIT and the SDK walk.
  * `validateFrameChain` decides a whole frame stack: ERESUME's saved nest
  * and the oracle's SavedChainValidity rule.
  *

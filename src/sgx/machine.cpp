@@ -3,6 +3,7 @@
 #include <set>
 
 #include "fault/injector.h"
+#include "sgx/chain.h"
 
 namespace nesgx::sgx {
 
@@ -65,6 +66,22 @@ Machine::tcsAt(hw::Paddr pa) const
 {
     auto it = tcsTable_.find(pa);
     return it == tcsTable_.end() ? nullptr : &it->second;
+}
+
+bool
+Machine::tcsIdle(hw::Paddr pa) const
+{
+    std::shared_lock<std::shared_mutex> g(stateMutex_);
+    const Tcs* tcs = tcsAt(pa);
+    return tcs && !tcs->busy;
+}
+
+bool
+Machine::chainLinked(hw::Paddr innerPa, hw::Paddr outerPa) const
+{
+    std::shared_lock<std::shared_mutex> g(stateMutex_);
+    const Secs* inner = secsAt(innerPa);
+    return inner && chainAdjacent(*inner, outerPa);
 }
 
 void

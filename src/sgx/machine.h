@@ -112,11 +112,22 @@ class Machine {
     std::uint32_t coreCount() const { return std::uint32_t(cores_.size()); }
     const Config& config() const { return config_; }
 
-    /** SECS lookup by EPC physical address (null when not a live SECS). */
+    /** SECS lookup by EPC physical address (null when not a live SECS).
+     *  These four take no lock: for leaves that hold `stateMutex_` and
+     *  for serial callers such as the checker's oracle. */
     Secs* secsAt(hw::Paddr pa);
     const Secs* secsAt(hw::Paddr pa) const;
     Tcs* tcsAt(hw::Paddr pa);
     const Tcs* tcsAt(hw::Paddr pa) const;
+
+    /** `pa` is a live TCS that no LP is executing on. For the SDK: takes
+     *  the state lock shared, since another thread's EADD or EREMOVE may
+     *  be inserting or erasing TCS records under it exclusive. */
+    bool tcsIdle(hw::Paddr pa) const;
+    /** `innerPa` is a live SECS associated with the outer at `outerPa`.
+     *  For the SDK's chain check, locked like tcsIdle (ECREATE and
+     *  EREMOVE reshape the SECS table). */
+    bool chainLinked(hw::Paddr innerPa, hw::Paddr outerPa) const;
 
     /**
      * Model-introspection views of the microcode-internal tables, used by

@@ -40,7 +40,6 @@ struct PagePerms {
 
     static PagePerms rw() { return {true, true, false}; }
     static PagePerms rx() { return {true, false, true}; }
-    static PagePerms rwx() { return {true, true, true}; }
 
     bool allows(hw::Access a) const
     {

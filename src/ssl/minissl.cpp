@@ -135,7 +135,6 @@ MiniSsl::handleHeartbeat(sdk::TrustedEnv& env, ByteView wire)
     env.free(buf.value());
     if (!echoed) return echoed.status();
 
-    ++heartbeatsProcessed_;
     return frame(FrameType::Heartbeat, echoed.value());
 }
 

@@ -74,7 +74,6 @@ class MiniSsl {
     Result<Bytes> handleHeartbeat(sdk::TrustedEnv& env, ByteView wire);
 
     std::uint64_t recordsProcessed() const { return recordsProcessed_; }
-    std::uint64_t heartbeatsProcessed() const { return heartbeatsProcessed_; }
 
   private:
     /** Stages wire bytes into a (recycled) heap record buffer. */
@@ -84,7 +83,6 @@ class MiniSsl {
     std::uint64_t sendSeq_ = 0;
     std::uint64_t recvSeq_ = 0;
     std::uint64_t recordsProcessed_ = 0;
-    std::uint64_t heartbeatsProcessed_ = 0;
 };
 
 }  // namespace nesgx::ssl

@@ -76,7 +76,7 @@ Supervisor::classify(const serve::TenantHandle& tenant,
         }
     }
     if (queued > 0) return WedgeReason::NoProgress;
-    if (svc_->pool().breakerOpen(tenant.id)) return WedgeReason::NoProgress;
+    if (tenant.breaker.open) return WedgeReason::NoProgress;
     return WedgeReason::None;  // idle, not wedged
 }
 
@@ -218,7 +218,8 @@ Supervisor::tick()
     for (serve::TenantId id : ids) {
         serve::TenantHandle* tenant = reg.find(id);
         if (!tenant) continue;
-        Watch& watch = watches_[id];
+        auto [slot, firstLook] = watches_.try_emplace(id);
+        Watch& watch = slot->second;
         if (watch.lastProgressCycles == 0) watch.lastProgressCycles = now;
 
         const std::uint64_t ok = tenant->okServed.load();
@@ -251,8 +252,12 @@ Supervisor::tick()
         // no new evidence: callers that tick many times per serving
         // round (the CLI recovery loop ticks once per tenant) must not
         // let a single stall escalate through the whole ladder before
-        // the pool's own half-open probes even come due.
-        const bool clockAdvanced = now != watch.lastSeenCycles;
+        // the pool's own half-open probes even come due. A first look is
+        // a baseline unless it finds a failure marker: queued work or an
+        // open breaker may only be waiting for the tenant's worker.
+        const bool clockAdvanced =
+            firstLook ? reason != WedgeReason::NoProgress
+                      : now != watch.lastSeenCycles;
         watch.lastSeenCycles = now;
 
         if (!watch.wedged) {

@@ -369,5 +369,58 @@ INSTANTIATE_TEST_SUITE_P(TlbModes, HostMigration, ::testing::Bool(),
                              return info.param ? "taggedTlb" : "flushTlb";
                          });
 
+/** Two hosts whose breakers open on one failed batch and stay open for
+ *  longer than any test runs. */
+class BreakerMigration : public ::testing::TestWithParam<bool> {};
+
+TEST_P(BreakerMigration, TenantMovedAwayAndBackStartsWithAClosedBreaker)
+{
+    auto config = World::smallConfig();
+    config.taggedTlb = GetParam();
+    World worldA(config);
+    config.rngSeed = 99;
+    World worldB(config);
+    auto sc = attestedConfig();
+    sc.pool.breakerThreshold = 1;
+    sc.pool.breakerCooldownCycles = std::uint64_t(1) << 50;
+    serve::TenantService hostA(*worldA.urts, sc);
+    serve::TenantService hostB(*worldB.urts, sc);
+    migrate::MigrationEngine engine;
+
+    ASSERT_TRUE(hostA.addTenant(1, Workload::Echo).isOk());
+    serve::TenantClient client(1, Workload::Echo, hostA.sessionKeyFor(1));
+
+    // Every EENTER refused: the batch fails after its retries and opens
+    // the tenant's breaker on host A.
+    {
+        auto plan =
+            fault::FaultPlan::parse("eenter-fail@every=1").orThrow("plan");
+        fault::FaultInjector injector(plan, 1);
+        worldA.machine.setFaultInjector(&injector);
+        ASSERT_TRUE(hostA.submit(1, client.nextRequest()).isOk());
+        hostA.pump();
+        worldA.machine.setFaultInjector(nullptr);
+    }
+    for (auto& done : hostA.drain()) {
+        EXPECT_EQ(done.error(), Err::GeneralProtection);
+        client.onDropped();
+    }
+    ASSERT_TRUE(hostA.registry().find(1)->breaker.open);
+
+    // Away to host B and back. Each move onboards a new instance at the
+    // destination; the breaker the old instance opened on host A must not
+    // come back with the tenant.
+    ASSERT_TRUE(engine.migrateToHost(hostA, hostB, 1).isOk());
+    ASSERT_TRUE(engine.migrateToHost(hostB, hostA, 1).isOk());
+    EXPECT_FALSE(hostA.registry().find(1)->breaker.open);
+    serveRound(hostA, client, 1, 2);
+    EXPECT_EQ(client.failures(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(TlbModes, BreakerMigration, ::testing::Bool(),
+                         [](const auto& info) {
+                             return info.param ? "taggedTlb" : "flushTlb";
+                         });
+
 }  // namespace
 }  // namespace nesgx::test

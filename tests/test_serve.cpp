@@ -489,7 +489,7 @@ TEST(ServeSelfHealing, BreakerOpensOnRepeatedFailureAndProbesClosed)
         EXPECT_EQ(done.error(), Err::GeneralProtection);
         client.onDropped();
     }
-    EXPECT_TRUE(service.pool().breakerOpen(0));
+    EXPECT_TRUE(service.registry().find(0)->breaker.open);
     EXPECT_EQ(service.pool().breakerOpens(), 1u);
     EXPECT_GE(service.pool().retries(), 1u);
 
@@ -502,7 +502,7 @@ TEST(ServeSelfHealing, BreakerOpensOnRepeatedFailureAndProbesClosed)
         EXPECT_EQ(done.error(), Err::Unavailable);
         client.onDropped();
     }
-    EXPECT_TRUE(service.pool().breakerOpen(0));
+    EXPECT_TRUE(service.registry().find(0)->breaker.open);
 
     // Fault gone and cooldown elapsed: the next batch is the half-open
     // probe, it succeeds, and the breaker closes.
@@ -516,7 +516,7 @@ TEST(ServeSelfHealing, BreakerOpensOnRepeatedFailureAndProbesClosed)
         ++verified;
     }
     EXPECT_EQ(verified, 1u);
-    EXPECT_FALSE(service.pool().breakerOpen(0));
+    EXPECT_FALSE(service.registry().find(0)->breaker.open);
     EXPECT_EQ(service.pool().breakerCloses(), 1u);
     EXPECT_EQ(client.failures(), 0u);
 }

@@ -353,6 +353,45 @@ TEST(Supervisor, QueuedButUnservedTenantIsWedgedThenRebuilt)
     EXPECT_EQ(supervisor.stats().recoveryLatency.count(), 1u);
 }
 
+TEST(Supervisor, FirstLookAtAWaitingQueueIsABaselineNotEvidence)
+{
+    World world;
+    serve::TenantService service(*world.urts, attestedConfig());
+    ASSERT_TRUE(service.addTenant(1, Workload::Echo).isOk());
+    serve::TenantClient client(1, Workload::Echo, service.sessionKeyFor(1));
+
+    // Work queued before the supervisor exists, and time has passed.
+    for (int i = 0; i < 2; ++i) {
+        ASSERT_TRUE(service.submit(1, client.nextRequest()).isOk());
+    }
+    world.machine.charge(1000);
+
+    supervise::Config cfg;
+    cfg.wedgeTicks = 1;
+    cfg.rungPatience = 1;
+    supervise::Supervisor supervisor(service, cfg);
+    // The queue may only be waiting for its worker: the first look
+    // flags nothing and purges nothing.
+    EXPECT_EQ(supervisor.tick(), 0u);
+    EXPECT_EQ(supervisor.stats().wedges, 0u);
+    EXPECT_EQ(service.admission().depth(1), 2u);
+
+    service.pump();
+    std::uint64_t verified = 0;
+    for (auto& done : service.drain()) {
+        if (client.onResponse(done.sealedResponse)) ++verified;
+    }
+    EXPECT_EQ(verified, 2u);
+    EXPECT_EQ(supervisor.tick(), 0u);
+
+    // Queued work that stays unserved while the clock moves is evidence.
+    ASSERT_TRUE(service.submit(1, client.nextRequest()).isOk());
+    world.machine.charge(1000);
+    EXPECT_EQ(supervisor.tick(), 1u);
+    EXPECT_EQ(supervisor.stats().wedges, 1u);
+    EXPECT_EQ(supervisor.stats().tenantRebuilds, 1u);
+}
+
 TEST(Supervisor, GatewayCrashEntersAtSubtreeRebuildAndClearsTheMarker)
 {
     World world;
@@ -580,14 +619,39 @@ TEST(SupervisionRace, HalfOpenProbesRaceSupervisorRebuildsUnderFourThreads)
             t, Workload::Echo, service.sessionKeyFor(t)));
     }
 
-    // Transient dispatch failures: breakers open on the first failed
-    // batch and half-open probe after a short cooldown.
+    // Open every breaker before the race, serially: each tenant's batch
+    // meets a refused NEENTER and, with no retries, trips its breaker.
+    // The race alone cannot promise an open: once the workers move the
+    // clock, the supervisor (wedgeTicks = 1) rebuilds tenants whose
+    // queues are still waiting, and those rebuilds' provisioning
+    // NEENTERs can take every fault the plan below injects.
+    std::uint64_t submitted = 0;
+    {
+        auto refuseAll = fault::FaultPlan::parse("neenter-fail@every=1");
+        ASSERT_TRUE(refuseAll.isOk());
+        fault::FaultInjector injector(refuseAll.value(), 7);
+        world.machine.setFaultInjector(&injector);
+        for (TenantId t = 0; t < 8; ++t) {
+            ASSERT_TRUE(service.submit(t, clients[t]->nextRequest()).isOk());
+            ++submitted;
+        }
+        service.pump();
+        world.machine.setFaultInjector(nullptr);
+    }
+    ASSERT_EQ(service.pool().breakerOpens(), 8u);
+    // Every cooldown lapses, so each tenant's first batch in the race is
+    // a half-open probe.
+    world.machine.charge(sc.pool.breakerCooldownCycles + 1);
+    const std::uint64_t probesBefore =
+        service.pool().breakerCloses() + service.pool().dispatchFailures();
+
+    // Transient dispatch failures during the race: a failed probe re-arms
+    // its cooldown, a closed breaker that fails opens again.
     auto plan = fault::FaultPlan::parse("neenter-fail@every=5");
     ASSERT_TRUE(plan.isOk());
     fault::FaultInjector injector(plan.value(), 7);
     world.machine.setFaultInjector(&injector);
 
-    std::uint64_t submitted = 0;
     for (int round = 0; round < 6; ++round) {
         for (TenantId t = 0; t < 8; ++t) {
             if (service.submit(t, clients[t]->nextRequest()).isOk()) {
@@ -604,9 +668,18 @@ TEST(SupervisionRace, HalfOpenProbesRaceSupervisorRebuildsUnderFourThreads)
     std::thread pool([&] { service.pumpParallel(4); });
     for (int i = 0; i < 200; ++i) {
         supervisor.tick();
-        (void)service.pool().breakerOpen(TenantId(i % 8));
+        (void)service.registry().find(TenantId(i % 8))->breaker.open.load();
     }
     pool.join();
+
+    // The race ran at least one half-open probe, which either closed its
+    // breaker or failed its dispatch. The supervisor cannot purge every
+    // queue first: its first look at a tenant is only a baseline, so it
+    // needs the sim clock to move, and only a worker's batch past the
+    // breaker gate moves it.
+    EXPECT_GT(service.pool().breakerCloses() +
+                  service.pool().dispatchFailures(),
+              probesBefore);
 
     // Post-race: lift the faults, let every open breaker's cooldown
     // lapse so half-open probes succeed, and drain serially. Every

@@ -409,6 +409,53 @@ TEST_P(SwitchlessTest, MidPumpFailureDisarmsUnderEngineLock)
     EXPECT_EQ(engine.engineStats().calls, 1u);
 }
 
+/** No core is left in enclave mode and no TCS stays claimed. */
+void
+expectMachineAtRest(sgx::Machine& machine)
+{
+    for (hw::CoreId c = 0; c < machine.coreCount(); ++c) {
+        EXPECT_FALSE(machine.core(c).inEnclaveMode()) << "core " << c;
+    }
+    for (const auto& [pa, tcs] : machine.tcsTable()) {
+        EXPECT_FALSE(tcs.busy) << "tcs " << pa;
+    }
+}
+
+TEST_P(SwitchlessTest, BatchCountBeyondTheBlobRefusedOnClassicAndRingPaths)
+{
+    // The host writes a batch's 32-bit message count. Eight bytes that
+    // claim 0xFFFFFFFF messages for the tenant's own slot must fail typed
+    // before anything is allocated for them: the gateway's gw_dispatch
+    // parses them on the classic path, the tenant's serve_batch behind an
+    // armed ring. Either way every exit still runs. A response blob
+    // ([count][len, bytes]...) that lies the same way is refused too.
+    TeardownFleet fleet(machineConfig(8));
+    sgx::Machine& machine = fleet.world.machine;
+    serve::TenantHandle& tenant = *fleet.service.registry().find(0);
+    Bytes lie(8);
+    storeLe32(lie.data(), tenant.slot);
+    storeLe32(lie.data() + 4, 0xFFFFFFFFu);
+    EXPECT_EQ(serve::parseBatch(lie).code(), Err::BadCallBuffer);
+    Bytes lyingResponses(8);
+    storeLe32(lyingResponses.data(), 0xFFFFFFFFu);
+    EXPECT_EQ(serve::parseResponses(lyingResponses).code(),
+              Err::BadCallBuffer);
+
+    EXPECT_EQ(fleet.service.registry().dispatch(tenant, lie, 0).code(),
+              Err::BadCallBuffer);
+    expectMachineAtRest(machine);
+
+    auto& engine = fleet.engine();
+    const switchless::Endpoint ep = endpointOf(fleet.service, 0);
+    ASSERT_TRUE(engine.ready(0, ep));
+    EXPECT_EQ(engine.call(0, ep, lie, 0).code(), Err::BadCallBuffer);
+    EXPECT_FALSE(engine.channelProgress(0).armed);
+    expectMachineAtRest(machine);
+
+    // The refused batch cost the tenant nothing: the next one verifies.
+    EXPECT_TRUE(fleet.serveOne(0));
+}
+
 TEST_P(SwitchlessTest, RingStallDisarmsUnderEngineLockAndPoolRetries)
 {
     // ring-stall posts the descriptor but never drains it: call()

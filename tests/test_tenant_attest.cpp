@@ -238,9 +238,9 @@ TEST_F(VerifierPolicy, TamperedMacRejected)
 
 TEST_F(VerifierPolicy, UnverifiedTenantRefusedWhenGated)
 {
-    serve::TenantRegistry::Config rc;
-    rc.requireVerification = true;
-    serve::TenantRegistry gated(*world_->urts, rc);
+    // The raw registry: nothing onboards the tenant, so nothing marks it
+    // verified.
+    serve::TenantRegistry gated(*world_->urts, {});
     auto* tenant = gated.ensure(1, Workload::Echo).orThrow("ensure");
     auto refused = gated.dispatch(*tenant, Bytes{1, 2, 3}, 0);
     EXPECT_EQ(refused.code(), Err::AttestationFailed);

@@ -8,6 +8,9 @@ Checks, beyond `json.tool` well-formedness:
   - B/E/i events carry a numeric, non-negative "ts"
   - per (pid, tid): timestamps are non-decreasing and B/E properly nest
   - instant events carry scope "t"; metadata events carry args.name
+  - a SwitchlessRefuse instant (a ring header refused for claiming more
+    entries than the ring holds) carries non-negative integer
+    args.ring and args.claimed
 
 Usage: check_trace_schema.py TRACE.json
 """
@@ -67,6 +70,14 @@ def main():
         elif ph == "i":
             if ev.get("s") != "t":
                 fail(f"{where}: instant event without scope 't'")
+            if ev["name"] == "SwitchlessRefuse":
+                args = ev.get("args", {})
+                for key in ("ring", "claimed"):
+                    value = args.get(key)
+                    if (not isinstance(value, int) or isinstance(value, bool)
+                            or value < 0):
+                        fail(f"{where}: args.{key} must be a non-negative "
+                             f"integer, got {value!r}")
 
     open_spans = {t: s for t, s in stacks.items() if s}
     if open_spans:

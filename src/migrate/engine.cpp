@@ -26,7 +26,7 @@ MigrationEngine::exportSource(serve::TenantService& svc,
     // instance can be torn down. The destination re-arms lazily on its
     // first dispatch (the endpoint's chain pointers change, which the
     // engine detects).
-    if (auto* engine = svc.switchlessEngine()) engine->disarm(tenant.id);
+    registry.disarm(tenant.id);
 
     auto resident = registry.ensureResident(tenant);
     if (!resident) return resident.status();

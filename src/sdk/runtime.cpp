@@ -161,7 +161,7 @@ TrustedEnv::nOcall(const std::string& name, ByteView arg)
         outer->image().spec.interface->findNOcallTarget(name);
     if (!fn) return Err::NoSuchCall;
 
-    hw::Paddr innerTcs = m.core(core_).currentTcs();
+    hw::Paddr callerTcs = m.core(core_).currentTcs();
 
     m.charge(m.costs().nOcallDispatch);
     // As with n_ecall: by-reference through the shared outer memory.
@@ -175,7 +175,7 @@ TrustedEnv::nOcall(const std::string& name, ByteView arg)
     }
     TrustedEnv outerEnv(urts_, *outer, core_);
     Result<Bytes> result = (*fn)(outerEnv, arg);
-    Status back = m.neenter(core_, innerTcs);
+    Status back = m.neenter(core_, callerTcs);
     publishSdk(m, trace::EventKind::SdkNOcallEnd, core_, name.c_str());
     if (!back) return back;
     return result;

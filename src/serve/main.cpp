@@ -286,10 +286,10 @@ main(int argc, char** argv)
         }
         // Supervised chaos armed the failure-domain sites, and a
         // crashed gateway / wedged poller only heals through the
-        // watchdog: the run is broken if the ladder never fired. (Which
-        // rung fires depends on the dispatch path — classic dispatch
-        // trips gateway-crash into subtree rebuilds, the switchless path
-        // trips poller-wedge into kicks.)
+        // watchdog: the run is broken if the ladder never fired. Every
+        // batch passes the registry's dispatch gate, so gateway-crash
+        // trips subtree rebuilds on either path; armed rings also trip
+        // poller-wedge into kicks.
         const std::uint64_t ladderActions = ss.kicks + ss.tenantRebuilds +
                                             ss.subtreeRebuilds +
                                             ss.evacuations;

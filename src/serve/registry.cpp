@@ -92,9 +92,13 @@ struct ServerState {
 
 }  // namespace
 
-TenantRegistry::TenantRegistry(sdk::Urts& urts, Config config)
+TenantRegistry::TenantRegistry(sdk::Urts& urts, Config config,
+                               switchless::Config rings)
     : urts_(&urts), config_(config)
 {
+    if (rings.enabled) {
+        engine_ = std::make_unique<switchless::SwitchlessEngine>(urts, rings);
+    }
 }
 
 Status
@@ -155,7 +159,9 @@ TenantRegistry::makeGateway(std::size_t index)
     spec.dataPages = 4;
     spec.heapPages = config_.outerHeapPages;
     spec.stackPages = 4;
-    spec.tcsCount = config_.gatewayTcs;
+    // Under rings a gateway seats its poller, one per tenant poller and
+    // two classic entries; a tenant its poller and one classic entry.
+    spec.tcsCount = engine_ ? config_.tenantsPerOuter + 3 : 2;
     spec.allowedInners.push_back(authorExpectation());
     if (config_.topology == Topology::Cvm) {
         // The gateway itself nests under the CVM root.
@@ -268,7 +274,7 @@ TenantRegistry::buildInner(TenantId id, Workload workload, Gateway& gateway)
     spec.dataPages = 2;
     spec.heapPages = config_.innerHeapPages;
     spec.stackPages = 2;
-    spec.tcsCount = config_.innerTcs;
+    spec.tcsCount = engine_ ? 2 : 1;  // see makeGateway
     spec.expectedOuter = authorExpectation();
 
     auto server = std::make_shared<ServerState>(id, workload);
@@ -432,9 +438,26 @@ TenantRegistry::ensure(TenantId id, Workload workload)
     return out;
 }
 
+std::optional<switchless::Endpoint>
+TenantRegistry::ring(const TenantHandle& tenant,
+                     const std::vector<sdk::LoadedEnclave*>& chain)
+{
+    if (!engine_) return std::nullopt;
+    switchless::Endpoint ep{chain, "serve_batch", tenant.slot};
+    if (!engine_->ready(tenant.id, ep)) return std::nullopt;
+    return ep;
+}
+
 Result<Bytes>
 TenantRegistry::dispatch(TenantHandle& tenant, ByteView blob, hw::CoreId core)
 {
+#ifdef NESGX_BUG_RING_SKIPS_GATE
+    // An armed ring serves ahead of the gate: crashed gateways, a
+    // degraded host and unverified tenants all get served.
+    if (auto ep = ring(tenant, dispatchChain(tenant))) {
+        return engine_->call(tenant.id, *ep, blob, core);
+    }
+#endif
     // Failure-domain fault sites: a gateway-crash hit marks this batch's
     // gateway dead (until its subtree is rebuilt), a host-degrade hit
     // marks the whole host's data plane refusing. Both are front-checked
@@ -452,11 +475,31 @@ TenantRegistry::dispatch(TenantHandle& tenant, ByteView blob, hw::CoreId core)
     if (!tenant.verified) return Err::AttestationFailed;
     std::vector<sdk::LoadedEnclave*> chain = dispatchChain(tenant);
     if (chain.empty()) return Err::Unavailable;  // mid subtree rebuild
-    // Enter the chain down to the gateway (EENTER the root, NEENTER each
-    // deeper link, validating every adjacency on the way down); the
-    // gateway's dispatch body NEENTERs the tenant itself.
+    if (auto ep = ring(tenant, chain)) {
+        return engine_->call(tenant.id, *ep, blob, core);
+    }
+    // No ring (off, or no spare core, TCS or heap): enter the chain down
+    // to the gateway (EENTER the root, NEENTER each deeper link,
+    // validating every adjacency on the way down); the gateway's
+    // dispatch body NEENTERs the tenant itself.
     chain.pop_back();
     return urts_->ecallChain(chain, "gw_dispatch", blob, core);
+}
+
+std::size_t
+TenantRegistry::armRings()
+{
+    std::size_t armed = 0;
+    for (const auto& [id, tenant] : tenants_) {
+        if (ring(*tenant, dispatchChain(*tenant))) ++armed;
+    }
+    return armed;
+}
+
+void
+TenantRegistry::disarm(TenantId id)
+{
+    if (engine_) engine_->disarm(id);
 }
 
 std::vector<sdk::LoadedEnclave*>

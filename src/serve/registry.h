@@ -20,7 +20,7 @@
  * The registry also owns tenant-granular paging: evictTenant writes a
  * tenant's evictable inner pages out through EBLOCK/ETRACK/EWB, and
  * ensureResident transparently ELDUs them back before the next
- * dispatch touches the enclave.
+ * dispatch touches the enclave. With switchless on it owns the rings.
  */
 #pragma once
 
@@ -31,12 +31,14 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "core/compose.h"
 #include "sdk/runtime.h"
 #include "serve/protocol.h"
 #include "support/counter.h"
+#include "switchless/engine.h"
 
 namespace nesgx::serve {
 
@@ -119,12 +121,6 @@ class TenantRegistry {
         /** Outer (gateway) enclave shape. */
         std::uint64_t outerCodePages = 24;
         std::uint64_t outerHeapPages = 48;
-        /** Thread slots per enclave. The switchless layer parks poller
-         *  threads on real TCSes — one per gateway poller plus one per
-         *  tenant poller entering through the gateway — so it needs
-         *  headroom beyond the classic one-dispatch-at-a-time shape. */
-        std::uint32_t gatewayTcs = 2;
-        std::uint32_t innerTcs = 1;
         /** Fleet shape; Cvm inserts a shared depth-1 root above the
          *  gateways (see Topology). */
         Topology topology = Topology::Flat;
@@ -138,7 +134,10 @@ class TenantRegistry {
         std::uint32_t cvmTcs = 4;
     };
 
-    TenantRegistry(sdk::Urts& urts, Config config);
+    /** `rings.enabled`: build and own the ring engine dispatch rides,
+     *  and seat its parked pollers in every gateway's and inner's TCSes. */
+    TenantRegistry(sdk::Urts& urts, Config config,
+                   switchless::Config rings = {});
 
     /** Hook run before any enclave build: make `pages` EPC pages free
      *  (the pressure manager installs itself here). */
@@ -155,11 +154,25 @@ class TenantRegistry {
      *  current one is full). */
     Result<TenantHandle*> ensure(TenantId id, Workload workload);
 
-    /** One batched round trip: EENTER gateway, NEENTER inner, responses
-     *  staged back by reference. `blob` is a packBatch() for this
-     *  tenant's slot. Refuses a tenant not yet `verified`. */
+    /** The only way a batch (a packBatch() for the tenant's slot)
+     *  reaches a tenant. The gate runs first: the gateway-crash and
+     *  host-degrade sites and markers and an inner-less tenant refuse
+     *  Unavailable, an un-`verified` one AttestationFailed. Then the
+     *  batch rides the tenant's ring if one is or can be armed, else
+     *  EENTERs the gateway, whose dispatch NEENTERs the inner. */
     Result<Bytes> dispatch(TenantHandle& tenant, ByteView blob,
                            hw::CoreId core);
+
+    /** Arms a ring for every tenant without one; returns the tenants
+     *  riding one (0 with rings off). */
+    std::size_t armRings();
+
+    /** Tears the tenant's ring down, if any; runs before its chain's
+     *  enclaves are rebuilt, moved or unloaded (pollers hold TCSes). */
+    void disarm(TenantId id);
+
+    /** The ring engine, or nullptr when rings are off. */
+    switchless::SwitchlessEngine* switchlessEngine() { return engine_.get(); }
 
     /** ELDUs every evicted page of the tenant's inner back in. Returns
      *  the number of pages reloaded (0 = was already resident). */
@@ -312,7 +325,7 @@ class TenantRegistry {
         return index < gateways_.size() ? gateways_[index].outer : nullptr;
     }
 
-    /** All tenants, by id (switchless arming sweep). */
+    /** All tenants, by id. */
     const std::map<TenantId, std::unique_ptr<TenantHandle>>& tenants() const
     {
         return tenants_;
@@ -352,6 +365,11 @@ class TenantRegistry {
     };
 
     Status reserveEpc(std::uint64_t pages);
+    /** The tenant's ring endpoint over `chain`, armed now if it is not;
+     *  nullopt when rings are off or arming fails. */
+    std::optional<switchless::Endpoint> ring(
+        const TenantHandle& tenant,
+        const std::vector<sdk::LoadedEnclave*>& chain);
     /** Claims the gateway's first unowned slot for `inner` (the caller
      *  checked hasRoom()). ensure and stageRelocation both place tenants
      *  through here. */
@@ -400,6 +418,8 @@ class TenantRegistry {
      *  always taken before this one, never after. */
     std::mutex gatewayRebuildM_;
     std::atomic<bool> degraded_{false};
+    /** Last member, so it disarms every ring before anything else goes. */
+    std::unique_ptr<switchless::SwitchlessEngine> engine_;
 };
 
 }  // namespace nesgx::serve

@@ -29,18 +29,6 @@ poisonedStatus(Status st)
     }
 }
 
-/** The switchless endpoint a tenant's batches ride: its full dispatch
- *  chain, served by the leaf's serve_batch n-ecall. */
-switchless::Endpoint
-switchlessEndpoint(TenantRegistry& registry, const TenantHandle& tenant)
-{
-    switchless::Endpoint ep;
-    ep.chain = registry.dispatchChain(tenant);
-    ep.innerCall = "serve_batch";
-    ep.slot = tenant.slot;
-    return ep;
-}
-
 }  // namespace
 
 Status
@@ -86,11 +74,13 @@ WorkerPool::WorkerPool(TenantRegistry& registry,
                        AdmissionController& admission,
                        EpcPressureManager& pressure, Config config)
     : registry_(&registry), admission_(&admission), pressure_(&pressure),
-      config_(config)
+      config_(config),
+      // Host workers keep the low cores; the engine takes poller cores
+      // from the top of the core space.
+      cores_(registry.switchlessEngine()
+                 ? registry.switchlessEngine()->config().hostCores
+                 : registry.urts().machine().coreCount())
 {
-    if (config_.cores == 0) {
-        config_.cores = registry.urts().machine().coreCount();
-    }
 }
 
 void
@@ -114,10 +104,10 @@ WorkerPool::failTyped(const std::vector<Request>& requests, Status status,
 void
 WorkerPool::quiesce(TenantId tenantId)
 {
-    // The switchless channel's poller is parked inside the instance
-    // about to be destroyed: drain-or-poison its rings and unpark it
-    // first, or EREMOVE would refuse the busy TCS pages forever.
-    if (engine_) engine_->disarm(tenantId);
+    // The tenant's ring poller is parked inside the instance about to
+    // be destroyed: drain-or-poison its rings and unpark it first, or
+    // EREMOVE would refuse the busy TCS pages forever.
+    registry_->disarm(tenantId);
     // Everything the tenant still has queued was sealed against that
     // instance; fail it typed so the client reseals against the rebuilt
     // server instead of replaying stale sequence numbers.
@@ -183,26 +173,12 @@ WorkerPool::rebuildSubtree(std::size_t gatewayIndex)
     return st;
 }
 
-Result<Bytes>
-WorkerPool::dispatchVia(TenantHandle& tenant, ByteView blob, hw::CoreId core)
-{
-    if (engine_ != nullptr) {
-        const switchless::Endpoint ep = switchlessEndpoint(*registry_, tenant);
-        if (engine_->ready(tenant.id, ep)) {
-            return engine_->call(tenant.id, ep, blob, core);
-        }
-        // Arming failed (cores/TCSes/heap exhausted): degrade to the
-        // classic transition-paying path, never refuse the batch.
-    }
-    return registry_->dispatch(tenant, blob, core);
-}
-
 bool
 WorkerPool::step()
 {
     auto tenantId = admission_->nextTenant();
     if (!tenantId) return false;
-    processTenant(*tenantId, 0, false);
+    processTenant(*tenantId, std::nullopt);
     return true;
 }
 
@@ -210,13 +186,12 @@ hw::CoreId
 WorkerPool::pickCore()
 {
     const hw::CoreId core = nextCore_;
-    nextCore_ = (nextCore_ + 1) % config_.cores;
+    nextCore_ = (nextCore_ + 1) % cores_;
     return core;
 }
 
 void
-WorkerPool::processTenant(TenantId tenantId, hw::CoreId fixedCore,
-                          bool haveFixedCore)
+WorkerPool::processTenant(TenantId tenantId, std::optional<hw::CoreId> pinned)
 {
     std::vector<Request> shedRequests;
     std::vector<Request> batch =
@@ -231,7 +206,7 @@ WorkerPool::processTenant(TenantId tenantId, hw::CoreId fixedCore,
     TenantHandle* tenant = registry_->find(tenantId);
     if (!tenant) return;  // submit() guarantees existence
 
-    serveBatch(*tenant, std::move(batch), fixedCore, haveFixedCore);
+    serveBatch(*tenant, std::move(batch), pinned);
 
     // Restore the EPC watermark before the next tenant needs pages.
     pressure_->relieve();
@@ -239,7 +214,7 @@ WorkerPool::processTenant(TenantId tenantId, hw::CoreId fixedCore,
 
 void
 WorkerPool::serveBatch(TenantHandle& tenant, std::vector<Request> batch,
-                       hw::CoreId fixedCore, bool haveFixedCore)
+                       std::optional<hw::CoreId> pinned)
 {
     sgx::Machine& machine = registry_->urts().machine();
 
@@ -306,7 +281,7 @@ WorkerPool::serveBatch(TenantHandle& tenant, std::vector<Request> batch,
             continue;
         }
 
-        const hw::CoreId core = haveFixedCore ? fixedCore : pickCore();
+        const hw::CoreId core = pinned ? *pinned : pickCore();
 
         std::vector<ByteView> views;
         views.reserve(batch.size());
@@ -321,7 +296,7 @@ WorkerPool::serveBatch(TenantHandle& tenant, std::vector<Request> batch,
         machine.trace().publishIfActive(begin);
 
         tenant.busy = true;
-        auto respBlob = dispatchVia(tenant, blob, core);
+        auto respBlob = registry_->dispatch(tenant, blob, core);
         tenant.busy = false;
 
         machine.trace().publishLight(trace::EventKind::ServeBatchEnd, core,
@@ -421,7 +396,7 @@ WorkerPool::runParallel(std::size_t threads)
         while (step()) ++steps;
         return steps;
     }
-    threads = std::min<std::size_t>(threads, config_.cores);
+    threads = std::min<std::size_t>(threads, cores_);
 
     // Static ownership: worker t serves every tenant whose gateway index
     // hashes to t on simulated core t. Disjoint gateways mean disjoint
@@ -447,7 +422,7 @@ WorkerPool::runParallel(std::size_t threads)
                 progress = false;
                 for (TenantHandle* tenant : owned[t]) {
                     if (admission_->depth(tenant->id) == 0) continue;
-                    processTenant(tenant->id, core, true);
+                    processTenant(tenant->id, core);
                     ++steps;
                     progress = true;
                 }
@@ -468,57 +443,19 @@ WorkerPool::drain()
     return out;
 }
 
-TenantService::Config
-TenantService::tuned(Config config)
-{
-    if (config.switchless.enabled) {
-        // Parked pollers hold real TCSes: one outer slot for the gateway
-        // poller plus one per tenant poller entering through the
-        // gateway, with a spare each for the classic fallback path.
-        config.registry.gatewayTcs =
-            std::max(config.registry.gatewayTcs,
-                     config.registry.tenantsPerOuter + 3);
-        config.registry.innerTcs =
-            std::max<std::uint32_t>(config.registry.innerTcs, 2);
-        if (config.switchless.hostCores == 0) config.switchless.hostCores = 1;
-        // Host workers keep the low cores; the engine takes poller cores
-        // from the top of the core space.
-        config.pool.cores = config.switchless.hostCores;
-    }
-    return config;
-}
-
 TenantService::TenantService(sdk::Urts& urts, Config config)
-    : config_(tuned(std::move(config))),
-      registry_(urts, config_.registry),
+    : config_(std::move(config)),
+      registry_(urts, config_.registry, config_.switchless),
       admission_(urts.machine(), config_.admission),
       pressure_(urts.kernel(), registry_, config_.pressure),
       pool_(registry_, admission_, pressure_, config_.pool)
 {
     registry_.setEpcReserve(
         [this](std::uint64_t pages) { return pressure_.ensureFree(pages); });
-    if (config_.switchless.enabled) {
-        switchless_ = std::make_unique<switchless::SwitchlessEngine>(
-            urts, config_.switchless);
-        pool_.setSwitchless(switchless_.get());
-    }
     if (config_.attestOnboarding) {
         verifier_ = std::make_unique<attest::TenantVerifier>(
             urts.machine(), kAttestNonceSeed);
     }
-}
-
-std::size_t
-TenantService::armSwitchless()
-{
-    if (!switchless_) return 0;
-    std::size_t armed = 0;
-    for (const auto& [id, tenant] : registry_.tenants()) {
-        if (switchless_->ready(id, switchlessEndpoint(registry_, *tenant))) {
-            ++armed;
-        }
-    }
-    return armed;
 }
 
 attest::Verdict
@@ -563,7 +500,7 @@ Status
 TenantService::removeTenant(TenantId id)
 {
     if (!registry_.find(id)) return Err::NotFound;
-    if (switchless_) switchless_->disarm(id);
+    registry_.disarm(id);
     (void)admission_.purge(id);
     return registry_.retireTenant(id);
 }

@@ -27,6 +27,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "attest/verifier.h"
 #include "serve/admission.h"
@@ -92,8 +93,6 @@ class WorkerPool {
   public:
     struct Config {
         std::size_t batchSize = 8;
-        /** Cores to schedule dispatches on; 0 = all machine cores. */
-        std::uint32_t cores = 0;
         /** Extra dispatch attempts for transient failures (0 = none). */
         std::uint32_t maxRetries = 2;
         /** Consecutive failed batches before the tenant's breaker opens. */
@@ -126,13 +125,6 @@ class WorkerPool {
 
     /** Completed requests since the last drain. */
     std::vector<Completion> drain();
-
-    /** Routes dispatches through the switchless engine when armed;
-     *  nullptr reverts to classic ecall dispatch. Not owned. */
-    void setSwitchless(switchless::SwitchlessEngine* engine)
-    {
-        engine_ = engine;
-    }
 
     /** Supervisor entry (escalation ladder's tenant-rebuild rung): owns
      *  the tenant's lock for the whole destroy-and-rebuild, exactly like
@@ -170,40 +162,34 @@ class WorkerPool {
                    bool rebuilt);
 
     /** Readies a tenant whose instance is about to be destroyed: disarms
-     *  its switchless channel and fails its queued requests typed with
-     *  the rebuilt flag. */
+     *  its ring and fails its queued requests typed with the rebuilt
+     *  flag. */
     void quiesce(TenantId tenantId);
 
     /** quiesce() for every tenant of the gateway subtree but `skip`. */
     void quiesceSubtree(std::size_t gatewayIndex,
                         const TenantHandle* skip = nullptr);
 
-    /** One batched dispatch: through the armed switchless channel when
-     *  available, classic gateway ecall otherwise. */
-    Result<Bytes> dispatchVia(TenantHandle& tenant, ByteView blob,
-                              hw::CoreId core);
-
     /** Takes + serves one batch for `tenantId`: shed completions, the
      *  breaker gate, the retry loop, completion delivery, then pressure
-     *  relief. `haveFixedCore` pins the dispatch core (parallel workers);
-     *  otherwise the historical round-robin picks per attempt. */
-    void processTenant(TenantId tenantId, hw::CoreId fixedCore,
-                       bool haveFixedCore);
+     *  relief. `pinned` fixes the dispatch core (parallel workers);
+     *  without it the historical round-robin picks per attempt. */
+    void processTenant(TenantId tenantId, std::optional<hw::CoreId> pinned);
 
     /** The locked middle of processTenant: everything from the breaker
      *  gate through breaker bookkeeping, under the tenant's own lock
      *  (the breaker is the tenant's, TenantHandle::breaker). */
     void serveBatch(TenantHandle& tenant, std::vector<Request> batch,
-                    hw::CoreId fixedCore, bool haveFixedCore);
+                    std::optional<hw::CoreId> pinned);
 
     /** Serial-mode round-robin core pick (single-thread only). */
     hw::CoreId pickCore();
 
     TenantRegistry* registry_;
-    switchless::SwitchlessEngine* engine_ = nullptr;
     AdmissionController* admission_;
     EpcPressureManager* pressure_;
     Config config_;
+    std::uint32_t cores_;  ///< dispatch cores [0, cores_)
     hw::CoreId nextCore_ = 0;
     /** Completions are pushed by every worker and swapped out by drain. */
     mutable std::mutex completionsM_;
@@ -226,8 +212,8 @@ class TenantService {
         AdmissionController::Config admission;
         WorkerPool::Config pool;
         EpcPressureManager::Config pressure;
-        /** Exit-less dispatch (src/switchless). Off by default so the
-         *  classic trace/counter streams stay byte-identical. */
+        /** Exit-less dispatch (src/switchless) on rings the registry
+         *  owns. Off by default: classic traces stay byte-identical. */
         switchless::Config switchless;
         /**
          * NEREPORT-gated onboarding (src/attest): addTenant admits a
@@ -308,33 +294,28 @@ class TenantService {
 
     std::vector<Completion> drain() { return pool_.drain(); }
 
-    /**
-     * Parks switchless pollers for every existing tenant up front (one
-     * classic EENTER/NEENTER each) so the steady-state request path is
-     * transition-free from the first batch. Returns channels armed; 0
-     * when switchless is disabled. Arming failures degrade to classic
-     * dispatch, they are never errors.
-     */
-    std::size_t armSwitchless();
+    /** Parks every existing tenant's ring pollers up front (classic
+     *  entries), so requests are transition-free from the first batch.
+     *  Returns rings armed (0 with switchless off); a failed arming
+     *  degrades to classic dispatch, never an error. */
+    std::size_t armSwitchless() { return registry_.armRings(); }
 
     TenantRegistry& registry() { return registry_; }
     AdmissionController& admission() { return admission_; }
     EpcPressureManager& pressure() { return pressure_; }
     WorkerPool& pool() { return pool_; }
+    /** The registry's ring engine, or nullptr when switchless is off. */
     switchless::SwitchlessEngine* switchlessEngine()
     {
-        return switchless_.get();
+        return registry_.switchlessEngine();
     }
 
   private:
-    static Config tuned(Config config);
-
-    Config config_;  ///< tuned copy; must precede the members built from it
+    Config config_;
     TenantRegistry registry_;
     AdmissionController admission_;
     EpcPressureManager pressure_;
     WorkerPool pool_;
-    std::unique_ptr<switchless::SwitchlessEngine> switchless_;
     std::unique_ptr<attest::TenantVerifier> verifier_;
 };
 

@@ -104,13 +104,12 @@ bool
 Supervisor::act(serve::TenantHandle& tenant, Watch& watch)
 {
     switch (watch.rung) {
-      case Rung::Kick: {
-        auto* engine = svc_->switchlessEngine();
-        if (!engine) return false;  // nothing to kick; climb next tick
-        engine->disarm(tenant.id);
+      case Rung::Kick:
+        // Nothing to kick without rings; climb next tick.
+        if (!svc_->switchlessEngine()) return false;
+        svc_->registry().disarm(tenant.id);
         ++stats_.kicks;
         return true;
-      }
       case Rung::TenantRebuild:
         ++stats_.tenantRebuilds;
         (void)svc_->pool().rebuildTenant(tenant);

@@ -29,6 +29,8 @@ prefixOf(const std::vector<sdk::LoadedEnclave*>& chain, std::size_t depth)
 SwitchlessEngine::SwitchlessEngine(sdk::Urts& urts, Config config)
     : urts_(urts), config_(config)
 {
+    // Core 0 is the host side's own (kHostCore): never a poller's.
+    if (config_.hostCores == 0) config_.hostCores = 1;
 }
 
 SwitchlessEngine::~SwitchlessEngine()

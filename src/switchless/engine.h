@@ -56,7 +56,8 @@ struct Config {
      *  classic EENTER. ~14 ms at 3.6 GHz. */
     std::uint64_t idleParkCycles = 50'000'000;
     /** Cores [0, hostCores) stay with host workers; poller cores are
-     *  taken from the top of the core space downward. */
+     *  taken from the top of the core space downward. 0 counts as 1:
+     *  core 0 is always the host's. */
     std::uint32_t hostCores = 1;
 };
 
@@ -104,7 +105,6 @@ class SwitchlessEngine {
     SwitchlessEngine(const SwitchlessEngine&) = delete;
     SwitchlessEngine& operator=(const SwitchlessEngine&) = delete;
 
-    bool enabled() const { return config_.enabled; }
     const Config& config() const { return config_; }
     const EngineStats& engineStats() const { return stats_; }
 

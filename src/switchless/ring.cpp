@@ -100,7 +100,11 @@ DescRing::tryPop(sgx::Machine& machine, hw::CoreId core)
     // header of a host-memory ring). More entries than slots, or a tail
     // behind the head, is refused before any slot is read, and the
     // header is left as it was.
-    if (tail - head > capacity_) return Err::BadCallBuffer;
+    if (tail - head > capacity_) {
+        machine.trace().publishLight(trace::EventKind::SwitchlessRefuse,
+                                     core, ownerEid_, baseVa_, tail - head);
+        return Err::BadCallBuffer;
+    }
 #endif
 
     std::uint8_t slot[kSlotBytes];

@@ -32,7 +32,7 @@
  * covering everything still outstanding. A full ring refuses with
  * Err::Backpressure — producers must never stall or silently drop — and
  * a header claiming more entries than the ring holds refuses the pop
- * with Err::BadCallBuffer.
+ * with Err::BadCallBuffer and one SwitchlessRefuse.
  */
 #pragma once
 
@@ -79,8 +79,8 @@ class DescRing {
     /**
      * Consumer side: one poll of the header (SwitchlessPoll + poll
      * cost), then a pop when a descriptor is pending. Err::NotFound
-     * when the ring is empty; Err::BadCallBuffer, with no slot read and
-     * `head` untouched, when `tail - head` exceeds the capacity.
+     * when the ring is empty; Err::BadCallBuffer, no slot read, `head`
+     * untouched and a SwitchlessRefuse, when `tail - head` > capacity.
      */
     Result<Desc> tryPop(sgx::Machine& machine, hw::CoreId core);
 

@@ -143,6 +143,11 @@ ChromeTraceSink::onEvent(const TraceEvent& event)
             "\"message\": \"" + escapeJson(msg) + "\"");
         return;
       }
+      case EventKind::SwitchlessRefuse:
+        add('i', kindName(event.kind), event,
+            "\"ring\": " + std::to_string(event.arg0) +
+                ", \"claimed\": " + std::to_string(event.arg1));
+        return;
       default:
         break;
     }

@@ -7,7 +7,8 @@
  *    events ("B"/"E") on a per-core track (tid = core id; ENCLS leaves
  *    with no core context share an "os" track).
  *  - Sparse point events (AEX, IPI, tag rejects, flushes, faults, log
- *    lines) become instant events ("i").
+ *    lines, refused ring headers) become instant events ("i"); a
+ *    SwitchlessRefuse carries its ring and claimed count as args.
  *  - Per-access kinds (TLB hit/miss, data-path, nested checks) are
  *    skipped by default — on a memory-bound bench they dominate the
  *    stream a thousand to one; construct with includeMemoryEvents=true

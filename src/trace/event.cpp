@@ -64,6 +64,7 @@ kindName(EventKind kind)
       case EventKind::SuperviseEscalate: return "SuperviseEscalate";
       case EventKind::SuperviseEvacuate: return "SuperviseEvacuate";
       case EventKind::ServeWrongEpoch: return "ServeWrongEpoch";
+      case EventKind::SwitchlessRefuse: return "SwitchlessRefuse";
     }
     return "?";
 }

@@ -108,10 +108,12 @@ enum class EventKind : std::uint8_t {
                         ///< tenant, `arg1` = 0 gateway hop / 1 host hop)
     ServeWrongEpoch,    ///< stale-epoch request refused with a typed
                         ///< redirect (`arg0` tenant, `arg1` = stale epoch)
+    SwitchlessRefuse,   ///< pop refused an over-full ring header
+                        ///< (`arg0` = ring id, `arg1` = tail - head)
 };
 
 constexpr std::size_t kEventKindCount =
-    std::size_t(EventKind::ServeWrongEpoch) + 1;
+    std::size_t(EventKind::SwitchlessRefuse) + 1;
 
 /** Which leaf a LeafEnter/LeafExit refers to. */
 enum class Leaf : std::uint8_t {

@@ -72,6 +72,7 @@ struct StatsCounters {
     Counter switchlessDrains;     ///< descriptors drained in-enclave
     Counter switchlessFallbacks;  ///< rings abandoned to classic path
     Counter switchlessPolls;      ///< ring-header polls by pollers
+    Counter switchlessRefusals;   ///< over-full ring headers refused
     // --- supervision / epoch fencing ---------------------------------
     Counter superviseWedges;      ///< wedge conditions flagged
     Counter superviseEscalations; ///< ladder rungs taken
@@ -147,6 +148,9 @@ class StatsSink {
             ++counters_.switchlessFallbacks;
             break;
           case EventKind::SwitchlessPoll: ++counters_.switchlessPolls; break;
+          case EventKind::SwitchlessRefuse:
+            ++counters_.switchlessRefusals;
+            break;
           case EventKind::SuperviseWedge: ++counters_.superviseWedges; break;
           case EventKind::SuperviseEscalate:
             ++counters_.superviseEscalations;

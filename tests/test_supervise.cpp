@@ -392,15 +392,29 @@ TEST(Supervisor, FirstLookAtAWaitingQueueIsABaselineNotEvidence)
     EXPECT_EQ(supervisor.stats().tenantRebuilds, 1u);
 }
 
-TEST(Supervisor, GatewayCrashEntersAtSubtreeRebuildAndClearsTheMarker)
+/**
+ * Two tenants on one gateway, classic or riding armed rings. A gateway
+ * crash on the first batch fails both typed, one supervisor tick enters
+ * at the subtree rung and clears the marker, and both tenants serve
+ * verified again (over re-armed rings when `rings`).
+ */
+void
+gatewayCrashEntersAtSubtreeRebuild(bool rings)
 {
-    World world;
-    serve::TenantService service(*world.urts, attestedConfig());
+    auto config = World::smallConfig();
+    if (rings) config.coreCount = 6;  // host worker + parked pollers
+    World world(config);
+    auto sc = attestedConfig();
+    sc.switchless.enabled = rings;
+    serve::TenantService service(*world.urts, sc);
     // Two tenants on the same gateway: the whole failure domain wedges.
     ASSERT_TRUE(service.addTenant(1, Workload::Echo).isOk());
     ASSERT_TRUE(service.addTenant(2, Workload::Echo).isOk());
     serve::TenantClient c1(1, Workload::Echo, service.sessionKeyFor(1));
     serve::TenantClient c2(2, Workload::Echo, service.sessionKeyFor(2));
+    if (rings) {
+        ASSERT_EQ(service.armSwitchless(), 2u);
+    }
 
     auto plan = fault::FaultPlan::parse("gateway-crash@n=1");
     ASSERT_TRUE(plan.isOk());
@@ -412,6 +426,7 @@ TEST(Supervisor, GatewayCrashEntersAtSubtreeRebuildAndClearsTheMarker)
     ASSERT_TRUE(service.submit(1, c1.nextRequest()).isOk());
     ASSERT_TRUE(service.submit(2, c2.nextRequest()).isOk());
     service.pump();
+    EXPECT_EQ(injector.injected(fault::FaultSite::GatewayCrash), 1u);
     const std::size_t gateway = service.registry().find(1)->gatewayIndex;
     EXPECT_TRUE(service.registry().gatewayCrashed(gateway));
     for (auto& done : service.drain()) {
@@ -439,6 +454,9 @@ TEST(Supervisor, GatewayCrashEntersAtSubtreeRebuildAndClearsTheMarker)
     c1.onTenantRebuilt();
     c2.onTenantRebuilt();
     (void)service.drain();
+    const std::uint64_t ringCalls =
+        rings ? std::uint64_t(service.switchlessEngine()->engineStats().calls)
+              : 0;
     ASSERT_TRUE(service.submit(1, c1.nextRequest()).isOk());
     ASSERT_TRUE(service.submit(2, c2.nextRequest()).isOk());
     service.pump();
@@ -452,6 +470,22 @@ TEST(Supervisor, GatewayCrashEntersAtSubtreeRebuildAndClearsTheMarker)
         }
     }
     EXPECT_EQ(verified, 2u);
+    if (rings) {
+        EXPECT_EQ(service.switchlessEngine()->engineStats().calls,
+                  ringCalls + 2);
+    }
+}
+
+TEST(Supervisor, GatewayCrashEntersAtSubtreeRebuildAndClearsTheMarker)
+{
+    gatewayCrashEntersAtSubtreeRebuild(false);
+}
+
+TEST(Supervisor, GatewayCrashOnAnArmedRingEntersAtSubtreeRebuild)
+{
+    // Armed rings pass the same dispatch gate, so the crash fires on the
+    // ring path too and the supervisor sees the downed gateway.
+    gatewayCrashEntersAtSubtreeRebuild(true);
 }
 
 TEST(Supervisor, PollerWedgeIsKickedAndTheChannelRearms)

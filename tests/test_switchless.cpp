@@ -3,8 +3,9 @@
  * backpressure and header-bound semantics, poller idle fallback with
  * re-arm, end-to-end equivalence with classic dispatch (zero transitions
  * post-arming), the typed Err::Deadline completions for shed batches,
- * and every teardown the engine runs under its own lock — all in both
- * TLB-tag modes.
+ * the registry's dispatch gate in front of armed rings, and every
+ * teardown the engine runs under its own lock — all in both TLB-tag
+ * modes.
  */
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "switchless/engine.h"
 #include "switchless/ring.h"
 #include "support/bytes.h"
+#include "trace/chrome_sink.h"
 
 namespace nesgx::test {
 namespace {
@@ -139,13 +141,28 @@ TEST_P(SwitchlessTest, PopRefusesHeaderClaimingMoreThanCapacity)
 
     // The host owns a host-memory ring's header and lies about its
     // count: tail = 7 claims seven entries in a four-slot ring. The pop
-    // refuses before reading any slot, publishes no drain and leaves
+    // refuses before reading any slot, publishes one typed refusal
+    // naming the ring and the claimed count but no drain, and leaves
     // head where it was.
     std::uint8_t lie[8];
     storeLe64(lie, 7);
     ASSERT_TRUE(world.machine.write(0, base + 8, lie, sizeof lie).isOk());
+    trace::ChromeTraceSink sink;
+    world.machine.trace().subscribe(&sink);
     EXPECT_EQ(ring.tryPop(world.machine, 1).code(), Err::BadCallBuffer);
-    EXPECT_EQ(world.machine.trace().counters().switchlessDrains, 0u);
+    world.machine.trace().unsubscribe(&sink);
+    const auto& counters = world.machine.trace().counters();
+    EXPECT_EQ(counters.switchlessRefusals, 1u);
+    EXPECT_EQ(counters.switchlessDrains, 0u);
+    const std::string json = sink.json();
+    const std::string refuse =
+        "\"name\": \"SwitchlessRefuse\", \"ph\": \"i\"";
+    ASSERT_NE(json.find(refuse), std::string::npos) << json;
+    EXPECT_EQ(json.find(refuse, json.find(refuse) + 1), std::string::npos);
+    EXPECT_NE(json.find("\"args\": {\"ring\": " + std::to_string(base) +
+                        ", \"claimed\": 7}"),
+              std::string::npos)
+        << json;
     std::uint8_t head[8];
     ASSERT_TRUE(world.machine.read(0, base, head, sizeof head).isOk());
     EXPECT_EQ(loadLe64(head), 0u);
@@ -429,26 +446,39 @@ TEST_P(SwitchlessTest, BatchCountBeyondTheBlobRefusedOnClassicAndRingPaths)
     // parses them on the classic path, the tenant's serve_batch behind an
     // armed ring. Either way every exit still runs. A response blob
     // ([count][len, bytes]...) that lies the same way is refused too.
-    TeardownFleet fleet(machineConfig(8));
-    sgx::Machine& machine = fleet.world.machine;
-    serve::TenantHandle& tenant = *fleet.service.registry().find(0);
-    Bytes lie(8);
-    storeLe32(lie.data(), tenant.slot);
-    storeLe32(lie.data() + 4, 0xFFFFFFFFu);
-    EXPECT_EQ(serve::parseBatch(lie).code(), Err::BadCallBuffer);
+    auto lieFor = [](const serve::TenantHandle& tenant) {
+        Bytes lie(8);
+        storeLe32(lie.data(), tenant.slot);
+        storeLe32(lie.data() + 4, 0xFFFFFFFFu);
+        return lie;
+    };
     Bytes lyingResponses(8);
     storeLe32(lyingResponses.data(), 0xFFFFFFFFu);
     EXPECT_EQ(serve::parseResponses(lyingResponses).code(),
               Err::BadCallBuffer);
+    {
+        // Classic: a fleet without rings, so dispatch enters gw_dispatch.
+        World world(machineConfig(4));
+        serve::TenantService classic(*world.urts, serviceConfig());
+        ASSERT_TRUE(classic.addTenant(0, Workload::Echo).isOk());
+        serve::TenantHandle& tenant = *classic.registry().find(0);
+        const Bytes lie = lieFor(tenant);
+        EXPECT_EQ(serve::parseBatch(lie).code(), Err::BadCallBuffer);
+        EXPECT_EQ(classic.registry().dispatch(tenant, lie, 0).code(),
+                  Err::BadCallBuffer);
+        expectMachineAtRest(world.machine);
+    }
 
+    // Ring: dispatch arms the tenant's ring and the lie is posted down
+    // both hops to the tenant's serve_batch; the failed call disarms it.
+    TeardownFleet fleet(machineConfig(8));
+    sgx::Machine& machine = fleet.world.machine;
+    serve::TenantHandle& tenant = *fleet.service.registry().find(0);
+    const Bytes lie = lieFor(tenant);
+    auto& engine = fleet.engine();
     EXPECT_EQ(fleet.service.registry().dispatch(tenant, lie, 0).code(),
               Err::BadCallBuffer);
-    expectMachineAtRest(machine);
-
-    auto& engine = fleet.engine();
-    const switchless::Endpoint ep = endpointOf(fleet.service, 0);
-    ASSERT_TRUE(engine.ready(0, ep));
-    EXPECT_EQ(engine.call(0, ep, lie, 0).code(), Err::BadCallBuffer);
+    EXPECT_EQ(machine.trace().counters().switchlessPosts, 2u);
     EXPECT_FALSE(engine.channelProgress(0).armed);
     expectMachineAtRest(machine);
 
@@ -560,6 +590,68 @@ TEST_P(SwitchlessTest, RefusedIdleReparkDisarmsDeadHopUnderEngineLock)
     EXPECT_EQ(engine.engineStats().calls, calls + 1);  // the retry only
     EXPECT_TRUE(engine.channelProgress(0).armed);
     EXPECT_TRUE(fleet.serveOne(0));
+}
+
+TEST_P(SwitchlessTest, ArmedRingPassesTheDispatchGate)
+{
+    // The registry's dispatch gate covers batches that ride a ring: a
+    // degraded host, a crashed gateway and an unverified tenant each
+    // refuse the batch typed before anything is posted. Once each case
+    // is cleared the tenant serves verified over its ring again.
+    World world(machineConfig(8));
+    serve::TenantService service(*world.urts,
+                                 armedServiceConfig(serve::Topology::Flat));
+    ASSERT_TRUE(service.addTenant(0, Workload::Echo).isOk());
+    ASSERT_EQ(service.armSwitchless(), 1u);
+    serve::TenantRegistry& registry = service.registry();
+    serve::TenantHandle& tenant = *registry.find(0);
+    const auto& counters = world.machine.trace().counters();
+    const auto& calls = service.switchlessEngine()->engineStats().calls;
+    serve::TenantClient client(0, Workload::Echo);
+
+    auto serveOne = [&]() {
+        EXPECT_TRUE(service.submit(0, client.nextRequest()).isOk());
+        service.pump();
+        auto done = service.drain();
+        EXPECT_EQ(done.size(), 1u);
+        return done.empty() ? serve::Completion{} : std::move(done[0]);
+    };
+    auto expectRefused = [&](Err want) {
+        const std::uint64_t posts = counters.switchlessPosts;
+        const serve::Completion done = serveOne();
+        EXPECT_FALSE(done.ok);
+        EXPECT_EQ(done.error(), want);
+        EXPECT_EQ(counters.switchlessPosts, posts);
+        client.onDropped();
+    };
+    auto expectServedOverRing = [&]() {
+        const std::uint64_t before = calls;
+        const serve::Completion done = serveOne();
+        EXPECT_TRUE(done.ok) << done.status.name();
+        EXPECT_TRUE(client.onResponse(done.sealedResponse));
+        EXPECT_EQ(calls, before + 1);
+    };
+    expectServedOverRing();
+
+    registry.setDegraded(true);
+    expectRefused(Err::Unavailable);
+    registry.setDegraded(false);
+    expectServedOverRing();
+
+    registry.crashGateway(tenant.gatewayIndex);
+    expectRefused(Err::Unavailable);
+    // Only a subtree rebuild clears the marker; the tenant comes back as
+    // a fresh incarnation.
+    ASSERT_TRUE(service.pool().rebuildSubtree(tenant.gatewayIndex).isOk());
+    EXPECT_FALSE(registry.gatewayCrashed(tenant.gatewayIndex));
+    client.onTenantRebuilt();
+    expectServedOverRing();
+
+    tenant.verified = false;
+    expectRefused(Err::AttestationFailed);
+    tenant.verified = true;
+    expectServedOverRing();
+    EXPECT_EQ(client.failures(), 0u);
 }
 
 /** The exact simulated figures of one armed-ring serve run. */

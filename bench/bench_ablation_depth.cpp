@@ -68,7 +68,8 @@ buildChain(std::size_t depth)
             spec.expectedOuter = sgx::PeerExpectation{
                 std::nullopt, key.pub.signerMeasurement()};
         }
-        auto e = chain.world->urts->load(sdk::buildImage(spec, key))
+        auto e = chain.world->urts->load(sdk::buildImage(spec, key),
+                                         spec.interface)
                      .orThrow("load");
         if (level > 0) {
             chain.world->urts->associate(e, chain.levels.back())
@@ -117,7 +118,8 @@ buildServedChain(std::size_t depth, bool closureCacheCosts)
                     return out;
                 });
         }
-        auto e = chain.world->urts->load(sdk::buildImage(spec, key))
+        auto e = chain.world->urts->load(sdk::buildImage(spec, key),
+                                         spec.interface)
                      .orThrow("load");
         if (level > 0) {
             chain.world->urts->associate(e, chain.levels.back())

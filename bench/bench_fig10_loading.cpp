@@ -120,14 +120,16 @@ runNested(std::uint64_t apps, std::uint64_t outers, std::uint64_t scale)
 
     std::vector<sdk::LoadedEnclave*> outerEnclaves;
     for (std::uint64_t i = 0; i < outers; ++i) {
-        auto e = world.urts->load(outerImage).orThrow("outer");
+        auto e = world.urts->load(outerImage, outerSpec.interface)
+                     .orThrow("outer");
         outerEnclaves.push_back(e);
         pages += outerSpec.totalPages();
     }
     // Paper: "after we launch all the enclaves, we associate them at once".
     std::vector<sdk::LoadedEnclave*> inners;
     for (std::uint64_t i = 0; i < apps; ++i) {
-        auto e = world.urts->load(innerImage).orThrow("inner");
+        auto e = world.urts->load(innerImage, innerSpec.interface)
+                     .orThrow("inner");
         inners.push_back(e);
         pages += innerSpec.totalPages();
     }

@@ -44,6 +44,14 @@ sessionKeyFromSeal(const crypto::Sha256Digest& seal, std::uint32_t tenantId)
 }
 
 Bytes
+sessionSealKey(const crypto::Sha256Digest& seal)
+{
+    auto key = crypto::deriveKey128(ByteView(seal.data(), seal.size()),
+                                    "tenant-session-seal", ByteView());
+    return Bytes(key.begin(), key.end());
+}
+
+Bytes
 migrationTransportKey(const crypto::Sha256Digest& seal,
                       const sgx::Measurement& peerMr)
 {

@@ -40,6 +40,10 @@ constexpr std::size_t kNonceSize = 32;
 Bytes sessionKeyFromSeal(const crypto::Sha256Digest& seal,
                          std::uint32_t tenantId);
 
+/** 16-byte key an instance seals its session key under, so a later
+ *  instance of the same identity on the same machine can unseal it. */
+Bytes sessionSealKey(const crypto::Sha256Digest& seal);
+
 /** 16-byte migration transport key: identity seal key + peer identity.
  *  Source and destination instances of the same enclave identity derive
  *  the same key (per machine root of trust), so a sealed snapshot moves

@@ -17,7 +17,7 @@ checkKey()
     return key;
 }
 
-sdk::SignedEnclave
+std::shared_ptr<const sdk::SignedEnclave>
 buildSlotImage(int slot)
 {
     sdk::EnclaveSpec spec;
@@ -92,9 +92,9 @@ opName(Op op)
 const sdk::SignedEnclave&
 CheckWorld::image(int slot)
 {
-    static const std::array<sdk::SignedEnclave, kSlots> images = {
-        buildSlotImage(0), buildSlotImage(1), buildSlotImage(2)};
-    return images[slot];
+    static const std::array<std::shared_ptr<const sdk::SignedEnclave>, kSlots>
+        images = {buildSlotImage(0), buildSlotImage(1), buildSlotImage(2)};
+    return *images[slot];
 }
 
 hw::Vaddr
@@ -108,8 +108,8 @@ CheckWorld::deepImage()
 {
     // Slot index kSlots (= 3, "chk-d"): same signer, no multi-outer —
     // the depth enclave is always a plain chain tail.
-    static const sdk::SignedEnclave img = buildSlotImage(kSlots);
-    return img;
+    static const auto img = buildSlotImage(kSlots);
+    return *img;
 }
 
 CheckWorld::CheckWorld(const Config& config)

@@ -64,7 +64,7 @@ NestedAppBuilder::build()
 
     // Each inner's signed file names the outer's expected measurement.
     sgx::Measurement outerMr = sdk::predictMeasurement(outerSpec_);
-    std::vector<sdk::SignedEnclave> innerImages;
+    std::vector<std::shared_ptr<const sdk::SignedEnclave>> innerImages;
     for (auto spec : innerSpecs_) {
         spec.expectedOuter = sgx::PeerExpectation{};
         spec.expectedOuter->mrenclave = outerMr;
@@ -75,19 +75,19 @@ NestedAppBuilder::build()
     sdk::EnclaveSpec outerSpec = outerSpec_;
     for (const auto& image : innerImages) {
         sgx::PeerExpectation allow;
-        allow.mrenclave = image.mrenclave;
+        allow.mrenclave = image->mrenclave;
         outerSpec.allowedInners.push_back(allow);
     }
-    sdk::SignedEnclave outerImage = sdk::buildImage(outerSpec, key);
+    auto outerImage = sdk::buildImage(outerSpec, key);
 
     NestedApp app;
     app.urts_ = urts_;
-    auto outerLoaded = urts_->load(outerImage);
+    auto outerLoaded = urts_->load(outerImage, outerSpec.interface);
     if (!outerLoaded) return outerLoaded.status();
     app.outer_ = outerLoaded.value();
 
     for (std::size_t i = 0; i < innerImages.size(); ++i) {
-        auto loaded = urts_->load(innerImages[i]);
+        auto loaded = urts_->load(innerImages[i], innerSpecs_[i].interface);
         if (!loaded) return loaded.status();
         Status st = urts_->associate(loaded.value(), app.outer_);
         if (!st) return st;
@@ -102,7 +102,7 @@ loadMonolithic(sdk::Urts& urts, sdk::EnclaveSpec spec,
                const crypto::RsaKeyPair* key)
 {
     const crypto::RsaKeyPair& k = key ? *key : defaultAuthorKey();
-    return urts.load(sdk::buildImage(spec, k));
+    return urts.load(sdk::buildImage(spec, k), spec.interface);
 }
 
 }  // namespace nesgx::core

@@ -136,9 +136,12 @@ MigrationEngine::migrateToHost(serve::TenantService& src,
     const std::uint64_t begin = srcMachine.clock().cycles();
 
     // Destination first: a fully onboarded (attested, under dst's trust
-    // path) fresh instance. Until the import commits, the source stays
-    // authoritative and any failure simply removes this instance.
-    auto dstTenant = dst.addTenant(id, srcTenant->workload);
+    // path) fresh instance of the source's image, which travels with the
+    // move: code is public, only state is sealed, so nothing is signed.
+    // Until the import commits, the source stays authoritative and any
+    // failure simply removes this instance.
+    auto dstTenant =
+        dst.addTenant(id, srcTenant->workload, srcTenant->image);
     if (!dstTenant) return abort(dstTenant.status());
     // A failure after the source exported its session also counts as
     // a rollback.
@@ -181,6 +184,14 @@ MigrationEngine::migrateToHost(serve::TenantService& src,
     Status imported = dst.registry().importInner(
         dstTenant.value()->inner, mr, rewrapped.value());
     if (!imported) return rollBack(imported, true);
+    // The inner now serves with the source's session key, which this
+    // host's seal identity does not derive: make it the key the
+    // destination hands clients, sealed there for its rebuilds.
+    if (!srcTenant->sessionKey.empty()) {
+        Status adopted = dst.registry().adoptSessionKey(
+            *dstTenant.value(), srcTenant->sessionKey);
+        if (!adopted) return rollBack(adopted, true);
+    }
 
     // The move is one epoch step: requests still stamped with the
     // source placement get a WrongEpoch redirect and re-resolve. The

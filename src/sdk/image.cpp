@@ -17,10 +17,11 @@ roundUpPow2(std::uint64_t v)
 
 /** Deterministic stand-in for the compiled text section. */
 Bytes
-codePageContent(const EnclaveSpec& spec, std::uint64_t pageIndex)
+codePageContent(const EnclaveLayout& layout, ByteView surface,
+                std::uint64_t pageIndex)
 {
-    Bytes seedInput = bytesOf(spec.name);
-    append(seedInput, spec.interface->interfaceDigestInput());
+    Bytes seedInput = bytesOf(layout.name);
+    append(seedInput, surface);
     std::uint8_t idx[8];
     storeLe64(idx, pageIndex);
     append(seedInput, ByteView(idx, 8));
@@ -31,7 +32,7 @@ codePageContent(const EnclaveSpec& spec, std::uint64_t pageIndex)
 }
 
 std::vector<ImagePage>
-layoutPages(const EnclaveSpec& spec, SignedEnclave* out)
+layoutPages(const EnclaveLayout& spec, ByteView surface, SignedEnclave* out)
 {
     std::vector<ImagePage> pages;
     std::uint64_t offset = 0;
@@ -43,7 +44,7 @@ layoutPages(const EnclaveSpec& spec, SignedEnclave* out)
     }
     for (std::uint64_t i = 0; i < spec.codePages; ++i) {
         pages.push_back({offset, sgx::PageType::Reg, sgx::PagePerms::rx(),
-                         codePageContent(spec, i)});
+                         codePageContent(spec, surface, i)});
         offset += hw::kPageSize;
     }
     for (std::uint64_t i = 0; i < spec.dataPages; ++i) {
@@ -92,17 +93,20 @@ predictMeasurement(const EnclaveSpec& spec)
 {
     std::uint64_t sizeBytes =
         roundUpPow2(spec.totalPages() * hw::kPageSize);
-    auto pages = layoutPages(spec, nullptr);
+    auto pages =
+        layoutPages(spec, spec.interface->interfaceDigestInput(), nullptr);
     return measureLayout(pages, sizeBytes);
 }
 
-SignedEnclave
+std::shared_ptr<const SignedEnclave>
 buildImage(const EnclaveSpec& spec, const crypto::RsaKeyPair& authorKey)
 {
-    SignedEnclave out;
+    auto image = std::make_shared<SignedEnclave>();
+    SignedEnclave& out = *image;
     out.spec = spec;
+    out.surface = spec.interface->interfaceDigestInput();
     out.sizeBytes = roundUpPow2(spec.totalPages() * hw::kPageSize);
-    out.pages = layoutPages(spec, &out);
+    out.pages = layoutPages(spec, out.surface, &out);
     out.mrenclave = measureLayout(out.pages, out.sizeBytes);
 
     out.sigstruct.enclaveHash = out.mrenclave;
@@ -111,7 +115,7 @@ buildImage(const EnclaveSpec& spec, const crypto::RsaKeyPair& authorKey)
     out.sigstruct.allowedInners = spec.allowedInners;
     out.sigstruct.sign(authorKey);
     out.mrsigner = out.sigstruct.signerMeasurement();
-    return out;
+    return image;
 }
 
 }  // namespace nesgx::sdk

@@ -8,7 +8,11 @@
  *
  * buildImage() lays the pages out, computes the exact MRENCLAVE the
  * hardware will measure at load, and signs the SIGSTRUCT with the author
- * key, producing a SignedEnclave loadable by the untrusted runtime.
+ * key, producing a SignedEnclave loadable by the untrusted runtime. As
+ * with `sgx_sign`, an image is signed once and loaded many times: it is
+ * immutable, shared, and holds no code that runs. Each load binds its
+ * own trusted functions (Urts::load), which must declare exactly the
+ * interface surface the image measured.
  */
 #pragma once
 
@@ -24,7 +28,9 @@
 
 namespace nesgx::sdk {
 
-struct EnclaveSpec {
+/** What an image is laid out, measured and signed from: sizes, thread
+ *  count, attributes and the peer expectations SIGSTRUCT carries. */
+struct EnclaveLayout {
     std::string name;
     std::uint64_t codePages = 16;
     std::uint64_t dataPages = 4;
@@ -32,8 +38,6 @@ struct EnclaveSpec {
     std::uint64_t stackPages = 4;
     std::uint64_t tcsCount = 2;
     std::uint64_t attributes = 0;
-    std::shared_ptr<EnclaveInterface> interface =
-        std::make_shared<EnclaveInterface>();
 
     /** Expected outer enclave (set when this enclave is an inner). */
     std::optional<sgx::PeerExpectation> expectedOuter;
@@ -47,6 +51,14 @@ struct EnclaveSpec {
     }
 };
 
+/** A layout plus the interface it declares: buildImage measures the
+ *  interface's surface, and a one-shot caller loads the image bound to
+ *  the same functions (`urts.load(buildImage(spec, key), spec.interface)`). */
+struct EnclaveSpec : EnclaveLayout {
+    std::shared_ptr<EnclaveInterface> interface =
+        std::make_shared<EnclaveInterface>();
+};
+
 /** One page of the laid-out image. */
 struct ImagePage {
     std::uint64_t offset = 0;  ///< page offset within ELRANGE
@@ -56,7 +68,11 @@ struct ImagePage {
 };
 
 struct SignedEnclave {
-    EnclaveSpec spec;
+    EnclaveLayout spec;
+    /** interfaceDigestInput() of the interface it was built for: the
+     *  surface folded into the code pages, which every binding loaded
+     *  onto this image must declare exactly. */
+    Bytes surface;
     std::vector<ImagePage> pages;
     std::uint64_t sizeBytes = 0;       ///< ELRANGE size (power-of-2 padded)
     sgx::SigStruct sigstruct;
@@ -76,8 +92,8 @@ struct SignedEnclave {
  * enclaves with different code have different MRENCLAVEs — the property
  * every attestation experiment relies on.
  */
-SignedEnclave buildImage(const EnclaveSpec& spec,
-                         const crypto::RsaKeyPair& authorKey);
+std::shared_ptr<const SignedEnclave> buildImage(
+    const EnclaveSpec& spec, const crypto::RsaKeyPair& authorKey);
 
 /** Predicts MRENCLAVE for a spec without building (used by builders that
  *  need to embed a peer's measurement before the peer is built). */

@@ -111,7 +111,7 @@ TrustedEnv::nEcallChain(std::span<LoadedEnclave* const> remaining,
     LoadedEnclave& next = *remaining.front();
     const TrustedFn* fn = nullptr;
     if (remaining.size() == 1) {
-        fn = next.image().spec.interface->findNEcall(name);
+        fn = next.binding().findNEcall(name);
         if (!fn) return Err::NoSuchCall;
     }
 
@@ -157,8 +157,7 @@ TrustedEnv::nOcall(const std::string& name, ByteView arg)
     LoadedEnclave* outer =
         urts_.enclaveBySecs(frames[frames.size() - 2].secs);
     if (!outer) return Err::GeneralProtection;
-    const TrustedFn* fn =
-        outer->image().spec.interface->findNOcallTarget(name);
+    const TrustedFn* fn = outer->binding().findNOcallTarget(name);
     if (!fn) return Err::NoSuchCall;
 
     hw::Paddr callerTcs = m.core(core_).currentTcs();
@@ -191,8 +190,8 @@ TrustedEnv::residentCall(const std::string& name, ByteView arg)
     if (m.core(core_).currentSecs() != enclave_.secsPage_) {
         return Err::GeneralProtection;
     }
-    const TrustedFn* fn = enclave_.image().spec.interface->findNEcall(name);
-    if (!fn) fn = enclave_.image().spec.interface->findEcall(name);
+    const TrustedFn* fn = enclave_.binding().findNEcall(name);
+    if (!fn) fn = enclave_.binding().findEcall(name);
     if (!fn) return Err::NoSuchCall;
 
     m.charge(m.costs().nEcallDispatch);
@@ -248,19 +247,27 @@ Urts::nextBase(std::uint64_t sizeBytes)
 }
 
 Result<LoadedEnclave*>
-Urts::load(const SignedEnclave& image)
+Urts::load(std::shared_ptr<const SignedEnclave> image,
+           std::shared_ptr<const EnclaveInterface> binding)
 {
+#ifndef NESGX_BUG_IMAGE_BINDING_UNCHECKED
+    if (!binding || binding->interfaceDigestInput() != image->surface) {
+        return Err::InvalidMeasurement;
+    }
+#endif
     std::lock_guard<std::mutex> g(structM_);
     auto enclave = std::make_unique<LoadedEnclave>();
-    enclave->image_ = image;
-    enclave->base_ = nextBase(image.sizeBytes);
+    enclave->image_ = std::move(image);
+    enclave->binding_ = std::move(binding);
+    const SignedEnclave& img = *enclave->image_;
+    enclave->base_ = nextBase(img.sizeBytes);
 
-    auto secs = kernel_.createEnclave(pid_, enclave->base_, image.sizeBytes,
-                                      image.spec.attributes);
+    auto secs = kernel_.createEnclave(pid_, enclave->base_, img.sizeBytes,
+                                      img.spec.attributes);
     if (!secs) return secs.status();
     enclave->secsPage_ = secs.value();
 
-    for (const auto& page : image.pages) {
+    for (const auto& page : img.pages) {
         Status st = kernel_.addPage(enclave->secsPage_,
                                     enclave->base_ + page.offset, page.type,
                                     page.perms, page.content);
@@ -279,14 +286,14 @@ Urts::load(const SignedEnclave& image)
         }
     }
 
-    Status st = kernel_.initEnclave(enclave->secsPage_, image.sigstruct);
+    Status st = kernel_.initEnclave(enclave->secsPage_, img.sigstruct);
     if (!st) {
         (void)kernel_.destroyEnclave(enclave->secsPage_);
         return st;
     }
 
     enclave->heap_ =
-        TrustedHeap(enclave->base_ + image.heapOffset, image.heapBytes);
+        TrustedHeap(enclave->base_ + img.heapOffset, img.heapBytes);
 
     enclaves_.push_back(std::move(enclave));
     return enclaves_.back().get();
@@ -390,7 +397,7 @@ Urts::ecallChain(std::span<LoadedEnclave* const> chain,
         // Paper Fig. 5: untrusted code can EENTER an inner enclave
         // directly, so an n_ecall entry point is also reachable as a
         // plain ecall.
-        const EnclaveInterface& iface = *root.image().spec.interface;
+        const EnclaveInterface& iface = root.binding();
         fn = iface.findEcall(name);
         if (!fn) fn = iface.findNEcall(name);
         if (!fn) return Err::NoSuchCall;

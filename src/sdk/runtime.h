@@ -33,16 +33,19 @@ namespace nesgx::sdk {
 
 class Urts;
 
-/** A loaded enclave instance. */
+/** A loaded enclave instance: a shared signed image plus the trusted
+ *  functions this instance was bound to at load. */
 class LoadedEnclave {
   public:
-    const std::string& name() const { return image_.spec.name; }
+    const std::string& name() const { return image_->spec.name; }
     hw::Paddr secsPage() const { return secsPage_; }
     hw::Vaddr base() const { return base_; }
-    std::uint64_t size() const { return image_.sizeBytes; }
-    const SignedEnclave& image() const { return image_; }
-    const sgx::Measurement& mrenclave() const { return image_.mrenclave; }
-    const sgx::Measurement& mrsigner() const { return image_.mrsigner; }
+    std::uint64_t size() const { return image_->sizeBytes; }
+    const SignedEnclave& image() const { return *image_; }
+    /** The functions its ecalls, n_ecalls and n_ocall targets run. */
+    const EnclaveInterface& binding() const { return *binding_; }
+    const sgx::Measurement& mrenclave() const { return image_->mrenclave; }
+    const sgx::Measurement& mrsigner() const { return image_->mrsigner; }
     TrustedHeap& heap() { return heap_; }
 
     /** The primary outer enclave this one nests inside, if associated. */
@@ -59,7 +62,8 @@ class LoadedEnclave {
     friend class Urts;
     friend class TrustedEnv;
 
-    SignedEnclave image_;
+    std::shared_ptr<const SignedEnclave> image_;
+    std::shared_ptr<const EnclaveInterface> binding_;
     hw::Paddr secsPage_ = 0;
     hw::Vaddr base_ = 0;
     std::vector<hw::Paddr> tcsPages_;
@@ -166,10 +170,17 @@ class Urts {
     os::Pid pid() const { return pid_; }
 
     /**
-     * Loads a signed enclave image: ECREATE, EADD+EEXTEND every page in
-     * layout order, EINIT against the SIGSTRUCT. Returns the instance.
+     * Loads a signed enclave image bound to `binding`: ECREATE,
+     * EADD+EEXTEND every page in layout order, EINIT against the
+     * SIGSTRUCT. Returns the instance. The image is shared, not copied,
+     * so one signed image serves any number of loads. A binding whose
+     * surface differs from the one the image measured is refused with
+     * InvalidMeasurement before ECREATE: the host picks the functions,
+     * so it must not be able to add, drop or rename one.
      */
-    Result<LoadedEnclave*> load(const SignedEnclave& image);
+    Result<LoadedEnclave*> load(
+        std::shared_ptr<const SignedEnclave> image,
+        std::shared_ptr<const EnclaveInterface> binding);
 
     /** Unloads (EREMOVE) an enclave. */
     Status unload(LoadedEnclave* enclave);

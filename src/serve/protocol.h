@@ -43,6 +43,9 @@ constexpr std::uint8_t kDirRequest = 0;
 constexpr std::uint8_t kDirResponse = 1;
 /** Direction tag for sealed migration snapshots (inner -> inner). */
 constexpr std::uint8_t kDirMigrate = 2;
+/** Direction tag for a session key an inner sealed for later instances
+ *  of its identity on the same machine (TenantHandle::sealedSessionKey). */
+constexpr std::uint8_t kDirSessionKey = 3;
 
 /** Seals one message under the tenant session key. */
 Bytes sealMessage(const crypto::AesGcm& gcm, TenantId tenant,

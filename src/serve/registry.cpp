@@ -94,7 +94,9 @@ struct ServerState {
 
 TenantRegistry::TenantRegistry(sdk::Urts& urts, Config config,
                                switchless::Config rings)
-    : urts_(&urts), config_(config)
+    : urts_(&urts),
+      config_(config),
+      coreM_(std::make_unique<std::mutex[]>(urts.machine().coreCount()))
 {
     if (rings.enabled) {
         engine_ = std::make_unique<switchless::SwitchlessEngine>(urts, rings);
@@ -141,36 +143,18 @@ TenantRegistry::ensureCvmRoot()
 
     Status st = reserveEpc(spec.totalPages() + 1);
     if (!st) return st;
-    auto loaded = urts_->load(sdk::buildImage(spec, core::defaultAuthorKey()));
+    // Built and loaded once: nothing rebuilds the root, so its enclave
+    // is the only holder its image needs.
+    auto loaded = urts_->load(
+        sdk::buildImage(spec, core::defaultAuthorKey()), spec.interface);
     if (!loaded) return loaded.status();
     cvmRoot_ = loaded.value();
     return Status::ok();
 }
 
-Status
-TenantRegistry::makeGateway(std::size_t index)
+std::shared_ptr<sdk::EnclaveInterface>
+TenantRegistry::gatewayFunctions(std::shared_ptr<GatewayState> state) const
 {
-    Status root = ensureCvmRoot();
-    if (!root) return root;
-
-    sdk::EnclaveSpec spec;
-    spec.name = "serve-gw-" + std::to_string(index);
-    spec.codePages = config_.outerCodePages;
-    spec.dataPages = 4;
-    spec.heapPages = config_.outerHeapPages;
-    spec.stackPages = 4;
-    // Under rings a gateway seats its poller, one per tenant poller and
-    // two classic entries; a tenant its poller and one classic entry.
-    spec.tcsCount = engine_ ? config_.tenantsPerOuter + 3 : 2;
-    spec.allowedInners.push_back(authorExpectation());
-    if (config_.topology == Topology::Cvm) {
-        // The gateway itself nests under the CVM root.
-        spec.expectedOuter = authorExpectation();
-    }
-
-    auto state = std::make_shared<GatewayState>();
-    state->slots.resize(config_.tenantsPerOuter, nullptr);
-
     auto dispatch = [state](sdk::TrustedEnv& env,
                             ByteView arg) -> Result<Bytes> {
         auto batch = parseBatch(arg);
@@ -205,18 +189,28 @@ TenantRegistry::makeGateway(std::size_t index)
         if (len > state->stagingCap) return Err::BadCallBuffer;
         return env.readBytes(state->stagingVa, len);
     };
-    spec.interface->addEcall("gw_dispatch", dispatch);
+    auto fns = std::make_shared<sdk::EnclaveInterface>();
+    fns->addEcall("gw_dispatch", dispatch);
     if (config_.topology == Topology::Cvm) {
         // Under the CVM root the gateway is entered by NEENTER (the last
         // hop of the dispatch chain resolves n_ecalls only), so the same
         // body is registered under both call tables.
-        spec.interface->addNEcall("gw_dispatch", dispatch);
+        fns->addNEcall("gw_dispatch", dispatch);
     }
+    return fns;
+}
 
-    Status st = reserveEpc(spec.totalPages() + 1);
+Status
+TenantRegistry::makeGateway(std::size_t index)
+{
+    Status root = ensureCvmRoot();
+    if (!root) return root;
+
+    Gateway& gw = gateways_[index];
+    auto state = std::make_shared<GatewayState>(config_.tenantsPerOuter);
+    Status st = reserveEpc(gw.image->spec.totalPages() + 1);
     if (!st) return st;
-    auto image = sdk::buildImage(spec, core::defaultAuthorKey());
-    auto loaded = urts_->load(image);
+    auto loaded = urts_->load(gw.image, gatewayFunctions(state));
     if (!loaded) return loaded.status();
     if (config_.topology == Topology::Cvm) {
         st = urts_->associate(loaded.value(), cvmRoot_);
@@ -226,7 +220,6 @@ TenantRegistry::makeGateway(std::size_t index)
         }
     }
 
-    Gateway& gw = gateways_[index];
     gw.outer = loaded.value();
     gw.state = std::move(state);
     return Status::ok();
@@ -236,7 +229,29 @@ Result<std::size_t>
 TenantRegistry::addGateway()
 {
     const std::size_t index = gateways_.size();
-    gateways_.emplace_back().owned.assign(config_.tenantsPerOuter, false);
+    Gateway& gw = gateways_.emplace_back();
+    gw.owned.assign(config_.tenantsPerOuter, false);
+
+    // The record's image, signed once. The functions here only declare
+    // the surface it measures; every makeGateway binds its own.
+    sdk::EnclaveSpec spec;
+    spec.name = "serve-gw-" + std::to_string(index);
+    spec.codePages = config_.outerCodePages;
+    spec.dataPages = 4;
+    spec.heapPages = config_.outerHeapPages;
+    spec.stackPages = 4;
+    // Under rings a gateway seats its poller, one per tenant poller and
+    // two classic entries; a tenant its poller and one classic entry.
+    spec.tcsCount = engine_ ? config_.tenantsPerOuter + 3 : 2;
+    spec.allowedInners.push_back(authorExpectation());
+    if (config_.topology == Topology::Cvm) {
+        // The gateway itself nests under the CVM root.
+        spec.expectedOuter = authorExpectation();
+    }
+    spec.interface = gatewayFunctions(
+        std::make_shared<GatewayState>(config_.tenantsPerOuter));
+    gw.image = sdk::buildImage(spec, core::defaultAuthorKey());
+
     Status st = makeGateway(index);
     if (!st) {
         gateways_.pop_back();
@@ -265,20 +280,12 @@ TenantRegistry::releaseSlot(Gateway& gateway, std::uint32_t slot)
     gateway.state->slots[slot] = nullptr;
 }
 
-Result<sdk::LoadedEnclave*>
-TenantRegistry::buildInner(TenantId id, Workload workload, Gateway& gateway)
+std::shared_ptr<sdk::EnclaveInterface>
+TenantRegistry::tenantFunctions(TenantId id, Workload workload)
 {
-    sdk::EnclaveSpec spec;
-    spec.name = "tenant-" + std::to_string(id);
-    spec.codePages = config_.innerCodePages;
-    spec.dataPages = 2;
-    spec.heapPages = config_.innerHeapPages;
-    spec.stackPages = 2;
-    spec.tcsCount = engine_ ? 2 : 1;  // see makeGateway
-    spec.expectedOuter = authorExpectation();
-
+    auto fns = std::make_shared<sdk::EnclaveInterface>();
     auto server = std::make_shared<ServerState>(id, workload);
-    spec.interface->addNEcall(
+    fns->addNEcall(
         "serve_batch",
         [server](sdk::TrustedEnv& env, ByteView desc) -> Result<Bytes> {
             if (desc.size() != 16) return Err::BadCallBuffer;
@@ -307,19 +314,44 @@ TenantRegistry::buildInner(TenantId id, Workload workload, Gateway& gateway)
     // Trust-path provisioning: the inner derives its session key from
     // its EGETKEY identity sealing key and (mode 1) returns NEREPORT
     // evidence binding the verifier's nonce and that key. Mode 0 only
-    // re-derives the key — the rebuild path's way to restore a verified
-    // tenant's key without a fresh challenge.
-    // arg = [u8 mode][32B verifier mrenclave][32B nonce]
-    spec.interface->addNEcall(
+    // installs the key, the rebuild path's way to restore a verified
+    // tenant's key without a fresh challenge: re-derived, or unsealed
+    // from a blob mode 2 returned. Mode 2 seals the key the inner serves
+    // with under its identity, for a key it cannot re-derive: one a
+    // cross-host import brought from another machine.
+    // arg = [u8 mode][32B verifier mrenclave][32B nonce][mode 0: blob]
+    fns->addNEcall(
         "tenant_provision",
         [server](sdk::TrustedEnv& env, ByteView arg) -> Result<Bytes> {
-            if (arg.size() != 1 + 32 + attest::kNonceSize) {
+            constexpr std::size_t kFixed = 1 + 32 + attest::kNonceSize;
+            const bool blob = arg.size() > kFixed;
+            if (arg.size() < kFixed || (blob && arg[0] != 0)) {
                 return Err::BadCallBuffer;
             }
             auto seal = env.getSealKeyIdentity();
             if (!seal) return seal.status();
-            Bytes key = attest::sessionKeyFromSeal(seal.value(),
-                                                   server->tenant);
+            if (arg[0] == 2) {
+                // The IV comes from the key it seals, so sealing another
+                // key under this identity never reuses an IV.
+                const ByteView plain(server->sessionKey);
+                const std::uint64_t iv =
+                    loadLe64(crypto::Sha256::hash(plain).data());
+                env.chargeGcm(plain.size());
+                return sealMessage(
+                    crypto::AesGcm(attest::sessionSealKey(seal.value())),
+                    server->tenant, kDirSessionKey, iv, plain);
+            }
+            Bytes key;
+            if (blob) {
+                env.chargeGcm(arg.size() - kFixed);
+                auto opened = openMessage(
+                    crypto::AesGcm(attest::sessionSealKey(seal.value())),
+                    server->tenant, kDirSessionKey, arg.subspan(kFixed));
+                if (!opened) return opened.status();
+                key = std::move(opened.value().plain);
+            } else {
+                key = attest::sessionKeyFromSeal(seal.value(), server->tenant);
+            }
             server->sessionKey = key;
             server->gcm = crypto::AesGcm(key);
             server->lastSeq = 0;
@@ -345,7 +377,7 @@ TenantRegistry::buildInner(TenantId id, Workload workload, Gateway& gateway)
     // mark, statement journal) under a transport key only an enclave of
     // the same identity — on a machine whose root of trust vouches for
     // it — can re-derive. arg = [32B destination mrenclave]
-    spec.interface->addNEcall(
+    fns->addNEcall(
         "tenant_export",
         [server](sdk::TrustedEnv& env, ByteView arg) -> Result<Bytes> {
             if (arg.size() != 32) return Err::BadCallBuffer;
@@ -367,7 +399,7 @@ TenantRegistry::buildInner(TenantId id, Workload workload, Gateway& gateway)
 
     // Migration import: open a snapshot sealed by the source instance
     // and resume the session. arg = [32B source mrenclave][sealed blob]
-    spec.interface->addNEcall(
+    fns->addNEcall(
         "tenant_import",
         [server](sdk::TrustedEnv& env, ByteView arg) -> Result<Bytes> {
             if (arg.size() < 32) return Err::BadCallBuffer;
@@ -401,11 +433,17 @@ TenantRegistry::buildInner(TenantId id, Workload workload, Gateway& gateway)
 #endif
             return Bytes{};
         });
+    return fns;
+}
 
-    Status st = reserveEpc(spec.totalPages() + 1);
+Result<sdk::LoadedEnclave*>
+TenantRegistry::loadInner(
+    std::shared_ptr<const sdk::SignedEnclave> image,
+    std::shared_ptr<const sdk::EnclaveInterface> functions, Gateway& gateway)
+{
+    Status st = reserveEpc(image->spec.totalPages() + 1);
     if (!st) return st;
-    auto image = sdk::buildImage(spec, core::defaultAuthorKey());
-    auto loaded = urts_->load(image);
+    auto loaded = urts_->load(std::move(image), std::move(functions));
     if (!loaded) return loaded.status();
     st = urts_->associate(loaded.value(), gateway.outer);
     if (!st) return st;
@@ -413,7 +451,8 @@ TenantRegistry::buildInner(TenantId id, Workload workload, Gateway& gateway)
 }
 
 Result<TenantHandle*>
-TenantRegistry::ensure(TenantId id, Workload workload)
+TenantRegistry::ensure(TenantId id, Workload workload,
+                       std::shared_ptr<const sdk::SignedEnclave> image)
 {
     if (TenantHandle* existing = find(id)) return existing;
 
@@ -423,10 +462,25 @@ TenantRegistry::ensure(TenantId id, Workload workload)
     if (!gwIndex) return gwIndex.status();
     Gateway& gateway = gateways_[gwIndex.value()];
 
-    auto inner = buildInner(id, workload, gateway);
+    auto functions = tenantFunctions(id, workload);
+    if (!image) {
+        // A new record: the tenant's image is signed here, once.
+        sdk::EnclaveSpec spec;
+        spec.name = "tenant-" + std::to_string(id);
+        spec.codePages = config_.innerCodePages;
+        spec.dataPages = 2;
+        spec.heapPages = config_.innerHeapPages;
+        spec.stackPages = 2;
+        spec.tcsCount = engine_ ? 2 : 1;  // see addGateway
+        spec.expectedOuter = authorExpectation();
+        spec.interface = functions;
+        image = sdk::buildImage(spec, core::defaultAuthorKey());
+    }
+    auto inner = loadInner(image, std::move(functions), gateway);
     if (!inner) return inner.status();
 
     auto tenant = std::make_unique<TenantHandle>();
+    tenant->image = std::move(image);
     tenant->id = id;
     tenant->workload = workload;
     tenant->inner = inner.value();
@@ -475,6 +529,7 @@ TenantRegistry::dispatch(TenantHandle& tenant, ByteView blob, hw::CoreId core)
     if (!tenant.verified) return Err::AttestationFailed;
     std::vector<sdk::LoadedEnclave*> chain = dispatchChain(tenant);
     if (chain.empty()) return Err::Unavailable;  // mid subtree rebuild
+    std::lock_guard<std::mutex> onCore(coreM_[core]);
     if (auto ep = ring(tenant, chain)) {
         return engine_->call(tenant.id, *ep, blob, core);
     }
@@ -604,14 +659,17 @@ Status
 TenantRegistry::rebuildInner(TenantHandle& tenant)
 {
     Gateway& gateway = gateways_[tenant.gatewayIndex];
-    auto inner = buildInner(tenant.id, tenant.workload, gateway);
+    auto inner = loadInner(tenant.image,
+                           tenantFunctions(tenant.id, tenant.workload),
+                           gateway);
     if (!inner) return inner.status();  // stays inner-less; retried lazily
     if (!tenant.sessionKey.empty()) {
         // The client holds the EGETKEY-rooted session key; the fresh
-        // instance must re-derive it or every post-rebuild reseal would
-        // be refused. On failure the tenant stays inner-less (the rekey
-        // entry itself can be hit by chaos faults) and is retried.
-        Status rk = rekeyInner(inner.value());
+        // instance must re-derive it (or unseal it, when it came from
+        // another host) or every post-rebuild reseal would be refused.
+        // On failure the tenant stays inner-less (the rekey entry itself
+        // can be hit by chaos faults) and is retried.
+        Status rk = rekeyInner(inner.value(), tenant.sealedSessionKey);
         if (!rk) {
             (void)urts_->unload(inner.value());
             return rk;
@@ -753,16 +811,29 @@ TenantRegistry::provisionInner(sdk::LoadedEnclave* inner,
     arg[0] = 1;
     std::copy(verifierMr.begin(), verifierMr.end(), arg.begin() + 1);
     std::copy(nonce.begin(), nonce.end(), arg.begin() + 33);
-    return urts_->ecallChain(urts_->chainTo(inner), "tenant_provision", arg);
+    return controlCall(inner, "tenant_provision", arg);
 }
 
 Status
-TenantRegistry::rekeyInner(sdk::LoadedEnclave* inner)
+TenantRegistry::rekeyInner(sdk::LoadedEnclave* inner, ByteView sealedKey)
 {
     if (!inner) return Err::Unavailable;
     Bytes arg(1 + 32 + attest::kNonceSize, 0);
-    auto r = urts_->ecallChain(urts_->chainTo(inner), "tenant_provision", arg);
-    return r.status();
+    append(arg, sealedKey);
+    return controlCall(inner, "tenant_provision", arg).status();
+}
+
+Status
+TenantRegistry::adoptSessionKey(TenantHandle& tenant, Bytes sessionKey)
+{
+    if (!tenant.inner) return Err::Unavailable;
+    Bytes arg(1 + 32 + attest::kNonceSize, 0);
+    arg[0] = 2;
+    auto sealed = controlCall(tenant.inner, "tenant_provision", arg);
+    if (!sealed) return sealed.status();
+    tenant.sessionKey = std::move(sessionKey);
+    tenant.sealedSessionKey = std::move(sealed.value());
+    return Status::ok();
 }
 
 Result<Bytes>
@@ -771,7 +842,7 @@ TenantRegistry::exportInner(sdk::LoadedEnclave* inner,
 {
     if (!inner) return Err::Unavailable;
     Bytes arg(dstMr.begin(), dstMr.end());
-    return urts_->ecallChain(urts_->chainTo(inner), "tenant_export", arg);
+    return controlCall(inner, "tenant_export", arg);
 }
 
 Status
@@ -781,8 +852,15 @@ TenantRegistry::importInner(sdk::LoadedEnclave* inner,
     if (!inner) return Err::Unavailable;
     Bytes arg(srcMr.begin(), srcMr.end());
     append(arg, sealed);
-    auto r = urts_->ecallChain(urts_->chainTo(inner), "tenant_import", arg);
-    return r.status();
+    return controlCall(inner, "tenant_import", arg).status();
+}
+
+Result<Bytes>
+TenantRegistry::controlCall(sdk::LoadedEnclave* inner, const char* name,
+                            ByteView arg)
+{
+    std::lock_guard<std::mutex> onCore(coreM_[0]);
+    return urts_->ecallChain(urts_->chainTo(inner), name, arg);
 }
 
 std::uint64_t
@@ -814,7 +892,9 @@ TenantRegistry::stageRelocation(TenantHandle& tenant,
     Gateway& gateway = gateways_[targetGateway];
     if (!gateway.outer || !gateway.hasRoom()) return Err::Backpressure;
 
-    auto inner = buildInner(tenant.id, tenant.workload, gateway);
+    auto inner = loadInner(tenant.image,
+                           tenantFunctions(tenant.id, tenant.workload),
+                           gateway);
     if (!inner) return inner.status();  // source untouched, still serving
 
     RelocationTicket ticket;

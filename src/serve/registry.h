@@ -57,6 +57,11 @@ enum class Topology {
 struct TenantHandle {
     TenantId id = 0;
     Workload workload = Workload::Echo;
+    /** The inner's signed image: built when this record was created (or
+     *  shipped with a host move), immutable after. Every rebuild,
+     *  relocation and host move loads it again, bound to fresh trusted
+     *  functions, so nothing is signed twice. */
+    std::shared_ptr<const sdk::SignedEnclave> image;
     /** Inner enclave; nullptr while a poisoned tenant awaits rebuild. */
     sdk::LoadedEnclave* inner = nullptr;
     std::size_t gatewayIndex = 0;
@@ -79,6 +84,11 @@ struct TenantHandle {
      *  tenantKey(). A rebuild re-runs provisioning when it is set, so the
      *  fresh instance re-derives the key the client still holds. */
     Bytes sessionKey;
+    /** `sessionKey` sealed by the inner under this host's identity: set
+     *  by adoptSessionKey after a cross-host import brought a key this
+     *  host cannot re-derive. A rebuild hands it to the fresh instance,
+     *  which unseals it instead of deriving. */
+    Bytes sealedSessionKey;
     /** Admission mark: addTenant sets it once onboarding passed
      *  (attestation, when enabled). dispatch refuses a tenant without
      *  it. */
@@ -151,8 +161,12 @@ class TenantRegistry {
     const TenantHandle* find(TenantId id) const;
 
     /** Lazily instantiates the tenant's inner (and a gateway if the
-     *  current one is full). */
-    Result<TenantHandle*> ensure(TenantId id, Workload workload);
+     *  current one is full). A new record signs the tenant's image here,
+     *  once; a host move passes the `image` the source already holds
+     *  (code is public, only state is sealed), and nothing is signed. */
+    Result<TenantHandle*> ensure(
+        TenantId id, Workload workload,
+        std::shared_ptr<const sdk::SignedEnclave> image = nullptr);
 
     /** The only way a batch (a packBatch() for the tenant's slot)
      *  reaches a tenant. The gate runs first: the gateway-crash and
@@ -227,9 +241,17 @@ class TenantRegistry {
                                  const sgx::Measurement& verifierMr,
                                  ByteView nonce);
 
-    /** Re-derives and installs the session key only (no evidence): the
-     *  rebuild path's way to keep a verified tenant's key stable. */
-    Status rekeyInner(sdk::LoadedEnclave* inner);
+    /** Installs the session key only (no evidence): the rebuild path's
+     *  way to keep a verified tenant's key stable. The inner re-derives
+     *  it, or unseals `sealedKey` when given (TenantHandle::
+     *  sealedSessionKey). */
+    Status rekeyInner(sdk::LoadedEnclave* inner, ByteView sealedKey);
+
+    /** After a cross-host import: records `sessionKey`, the source's key
+     *  the imported inner now serves with, as the tenant's, and has the
+     *  inner seal it under this host's identity (sealedSessionKey), so a
+     *  rebuild here restores the key the client holds. */
+    Status adoptSessionKey(TenantHandle& tenant, Bytes sessionKey);
 
     /** In-enclave export: the inner seals its TenantSnapshot under a
      *  migration transport key bound to destination identity `dstMr`. */
@@ -257,9 +279,9 @@ class TenantRegistry {
      *  one if every other gateway is full). */
     Result<std::size_t> pickGatewayExcept(std::size_t exclude);
 
-    /** Builds a fresh inner for `tenant` inside `targetGateway` without
-     *  touching the live one — the destination half of a migration. The
-     *  source keeps serving until commitRelocation(). */
+    /** Loads a fresh inner of the tenant's image inside `targetGateway`
+     *  without touching the live one — the destination half of a
+     *  migration. The source keeps serving until commitRelocation(). */
     Result<RelocationTicket> stageRelocation(TenantHandle& tenant,
                                              std::size_t targetGateway);
 
@@ -336,6 +358,7 @@ class TenantRegistry {
   private:
     /** Per-gateway state shared with the gateway's ecall lambda. */
     struct GatewayState {
+        explicit GatewayState(std::size_t slotCount) : slots(slotCount) {}
         hw::Vaddr stagingVa = 0;
         std::uint64_t stagingCap = 0;
         std::vector<sdk::LoadedEnclave*> slots;
@@ -344,6 +367,8 @@ class TenantRegistry {
     /** One gateway's record. It never moves (gateways_ is a deque), so
      *  workers read `crashed` without a lock. */
     struct Gateway {
+        /** Signed once by addGateway; every makeGateway loads it. */
+        std::shared_ptr<const sdk::SignedEnclave> image;
         sdk::LoadedEnclave* outer = nullptr;
         std::shared_ptr<GatewayState> state;
         /** Slot ownership, the only record of which slots are free. A
@@ -376,25 +401,37 @@ class TenantRegistry {
     std::uint32_t claimSlot(Gateway& gateway, sdk::LoadedEnclave* inner);
     /** Frees a slot: ownership and dispatch entry together. */
     void releaseSlot(Gateway& gateway, std::uint32_t slot);
-    /** Builds (or rebuilds) gateway `index`'s enclave into its record: a
-     *  fresh enclave and dispatch table, slot ownership and crash marker
+    /** Loads gateway `index`'s image into its record, bound to a fresh
+     *  dispatch table: a new enclave, slot ownership and crash marker
      *  kept; the record is untouched on failure. Cvm associates the
      *  enclave under the root. */
     Status makeGateway(std::size_t index);
-    /** Appends the next gateway record and builds it; returns its
-     *  index. */
+    /** Appends the next gateway record, signs its image and loads it;
+     *  returns its index. */
     Result<std::size_t> addGateway();
+    /** gw_dispatch over `state`: the functions a gateway load binds. */
+    std::shared_ptr<sdk::EnclaveInterface> gatewayFunctions(
+        std::shared_ptr<GatewayState> state) const;
     /** Lazily builds the shared CVM root (Cvm topology). */
     Status ensureCvmRoot();
     /** Reloads every evicted page of `enclave` (chain residency). */
     Status reloadEnclave(sdk::LoadedEnclave* enclave, std::uint64_t* pages);
-    Result<sdk::LoadedEnclave*> buildInner(TenantId id, Workload workload,
-                                           Gateway& gateway);
+    /** The trusted functions a tenant inner runs, over a fresh
+     *  ServerState: what every load of the tenant's image binds. */
+    static std::shared_ptr<sdk::EnclaveInterface> tenantFunctions(
+        TenantId id, Workload workload);
+    /** Loads a tenant image bound to `functions` and associates it
+     *  under `gateway`. Onboarding, rebuilds and relocations all
+     *  instantiate inners through here. */
+    Result<sdk::LoadedEnclave*> loadInner(
+        std::shared_ptr<const sdk::SignedEnclave> image,
+        std::shared_ptr<const sdk::EnclaveInterface> functions,
+        Gateway& gateway);
     /** Detaches the tenant's inner from its slot and unloads it; a
      *  refused destroy restores both and returns the error. No-op for an
      *  inner-less tenant. Every teardown of a tenant goes through here. */
     Status unloadInner(TenantHandle& tenant);
-    /** Builds a fresh inner into the tenant's (empty) slot: build, rekey
+    /** Loads a fresh inner into the tenant's (empty) slot: load, rekey
      *  when it holds a session key, install, bump
      *  rebuilds/epoch/incarnation and publish ServeTenantRebuild. On
      *  failure the tenant stays inner-less. */
@@ -403,6 +440,11 @@ class TenantRegistry {
      *  written. Tenant eviction, subtree eviction and the migration
      *  drain all page out through here. */
     std::uint64_t writeOut(sdk::LoadedEnclave* enclave);
+    /** The control plane's ecall (provisioning, rekey, key sealing,
+     *  export, import): `name` through `inner`'s whole chain on core 0,
+     *  under that core's lock. */
+    Result<Bytes> controlCall(sdk::LoadedEnclave* inner, const char* name,
+                              ByteView arg);
 
     sdk::Urts* urts_;
     Config config_;
@@ -417,6 +459,13 @@ class TenantRegistry {
      *  pressure manager can never evict. Ordering: tenant mutexes are
      *  always taken before this one, never after. */
     std::mutex gatewayRebuildM_;
+    /** One lock per simulated core, so a core runs one entry at a time.
+     *  dispatch holds its batch core's; worker threads pin distinct
+     *  cores, so that one is uncontended. controlCall holds core 0's:
+     *  the supervisor, or a worker rebuilding a poisoned tenant, enters
+     *  there while another worker may be dispatching on it. Taken after
+     *  tenant mutexes and gatewayRebuildM_, never before. */
+    std::unique_ptr<std::mutex[]> coreM_;
     std::atomic<bool> degraded_{false};
     /** Last member, so it disarms every ring before anything else goes. */
     std::unique_ptr<switchless::SwitchlessEngine> engine_;

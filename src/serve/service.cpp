@@ -485,7 +485,9 @@ TenantService::attestInner(sdk::LoadedEnclave* inner, TenantId id,
 
     verdict = verifier_->verify(id, report.value(), policy, nonce);
     TenantHandle* tenant = registry_.find(id);
-    if (tenant && verdict.trusted()) tenant->sessionKey = verdict.sessionKey;
+    if (tenant && !tenant->verified && verdict.trusted()) {
+        tenant->sessionKey = verdict.sessionKey;
+    }
     return verdict;
 }
 
@@ -506,9 +508,10 @@ TenantService::removeTenant(TenantId id)
 }
 
 Result<TenantHandle*>
-TenantService::addTenant(TenantId id, Workload workload)
+TenantService::addTenant(TenantId id, Workload workload,
+                         std::shared_ptr<const sdk::SignedEnclave> image)
 {
-    auto tenant = registry_.ensure(id, workload);
+    auto tenant = registry_.ensure(id, workload, std::move(image));
     // A failed build, or a tenant already onboarded.
     if (!tenant || tenant.value()->verified) return tenant;
 

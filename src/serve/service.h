@@ -234,8 +234,11 @@ class TenantService {
      *  marks it `verified`, the mark dispatch requires. Under
      *  attestOnboarding the mark waits for NEREPORT chain verification;
      *  a failed verification tears the instance back down and returns
-     *  Err::AttestationFailed. */
-    Result<TenantHandle*> addTenant(TenantId id, Workload workload);
+     *  Err::AttestationFailed. `image`: the tenant image a host move
+     *  ships (TenantRegistry::ensure). */
+    Result<TenantHandle*> addTenant(
+        TenantId id, Workload workload,
+        std::shared_ptr<const sdk::SignedEnclave> image = nullptr);
 
     /** Attestation-gated onboarding active? (Migration re-attests.) */
     bool attestationEnabled() const { return config_.attestOnboarding; }
@@ -249,9 +252,10 @@ class TenantService {
      * Challenges `inner` (freshly built, associated, and reachable via
      * its ancestor chain) and verifies the evidence against this
      * service's policy for tenant `id` hosted by gateway `gatewayIndex`.
-     * On success the session key is recorded on the tenant's handle.
-     * Used at onboarding and by the migration engine to re-attest a
-     * staged destination instance.
+     * On success at onboarding (the tenant is not yet `verified`) the
+     * session key is recorded on the tenant's handle. Also used by the
+     * migration engine to re-attest a staged destination instance, whose
+     * import then restores the session's own key.
      */
     attest::Verdict attestInner(sdk::LoadedEnclave* inner, TenantId id,
                                 std::size_t gatewayIndex);

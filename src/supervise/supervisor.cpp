@@ -1,5 +1,6 @@
 #include "supervise/supervisor.h"
 
+#include <optional>
 #include <vector>
 
 #include "trace/bus.h"
@@ -136,6 +137,24 @@ Supervisor::evacuate(serve::TenantHandle& tenant, Watch& watch)
     Status st = Err::Unavailable;
     std::uint64_t hop = 0;  // SuperviseEvacuate arg1: 0 gateway / 1 host
 
+    // First non-degraded host that is not this one.
+    std::optional<std::size_t> peer;
+    for (std::size_t i = 1; fleet_ && i < fleet_->hostCount(); ++i) {
+        const std::size_t cand = (hostIndex_ + i) % fleet_->hostCount();
+        serve::TenantService* host = fleet_->host(cand);
+        if (host && !host->registry().degraded()) {
+            peer = cand;
+            break;
+        }
+    }
+    if (engine_ && !peer && svc_->registry().degraded()) {
+        // A degraded host with no healthy peer: a move to another
+        // gateway of this host leaves the tenant just as wedged, so the
+        // ladder tops out without moving.
+        ++stats_.evacuationFailures;
+        return true;
+    }
+
     // A crashed gateway blocks the export path itself (every dispatch
     // through it refuses): rebuild the subtree first so the evacuation
     // has a live source to drain.
@@ -144,26 +163,13 @@ Supervisor::evacuate(serve::TenantHandle& tenant, Watch& watch)
         (void)svc_->pool().rebuildSubtree(tenant.gatewayIndex);
     }
 
-    if (fleet_ && engine_ && fleet_->hostCount() > 1) {
-        // First non-degraded host that is not this one.
-        std::size_t dst = (hostIndex_ + 1) % fleet_->hostCount();
-        for (std::size_t i = 0; i < fleet_->hostCount(); ++i) {
-            const std::size_t cand =
-                (hostIndex_ + 1 + i) % fleet_->hostCount();
-            if (cand == hostIndex_) continue;
-            serve::TenantService* host = fleet_->host(cand);
-            if (host && !host->registry().degraded()) {
-                dst = cand;
-                break;
-            }
-        }
+    if (!engine_) return false;  // no engine attached: the ladder tops out
+    if (peer) {
         hop = 1;
-        st = fleet_->migrateAcross(*engine_, id, dst);
-    } else if (engine_) {
+        st = fleet_->migrateAcross(*engine_, id, *peer);
+    } else {
         hop = 0;
         st = engine_->migrateToGateway(*svc_, id);
-    } else {
-        return false;  // no engine attached: the ladder tops out
     }
 
     const std::uint64_t now = machine().clock().cycles();

@@ -27,9 +27,13 @@
  * The entry rung is chosen by the wedge reason: a crashed gateway
  * starts at SubtreeRebuild, a degraded host goes straight to Evacuate
  * (rebuilding on a dying host is wasted work; the control plane stays
- * up precisely so tenants can leave). Every rung bumps the tenant's
- * placement epoch through the machinery it invokes, so epoch-fenced
- * clients are redirected instead of talking to a stale placement.
+ * up precisely so tenants can leave). Evacuation only ever targets a
+ * non-degraded peer host; a degraded host without one tops the ladder
+ * out (an evacuation failure, no move), since another gateway of the
+ * same host would leave the tenant just as wedged. Every rung bumps the
+ * tenant's placement epoch through the machinery it invokes, so
+ * epoch-fenced clients are redirected instead of talking to a stale
+ * placement.
  *
  * Determinism: ticks read the sim clock, never wall time; all actions
  * run synchronously inside tick(). A service that never constructs a

@@ -103,8 +103,8 @@ expectSigner(const crypto::RsaKeyPair& key)
 struct NestedPair {
     sdk::LoadedEnclave* outer = nullptr;
     sdk::LoadedEnclave* inner = nullptr;
-    sdk::SignedEnclave outerImage;
-    sdk::SignedEnclave innerImage;
+    std::shared_ptr<const sdk::SignedEnclave> outerImage;
+    std::shared_ptr<const sdk::SignedEnclave> innerImage;
 };
 
 inline NestedPair
@@ -119,12 +119,14 @@ loadNestedPair(World& world, sdk::EnclaveSpec outerSpec,
     pair.innerImage = sdk::buildImage(innerSpec, authorKey());
 
     sgx::PeerExpectation allow;
-    allow.mrenclave = pair.innerImage.mrenclave;
+    allow.mrenclave = pair.innerImage->mrenclave;
     outerSpec.allowedInners.push_back(allow);
     pair.outerImage = sdk::buildImage(outerSpec, authorKey());
 
-    pair.outer = world.urts->load(pair.outerImage).orThrow("load outer");
-    pair.inner = world.urts->load(pair.innerImage).orThrow("load inner");
+    pair.outer = world.urts->load(pair.outerImage, outerSpec.interface)
+                     .orThrow("load outer");
+    pair.inner = world.urts->load(pair.innerImage, innerSpec.interface)
+                     .orThrow("load inner");
     world.urts->associate(pair.inner, pair.outer).orThrow("associate");
     return pair;
 }

@@ -110,7 +110,7 @@ TEST_F(AccessControl, PeerInnersAreIsolated)
 {
     // Add a second inner to the same outer; it must not read the first.
     auto i2Spec = tinySpec("ac-inner2");
-    i2Spec.expectedOuter = expectEnclave(pair_.outerImage);
+    i2Spec.expectedOuter = expectEnclave(*pair_.outerImage);
     auto i2Image = sdk::buildImage(i2Spec, authorKey());
     // Outer was built allowing only inner-1; rebuild world with both.
     World world2;
@@ -121,11 +121,14 @@ TEST_F(AccessControl, PeerInnersAreIsolated)
     i1Spec.expectedOuter = expectSigner(authorKey());
     i2Spec2.expectedOuter = expectSigner(authorKey());
 
-    auto outer = world2.urts->load(sdk::buildImage(outerSpec, authorKey()))
+    auto outer = world2.urts->load(sdk::buildImage(outerSpec, authorKey()),
+                                   outerSpec.interface)
                      .orThrow("outer");
-    auto i1 = world2.urts->load(sdk::buildImage(i1Spec, authorKey()))
+    auto i1 = world2.urts->load(sdk::buildImage(i1Spec, authorKey()),
+                                i1Spec.interface)
                   .orThrow("i1");
-    auto i2 = world2.urts->load(sdk::buildImage(i2Spec2, authorKey()))
+    auto i2 = world2.urts->load(sdk::buildImage(i2Spec2, authorKey()),
+                                i2Spec2.interface)
                   .orThrow("i2");
     ASSERT_TRUE(world2.urts->associate(i1, outer).isOk());
     ASSERT_TRUE(world2.urts->associate(i2, outer).isOk());

@@ -223,8 +223,9 @@ TEST_F(Attestation, ChainDepthDistinguishesDepth3FromDepth2)
                 storeLe32(out.data(), report.value().chainDepth);
                 return out;
             });
-        auto image = sdk::buildImage(spec, authorKey());
-        auto loaded = world.urts->load(image).orThrow("load level");
+        auto loaded =
+            world.urts->load(sdk::buildImage(spec, authorKey()), spec.interface)
+                .orThrow("load level");
         if (i > 0) {
             world.urts->associate(loaded, levels.back()).orThrow("assoc");
         }

@@ -194,7 +194,8 @@ class ChainWalk
                     return Result<Bytes>(Bytes(8, 0xcd));
                 });
             sdk::LoadedEnclave* e =
-                world_->urts->load(sdk::buildImage(spec, authorKey()))
+                world_->urts->load(sdk::buildImage(spec, authorKey()),
+                                   spec.interface)
                     .orThrow("walk enclave");
             if (i > 0) {
                 ASSERT_TRUE(world_->urts->associate(e, all_.back()).isOk());
@@ -390,7 +391,7 @@ TEST(TcsClaim, ConcurrentEcallsNeverShareOrLoseATcs)
             return Bytes{};
         });
     sdk::LoadedEnclave* enclave =
-        world.urts->load(sdk::buildImage(spec, authorKey()))
+        world.urts->load(sdk::buildImage(spec, authorKey()), spec.interface)
             .orThrow("tcs-claim");
     const auto* rec = world.kernel.enclaveRecord(enclave->secsPage());
     for (const auto& [va, pa] : rec->pages) {

@@ -26,11 +26,14 @@ class Channels : public ::testing::Test {
         i2.expectedOuter = expectSigner(authorKey());
         outerSpec.allowedInners.push_back(expectSigner(authorKey()));
 
-        outer_ = world_->urts->load(sdk::buildImage(outerSpec, authorKey()))
+        outer_ = world_->urts->load(sdk::buildImage(outerSpec, authorKey()),
+                                    outerSpec.interface)
                      .orThrow("outer");
-        inner1_ = world_->urts->load(sdk::buildImage(i1, authorKey()))
+        inner1_ = world_->urts->load(sdk::buildImage(i1, authorKey()),
+                                     i1.interface)
                       .orThrow("i1");
-        inner2_ = world_->urts->load(sdk::buildImage(i2, authorKey()))
+        inner2_ = world_->urts->load(sdk::buildImage(i2, authorKey()),
+                                     i2.interface)
                       .orThrow("i2");
         ASSERT_TRUE(world_->urts->associate(inner1_, outer_).isOk());
         ASSERT_TRUE(world_->urts->associate(inner2_, outer_).isOk());
@@ -135,7 +138,8 @@ TEST_F(Channels, OuterChannelUnreachableFromForeignEnclave)
     // An enclave *not* nested under ch-outer cannot touch the channel.
     auto strangerSpec = tinySpec("ch-stranger");
     auto stranger =
-        world_->urts->load(sdk::buildImage(strangerSpec, authorKey()))
+        world_->urts->load(sdk::buildImage(strangerSpec, authorKey()),
+                           strangerSpec.interface)
             .orThrow("stranger");
     auto channel = core::OuterChannel::create(*outer_, 4096).orThrow("ch");
 

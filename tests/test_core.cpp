@@ -72,7 +72,8 @@ TEST(Compose, SignedExpectationsWiredAutomatically)
     auto rogueSpec = tinySpec("cmp3-rogue");
     rogueSpec.expectedOuter = expectSigner(authorKey());  // wants in
     auto rogue = world.urts
-                     ->load(sdk::buildImage(rogueSpec, otherAuthorKey()))
+                     ->load(sdk::buildImage(rogueSpec, otherAuthorKey()),
+                            rogueSpec.interface)
                      .orThrow("rogue");
     EXPECT_EQ(world.urts->associate(rogue, app.outer()).code(),
               Err::AssociationRejected);
@@ -155,8 +156,10 @@ TEST(Dump, CycleInAssociationGraphIsFlaggedAndTerminates)
     oa.allowedInners.push_back(expectSigner(authorKey()));
     auto ib = tinySpec("cyc-b");
     ib.expectedOuter = expectSigner(authorKey());
-    auto a = world.urts->load(sdk::buildImage(oa, authorKey())).orThrow("a");
-    auto b = world.urts->load(sdk::buildImage(ib, authorKey())).orThrow("b");
+    auto a = world.urts->load(sdk::buildImage(oa, authorKey()),
+                              oa.interface).orThrow("a");
+    auto b = world.urts->load(sdk::buildImage(ib, authorKey()),
+                              ib.interface).orThrow("b");
     ASSERT_TRUE(world.urts->associate(b, a).isOk());
 
     sgx::Secs* sa = world.machine.secsAt(a->secsPage());
@@ -187,11 +190,14 @@ TEST(Dump, MultiOuterAnnotated)
     bridgeSpec.expectedOuter = expectSigner(authorKey());
 
     auto outerA =
-        world.urts->load(sdk::buildImage(oa, authorKey())).orThrow("a");
+        world.urts->load(sdk::buildImage(oa, authorKey()),
+                         oa.interface).orThrow("a");
     auto outerB =
-        world.urts->load(sdk::buildImage(ob, authorKey())).orThrow("b");
+        world.urts->load(sdk::buildImage(ob, authorKey()),
+                         ob.interface).orThrow("b");
     auto bridge = world.urts
-                      ->load(sdk::buildImage(bridgeSpec, authorKey()))
+                      ->load(sdk::buildImage(bridgeSpec, authorKey()),
+                             bridgeSpec.interface)
                       .orThrow("bridge");
     ASSERT_TRUE(world.urts->associate(bridge, outerA).isOk());
     ASSERT_TRUE(world.urts->associate(bridge, outerB).isOk());

@@ -108,8 +108,9 @@ TEST_F(DataPath, WorkingSetWithinLlcStopsPayingMee)
 TEST_F(DataPath, ValidatedReadsChargeTheDataPath)
 {
     // End-to-end: an in-enclave read charges translation + line costs.
-    auto image = sdk::buildImage(tinySpec("dp"), authorKey());
-    auto enclave = world_->urts->load(image).orThrow("load");
+    auto spec = tinySpec("dp");
+    auto image = sdk::buildImage(spec, authorKey());
+    auto enclave = world_->urts->load(image, spec.interface).orThrow("load");
     const auto* rec = world_->kernel.enclaveRecord(enclave->secsPage());
     hw::Paddr tcs = 0;
     for (const auto& [va, pa] : rec->pages) {

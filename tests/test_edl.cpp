@@ -167,11 +167,14 @@ TEST(Edl, FakeEdlCannotEnableInnerToInnerCalls)
             return Bytes{};
         });
 
-    auto outer = world.urts->load(sdk::buildImage(outerSpec, authorKey()))
+    auto outer = world.urts->load(sdk::buildImage(outerSpec, authorKey()),
+                                  outerSpec.interface)
                      .orThrow("outer");
-    auto i1 = world.urts->load(sdk::buildImage(i1Spec, authorKey()))
+    auto i1 = world.urts->load(sdk::buildImage(i1Spec, authorKey()),
+                               i1Spec.interface)
                   .orThrow("i1");
-    auto i2 = world.urts->load(sdk::buildImage(i2Spec, authorKey()))
+    auto i2 = world.urts->load(sdk::buildImage(i2Spec, authorKey()),
+                               i2Spec.interface)
                   .orThrow("i2");
     ASSERT_TRUE(world.urts->associate(i1, outer).isOk());
     ASSERT_TRUE(world.urts->associate(i2, outer).isOk());
@@ -219,7 +222,8 @@ TEST(Edl, BoundInterfaceWorksEndToEnd)
         });
     ASSERT_TRUE(sdk::validateBinding(spec, *enclaveSpec.interface).isOk());
     auto enclave =
-        world.urts->load(sdk::buildImage(enclaveSpec, authorKey()))
+        world.urts->load(sdk::buildImage(enclaveSpec, authorKey()),
+                         enclaveSpec.interface)
             .orThrow("load");
     EXPECT_EQ(world.urts->ecall(enclave, "ping", {}).orThrow("ping"),
               bytesOf("pong"));

@@ -180,8 +180,9 @@ class FaultHooks : public ::testing::Test {
                 if (!st) return st;
                 return env.readBytes(stageVa_, arg.size());
             });
-        image_ = sdk::buildImage(spec, authorKey());
-        enclave_ = world_->urts->load(image_).orThrow("load");
+        enclave_ = world_->urts->load(sdk::buildImage(spec, authorKey()),
+                                      spec.interface)
+                       .orThrow("load");
         stageVa_ = enclave_->heap().alloc(128);
     }
 
@@ -194,7 +195,6 @@ class FaultHooks : public ::testing::Test {
     }
 
     std::unique_ptr<World> world_;
-    sdk::SignedEnclave image_;
     sdk::LoadedEnclave* enclave_ = nullptr;
     hw::Vaddr stageVa_ = 0;
     std::unique_ptr<FaultInjector> injector_;
@@ -229,12 +229,12 @@ TEST_F(FaultHooks, EpcAllocFailSurfacesAsOsError)
     arm("epc-alloc-fail@n=1");
     auto spec = tinySpec("second");
     auto image = sdk::buildImage(spec, authorKey());
-    auto r = world_->urts->load(image);
+    auto r = world_->urts->load(image, spec.interface);
     EXPECT_FALSE(r);
     EXPECT_EQ(r.status().code(), Err::OsError);
     EXPECT_EQ(injector_->injected(FaultSite::EpcAllocFail), 1u);
     // Consumed: a retry of the same load succeeds.
-    auto retry = world_->urts->load(image);
+    auto retry = world_->urts->load(image, spec.interface);
     ASSERT_TRUE(retry);
 }
 
@@ -243,7 +243,7 @@ TEST_F(FaultHooks, EcreateFailRefusesLoad)
     arm("ecreate-fail@n=1");
     auto spec = tinySpec("third");
     auto image = sdk::buildImage(spec, authorKey());
-    auto r = world_->urts->load(image);
+    auto r = world_->urts->load(image, spec.interface);
     EXPECT_FALSE(r);
     EXPECT_EQ(r.status().code(), Err::GeneralProtection);
 }

@@ -249,18 +249,14 @@ class SealingFixture : public ::testing::Test {
     void SetUp() override
     {
         world_ = std::make_unique<World>();
-        enclaveA_ = world_->urts
-                        ->load(sdk::buildImage(tinySpec("seal-a"),
-                                               authorKey()))
-                        .orThrow("a");
-        enclaveB_ = world_->urts
-                        ->load(sdk::buildImage(tinySpec("seal-b"),
-                                               authorKey()))
-                        .orThrow("b");
-        stranger_ = world_->urts
-                        ->load(sdk::buildImage(tinySpec("seal-x"),
-                                               otherAuthorKey()))
-                        .orThrow("x");
+        auto load = [this](const sdk::EnclaveSpec& spec,
+                            const crypto::RsaKeyPair& key) {
+            return world_->urts->load(sdk::buildImage(spec, key),
+                                      spec.interface);
+        };
+        enclaveA_ = load(tinySpec("seal-a"), authorKey()).orThrow("a");
+        enclaveB_ = load(tinySpec("seal-b"), authorKey()).orThrow("b");
+        stranger_ = load(tinySpec("seal-x"), otherAuthorKey()).orThrow("x");
     }
 
     template <typename Fn>

@@ -13,8 +13,9 @@ namespace {
 TEST(Lifecycle, LoadSignedEnclave)
 {
     World world;
-    auto image = sdk::buildImage(tinySpec("e1"), authorKey());
-    auto loaded = world.urts->load(image);
+    auto spec = tinySpec("e1");
+    auto image = sdk::buildImage(spec, authorKey());
+    auto loaded = world.urts->load(image, spec.interface);
     ASSERT_TRUE(loaded.isOk()) << loaded.status().name();
     sdk::LoadedEnclave* enclave = loaded.value();
 
@@ -22,32 +23,36 @@ TEST(Lifecycle, LoadSignedEnclave)
     ASSERT_NE(secs, nullptr);
     EXPECT_TRUE(secs->initialized);
     // Hardware-measured MRENCLAVE equals the toolchain prediction.
-    EXPECT_EQ(secs->mrenclave, image.mrenclave);
-    EXPECT_EQ(secs->mrsigner, image.mrsigner);
+    EXPECT_EQ(secs->mrenclave, image->mrenclave);
+    EXPECT_EQ(secs->mrsigner, image->mrsigner);
 }
 
 TEST(Lifecycle, DifferentCodeDifferentMeasurement)
 {
-    auto a = sdk::buildImage(tinySpec("alpha"), authorKey());
-    auto b = sdk::buildImage(tinySpec("beta"), authorKey());
-    EXPECT_NE(a.mrenclave, b.mrenclave);
-    EXPECT_EQ(a.mrsigner, b.mrsigner);  // same author
+    auto aSpec = tinySpec("alpha");
+    auto a = sdk::buildImage(aSpec, authorKey());
+    auto bSpec = tinySpec("beta");
+    auto b = sdk::buildImage(bSpec, authorKey());
+    EXPECT_NE(a->mrenclave, b->mrenclave);
+    EXPECT_EQ(a->mrsigner, b->mrsigner);  // same author
 }
 
 TEST(Lifecycle, PredictMeasurementMatchesBuild)
 {
     auto spec = tinySpec("predictable");
     EXPECT_EQ(sdk::predictMeasurement(spec),
-              sdk::buildImage(spec, authorKey()).mrenclave);
+              sdk::buildImage(spec, authorKey())->mrenclave);
 }
 
 TEST(Lifecycle, EinitRejectsTamperedContent)
 {
     World world;
-    auto image = sdk::buildImage(tinySpec("tampered"), authorKey());
+    auto spec = tinySpec("tampered");
+    auto image = std::make_shared<sdk::SignedEnclave>(
+        *sdk::buildImage(spec, authorKey()));
     // OS flips one byte of a code page before loading.
-    image.pages[image.spec.tcsCount].content[0] ^= 0xff;
-    auto loaded = world.urts->load(image);
+    image->pages[image->spec.tcsCount].content[0] ^= 0xff;
+    auto loaded = world.urts->load(image, spec.interface);
     ASSERT_FALSE(loaded.isOk());
     EXPECT_EQ(loaded.code(), Err::InvalidMeasurement);
 }
@@ -55,9 +60,11 @@ TEST(Lifecycle, EinitRejectsTamperedContent)
 TEST(Lifecycle, EinitRejectsForgedSignature)
 {
     World world;
-    auto image = sdk::buildImage(tinySpec("forged"), authorKey());
-    image.sigstruct.signature[4] ^= 1;
-    auto loaded = world.urts->load(image);
+    auto spec = tinySpec("forged");
+    auto image = std::make_shared<sdk::SignedEnclave>(
+        *sdk::buildImage(spec, authorKey()));
+    image->sigstruct.signature[4] ^= 1;
+    auto loaded = world.urts->load(image, spec.interface);
     ASSERT_FALSE(loaded.isOk());
     EXPECT_EQ(loaded.code(), Err::InvalidSignature);
 }
@@ -65,12 +72,14 @@ TEST(Lifecycle, EinitRejectsForgedSignature)
 TEST(Lifecycle, EinitRejectsResignedByOtherAuthor)
 {
     World world;
-    auto image = sdk::buildImage(tinySpec("resign"), authorKey());
+    auto spec = tinySpec("resign");
+    auto image = std::make_shared<sdk::SignedEnclave>(
+        *sdk::buildImage(spec, authorKey()));
     // An attacker re-signs the (unmodified) body with their own key: the
     // signature verifies but MRSIGNER changes, which downstream
     // association checks must observe. Load succeeds...
-    image.sigstruct.sign(otherAuthorKey());
-    auto loaded = world.urts->load(image);
+    image->sigstruct.sign(otherAuthorKey());
+    auto loaded = world.urts->load(image, spec.interface);
     ASSERT_TRUE(loaded.isOk());
     // ...but the hardware-recorded signer is the attacker, not the author.
     const sgx::Secs* secs =
@@ -82,7 +91,8 @@ TEST(Lifecycle, EinitRejectsResignedByOtherAuthor)
 TEST(Lifecycle, EinitRejectsUnusableSignerModulus)
 {
     World world;
-    auto image = sdk::buildImage(tinySpec("signer-key"), authorKey());
+    auto spec = tinySpec("signer-key");
+    auto image = sdk::buildImage(spec, authorKey());
     // The signer key comes from the host-supplied SIGSTRUCT. A modulus the
     // RSA kernel cannot use (too narrow for PKCS#1, even, or zero) must
     // fail EINIT typed instead of throwing out of the leaf.
@@ -92,20 +102,20 @@ TEST(Lifecycle, EinitRejectsUnusableSignerModulus)
     };
     const Hostile keys[] = {
         {crypto::BigUint(0xc5), Bytes(1, 0)},
-        {authorKey().pub.n + crypto::BigUint(1), image.sigstruct.signature},
+        {authorKey().pub.n + crypto::BigUint(1), image->sigstruct.signature},
         {crypto::BigUint(), Bytes{}},
     };
     for (const Hostile& h : keys) {
         SCOPED_TRACE(h.n.toHex());
-        sdk::SignedEnclave forged = image;
-        forged.sigstruct.signerKey.n = h.n;
-        forged.sigstruct.signature = h.signature;
-        auto loaded = world.urts->load(forged);
+        auto forged = std::make_shared<sdk::SignedEnclave>(*image);
+        forged->sigstruct.signerKey.n = h.n;
+        forged->sigstruct.signature = h.signature;
+        auto loaded = world.urts->load(forged, spec.interface);
         ASSERT_FALSE(loaded.isOk());
         EXPECT_EQ(loaded.code(), Err::InvalidSignature);
     }
     // After the refusals the genuine image still loads.
-    auto loaded = world.urts->load(image);
+    auto loaded = world.urts->load(image, spec.interface);
     ASSERT_TRUE(loaded.isOk()) << loaded.status().name();
 }
 
@@ -134,8 +144,9 @@ TEST(Lifecycle, EaddRejectsPageOutsideELRange)
 TEST(Lifecycle, EaddRejectsAfterInit)
 {
     World world;
-    auto image = sdk::buildImage(tinySpec("sealed"), authorKey());
-    auto enclave = world.urts->load(image).orThrow("load");
+    auto spec = tinySpec("sealed");
+    auto image = sdk::buildImage(spec, authorKey());
+    auto enclave = world.urts->load(image, spec.interface).orThrow("load");
     Status st = world.kernel.addPage(
         enclave->secsPage(), enclave->base() + enclave->size() - hw::kPageSize,
         sgx::PageType::Reg, sgx::PagePerms::rw(), {});
@@ -145,8 +156,10 @@ TEST(Lifecycle, EaddRejectsAfterInit)
 TEST(Lifecycle, EpcPagesAreSingleOwner)
 {
     World world;
-    auto img1 = sdk::buildImage(tinySpec("o1"), authorKey());
-    auto enclave = world.urts->load(img1).orThrow("load");
+    auto spec = tinySpec("o1");
+    auto enclave = world.urts->load(sdk::buildImage(spec, authorKey()),
+                                    spec.interface)
+                       .orThrow("load");
     const auto* rec = world.kernel.enclaveRecord(enclave->secsPage());
     ASSERT_NE(rec, nullptr);
     hw::Paddr somePage = rec->pages.begin()->second;
@@ -164,8 +177,9 @@ TEST(Lifecycle, DestroyEnclaveFreesEpc)
 {
     World world;
     std::size_t before = world.kernel.freeEpcPages();
-    auto image = sdk::buildImage(tinySpec("shortlived"), authorKey());
-    auto enclave = world.urts->load(image).orThrow("load");
+    auto spec = tinySpec("shortlived");
+    auto image = sdk::buildImage(spec, authorKey());
+    auto enclave = world.urts->load(image, spec.interface).orThrow("load");
     EXPECT_LT(world.kernel.freeEpcPages(), before);
     ASSERT_TRUE(world.urts->unload(enclave).isOk());
     EXPECT_EQ(world.kernel.freeEpcPages(), before);
@@ -196,8 +210,10 @@ TEST(Nasso, RejectsUnlistedInner)
 
     auto outerImage = sdk::buildImage(outerSpec, authorKey());
     auto innerImage = sdk::buildImage(innerSpec, authorKey());
-    auto outer = world.urts->load(outerImage).orThrow("outer");
-    auto inner = world.urts->load(innerImage).orThrow("inner");
+    auto outer = world.urts->load(outerImage,
+                                  outerSpec.interface).orThrow("outer");
+    auto inner = world.urts->load(innerImage,
+                                  innerSpec.interface).orThrow("inner");
 
     Status st = world.urts->associate(inner, outer);
     EXPECT_EQ(st.code(), Err::AssociationRejected);
@@ -215,12 +231,14 @@ TEST(Nasso, RejectsWrongOuterExpectation)
     auto innerImage = sdk::buildImage(innerSpec, authorKey());
 
     sgx::PeerExpectation allow;
-    allow.mrenclave = innerImage.mrenclave;
+    allow.mrenclave = innerImage->mrenclave;
     outerSpec.allowedInners.push_back(allow);
     auto outerImage = sdk::buildImage(outerSpec, authorKey());
 
-    auto outer = world.urts->load(outerImage).orThrow("outer");
-    auto inner = world.urts->load(innerImage).orThrow("inner");
+    auto outer = world.urts->load(outerImage,
+                                  outerSpec.interface).orThrow("outer");
+    auto inner = world.urts->load(innerImage,
+                                  innerSpec.interface).orThrow("inner");
     EXPECT_EQ(world.urts->associate(inner, outer).code(),
               Err::AssociationRejected);
 }
@@ -235,8 +253,10 @@ TEST(Nasso, AllowsMatchBySigner)
     outerSpec.allowedInners.push_back(expectSigner(authorKey()));
     auto outerImage = sdk::buildImage(outerSpec, authorKey());
 
-    auto outer = world.urts->load(outerImage).orThrow("outer");
-    auto inner = world.urts->load(innerImage).orThrow("inner");
+    auto outer = world.urts->load(outerImage,
+                                  outerSpec.interface).orThrow("outer");
+    auto inner = world.urts->load(innerImage,
+                                  innerSpec.interface).orThrow("inner");
     EXPECT_TRUE(world.urts->associate(inner, outer).isOk());
 }
 
@@ -251,8 +271,10 @@ TEST(Nasso, RejectsWrongSigner)
     outerSpec.allowedInners.push_back(expectSigner(authorKey()));
     auto outerImage = sdk::buildImage(outerSpec, authorKey());
 
-    auto outer = world.urts->load(outerImage).orThrow("outer");
-    auto inner = world.urts->load(innerImage).orThrow("inner");
+    auto outer = world.urts->load(outerImage,
+                                  outerSpec.interface).orThrow("outer");
+    auto inner = world.urts->load(innerImage,
+                                  innerSpec.interface).orThrow("inner");
     EXPECT_EQ(world.urts->associate(inner, outer).code(),
               Err::AssociationRejected);
 }
@@ -264,9 +286,10 @@ TEST(Nasso, SingleOuterPerInner)
         loadNestedPair(world, tinySpec("outer-a"), tinySpec("inner-a"));
     // A second association for the same inner must fail (§IV-A).
     auto outer2Spec = tinySpec("outer-b");
-    outer2Spec.allowedInners.push_back(expectEnclave(pair.innerImage));
+    outer2Spec.allowedInners.push_back(expectEnclave(*pair.innerImage));
     auto outer2Image = sdk::buildImage(outer2Spec, authorKey());
-    auto outer2 = world.urts->load(outer2Image).orThrow("outer2");
+    auto outer2 = world.urts->load(outer2Image,
+                                   outer2Spec.interface).orThrow("outer2");
     EXPECT_EQ(world.urts->associate(pair.inner, outer2).code(),
               Err::GeneralProtection);
 }
@@ -281,12 +304,15 @@ TEST(Nasso, MultipleInnersShareOneOuter)
     i1Spec.expectedOuter = expectSigner(authorKey());
     i2Spec.expectedOuter = expectSigner(authorKey());
 
-    auto outer = world.urts->load(sdk::buildImage(outerSpec, authorKey()))
+    auto outer = world.urts->load(sdk::buildImage(outerSpec, authorKey()),
+                                  outerSpec.interface)
                      .orThrow("outer");
     auto i1 =
-        world.urts->load(sdk::buildImage(i1Spec, authorKey())).orThrow("i1");
+        world.urts->load(sdk::buildImage(i1Spec, authorKey()),
+                         i1Spec.interface).orThrow("i1");
     auto i2 =
-        world.urts->load(sdk::buildImage(i2Spec, authorKey())).orThrow("i2");
+        world.urts->load(sdk::buildImage(i2Spec, authorKey()),
+                         i2Spec.interface).orThrow("i2");
     ASSERT_TRUE(world.urts->associate(i1, outer).isOk());
     ASSERT_TRUE(world.urts->associate(i2, outer).isOk());
 
@@ -306,9 +332,11 @@ TEST(Nasso, RejectsAssociationCycle)
     bSpec.allowedInners.push_back(expectSigner(authorKey()));
 
     auto a =
-        world.urts->load(sdk::buildImage(aSpec, authorKey())).orThrow("a");
+        world.urts->load(sdk::buildImage(aSpec, authorKey()),
+                         aSpec.interface).orThrow("a");
     auto b =
-        world.urts->load(sdk::buildImage(bSpec, authorKey())).orThrow("b");
+        world.urts->load(sdk::buildImage(bSpec, authorKey()),
+                         bSpec.interface).orThrow("b");
     ASSERT_TRUE(world.urts->associate(a, b).isOk());
     EXPECT_EQ(world.urts->associate(b, a).code(), Err::GeneralProtection);
 }
@@ -329,8 +357,9 @@ TEST(Nasso, RejectsUninitializedEnclaves)
 TEST(Nasso, RejectsSelfAssociation)
 {
     World world;
-    auto image = sdk::buildImage(tinySpec("selfie"), authorKey());
-    auto enclave = world.urts->load(image).orThrow("load");
+    auto spec = tinySpec("selfie");
+    auto image = sdk::buildImage(spec, authorKey());
+    auto enclave = world.urts->load(image, spec.interface).orThrow("load");
     EXPECT_EQ(
         world.machine.nasso(enclave->secsPage(), enclave->secsPage()).code(),
         Err::GeneralProtection);
@@ -356,9 +385,11 @@ TEST(ClosureCache, NassoInvalidatesMemoizedClosures)
     auto innerSpec = tinySpec("cc-inner");
     innerSpec.expectedOuter = expectSigner(authorKey());
     outerSpec.allowedInners.push_back(expectSigner(authorKey()));
-    auto outer = world.urts->load(sdk::buildImage(outerSpec, authorKey()))
+    auto outer = world.urts->load(sdk::buildImage(outerSpec, authorKey()),
+                                  outerSpec.interface)
                      .orThrow("outer");
-    auto inner = world.urts->load(sdk::buildImage(innerSpec, authorKey()))
+    auto inner = world.urts->load(sdk::buildImage(innerSpec, authorKey()),
+                                  innerSpec.interface)
                      .orThrow("inner");
 
     auto& machine = world.machine;

@@ -364,6 +364,94 @@ TEST_P(HostMigration, DestinationImportFaultLeavesSourceAuthoritative)
     EXPECT_EQ(verified, 3u);
 }
 
+TEST_P(HostMigration, RebuildOnTheDestinationKeepsTheClientsSession)
+{
+    ASSERT_TRUE(fleet_.addTenant(4, Workload::Echo, 0).isOk());
+    const Bytes sourceKey = serviceA_->sessionKeyFor(4);
+    ASSERT_FALSE(sourceKey.empty());
+    serve::TenantClient client(4, Workload::Echo, sourceKey);
+    ASSERT_TRUE(fleet_.migrateAcross(engine_, 4, 1).isOk());
+    serveRound(*serviceB_, client, 4, 1);
+    // The destination hands out the key its inner serves with: the
+    // source's, not one derived from this host's seal identity.
+    EXPECT_EQ(serviceB_->sessionKeyFor(4), sourceKey);
+
+    // A rebuild here restores that key from the blob the inner sealed
+    // at import, so the client only restarts its sequence.
+    serve::TenantHandle* tenant = serviceB_->registry().find(4);
+    ASSERT_NE(tenant, nullptr);
+    ASSERT_TRUE(serviceB_->pool().rebuildTenant(*tenant).isOk());
+    client.onTenantRebuilt();
+    serveRound(*serviceB_, client, 4, 1);
+    EXPECT_EQ(serviceB_->sessionKeyFor(4), sourceKey);
+    EXPECT_EQ(client.failures(), 0u);
+}
+
+/** The signed identity of an image, copied at onboarding. */
+struct SignedIdentity {
+    explicit SignedIdentity(const sdk::SignedEnclave& image)
+        : body(image.sigstruct.signedBody()),
+          signature(image.sigstruct.signature),
+          mrenclave(image.mrenclave)
+    {
+    }
+    Bytes body;
+    Bytes signature;
+    sgx::Measurement mrenclave;
+};
+
+/** The tenant's live inner is a load of the image its record holds, and
+ *  that image still carries the identity it was signed with. */
+void
+expectRecordImageLoaded(World& world, const serve::TenantHandle& tenant,
+                        const SignedIdentity& signedAt)
+{
+    ASSERT_NE(tenant.inner, nullptr);
+    EXPECT_EQ(&tenant.inner->image(), tenant.image.get());
+    EXPECT_EQ(tenant.image->sigstruct.signedBody(), signedAt.body);
+    EXPECT_EQ(tenant.image->sigstruct.signature, signedAt.signature);
+    EXPECT_EQ(tenant.inner->mrenclave(), signedAt.mrenclave);
+    // EINIT measured this load and found the signed MRENCLAVE.
+    EXPECT_EQ(world.machine.secsAt(tenant.inner->secsPage())->mrenclave,
+              signedAt.mrenclave);
+}
+
+TEST_P(HostMigration, RebuildsAndMovesLoadTheImageSignedAtOnboarding)
+{
+    ASSERT_TRUE(fleet_.addTenant(5, Workload::Sql, 0).isOk());
+    serve::TenantRegistry& registryA = serviceA_->registry();
+    serve::TenantHandle* tenant = registryA.find(5);
+    const sdk::SignedEnclave* image = tenant->image.get();
+    const SignedIdentity onboarded(*image);
+    expectRecordImageLoaded(*worldA_, *tenant, onboarded);
+
+    ASSERT_TRUE(serviceA_->pool().rebuildTenant(*tenant).isOk());
+    expectRecordImageLoaded(*worldA_, *tenant, onboarded);
+
+    ASSERT_TRUE(engine_.migrateToGateway(*serviceA_, 5).isOk());
+    expectRecordImageLoaded(*worldA_, *tenant, onboarded);
+
+    // A subtree rebuild reloads the gateway's own image as well.
+    const std::size_t gateway = tenant->gatewayIndex;
+    const sdk::SignedEnclave* gatewayImage =
+        &registryA.gatewayOuter(gateway)->image();
+    const SignedIdentity gatewaySigned(*gatewayImage);
+    ASSERT_TRUE(serviceA_->pool().rebuildSubtree(gateway).isOk());
+    expectRecordImageLoaded(*worldA_, *tenant, onboarded);
+    const sdk::LoadedEnclave* outer = registryA.gatewayOuter(gateway);
+    EXPECT_EQ(&outer->image(), gatewayImage);
+    EXPECT_EQ(outer->image().sigstruct.signature, gatewaySigned.signature);
+    EXPECT_EQ(worldA_->machine.secsAt(outer->secsPage())->mrenclave,
+              gatewaySigned.mrenclave);
+
+    // The image travels with a host move; the destination signs nothing.
+    ASSERT_TRUE(fleet_.migrateAcross(engine_, 5, 1).isOk());
+    serve::TenantHandle* moved = serviceB_->registry().find(5);
+    ASSERT_NE(moved, nullptr);
+    EXPECT_EQ(moved->image.get(), image);
+    expectRecordImageLoaded(*worldB_, *moved, onboarded);
+}
+
 INSTANTIATE_TEST_SUITE_P(TlbModes, HostMigration, ::testing::Bool(),
                          [](const auto& info) {
                              return info.param ? "taggedTlb" : "flushTlb";

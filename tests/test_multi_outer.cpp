@@ -38,13 +38,16 @@ class MultiOuter : public ::testing::Test {
         bridgeSpec.expectedOuter = expectSigner(authorKey());
 
         outerA_ = world_->urts
-                      ->load(sdk::buildImage(outerASpec, authorKey()))
+                      ->load(sdk::buildImage(outerASpec, authorKey()),
+                             outerASpec.interface)
                       .orThrow("a");
         outerB_ = world_->urts
-                      ->load(sdk::buildImage(outerBSpec, authorKey()))
+                      ->load(sdk::buildImage(outerBSpec, authorKey()),
+                             outerBSpec.interface)
                       .orThrow("b");
         bridge_ = world_->urts
-                      ->load(sdk::buildImage(bridgeSpec, authorKey()))
+                      ->load(sdk::buildImage(bridgeSpec, authorKey()),
+                             bridgeSpec.interface)
                       .orThrow("bridge");
         ASSERT_TRUE(world_->urts->associate(bridge_, outerA_).isOk());
         ASSERT_TRUE(world_->urts->associate(bridge_, outerB_).isOk());
@@ -97,7 +100,8 @@ TEST_F(MultiOuter, DefaultInnerStillSingleOuter)
     auto plainSpec = tinySpec("mo-plain");
     plainSpec.expectedOuter = expectSigner(authorKey());
     auto plain = world_->urts
-                     ->load(sdk::buildImage(plainSpec, authorKey()))
+                     ->load(sdk::buildImage(plainSpec, authorKey()),
+                            plainSpec.interface)
                      .orThrow("plain");
     ASSERT_TRUE(world_->urts->associate(plain, outerA_).isOk());
     EXPECT_EQ(world_->urts->associate(plain, outerB_).code(),
@@ -171,11 +175,14 @@ TEST_F(MultiOuter, NOcallResolvesTheEnteredOuter)
         });
 
     auto outerA =
-        world.urts->load(sdk::buildImage(oa, authorKey())).orThrow("a");
+        world.urts->load(sdk::buildImage(oa, authorKey()),
+                         oa.interface).orThrow("a");
     auto outerB =
-        world.urts->load(sdk::buildImage(ob, authorKey())).orThrow("b");
+        world.urts->load(sdk::buildImage(ob, authorKey()),
+                         ob.interface).orThrow("b");
     auto bridge =
-        world.urts->load(sdk::buildImage(br, authorKey())).orThrow("br");
+        world.urts->load(sdk::buildImage(br, authorKey()),
+                         br.interface).orThrow("br");
     ASSERT_TRUE(world.urts->associate(bridge, outerA).isOk());
     ASSERT_TRUE(world.urts->associate(bridge, outerB).isOk());
 
@@ -197,7 +204,8 @@ TEST_F(MultiOuter, PrivateChannelsPerPeer)
     auto peerSpec = tinySpec("mo-peer-b");
     peerSpec.expectedOuter = expectSigner(authorKey());
     auto peer = world_->urts
-                    ->load(sdk::buildImage(peerSpec, authorKey()))
+                    ->load(sdk::buildImage(peerSpec, authorKey()),
+                           peerSpec.interface)
                     .orThrow("peer");
     ASSERT_TRUE(world_->urts->associate(peer, outerB_).isOk());
 
@@ -250,9 +258,11 @@ TEST_F(MultiOuter, CycleAcrossDagRejected)
     bSpec.expectedOuter = expectSigner(authorKey());
     bSpec.allowedInners.push_back(expectSigner(authorKey()));
 
-    auto a = world.urts->load(sdk::buildImage(aSpec, authorKey()))
+    auto a = world.urts->load(sdk::buildImage(aSpec, authorKey()),
+                              aSpec.interface)
                  .orThrow("a");
-    auto b = world.urts->load(sdk::buildImage(bSpec, authorKey()))
+    auto b = world.urts->load(sdk::buildImage(bSpec, authorKey()),
+                              bSpec.interface)
                  .orThrow("b");
     ASSERT_TRUE(world.urts->associate(a, b).isOk());
     EXPECT_EQ(world.urts->associate(b, a).code(), Err::GeneralProtection);

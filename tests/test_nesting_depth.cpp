@@ -31,11 +31,14 @@ class ThreeLevels : public ::testing::Test {
         midSpec.expectedOuter = expectSigner(authorKey());
         leafSpec.expectedOuter = expectSigner(authorKey());
 
-        top_ = world_->urts->load(sdk::buildImage(topSpec, authorKey()))
+        top_ = world_->urts->load(sdk::buildImage(topSpec, authorKey()),
+                                  topSpec.interface)
                    .orThrow("top");
-        mid_ = world_->urts->load(sdk::buildImage(midSpec, authorKey()))
+        mid_ = world_->urts->load(sdk::buildImage(midSpec, authorKey()),
+                                  midSpec.interface)
                    .orThrow("mid");
-        leaf_ = world_->urts->load(sdk::buildImage(leafSpec, authorKey()))
+        leaf_ = world_->urts->load(sdk::buildImage(leafSpec, authorKey()),
+                                   leafSpec.interface)
                     .orThrow("leaf");
         ASSERT_TRUE(world_->urts->associate(mid_, top_).isOk());
         ASSERT_TRUE(world_->urts->associate(leaf_, mid_).isOk());
@@ -210,7 +213,8 @@ TEST_F(ThreeLevels, SiblingSubtreesAreIsolated)
     // not see each other.
     auto mid2Spec = tinySpec("lvl-mid2");
     mid2Spec.expectedOuter = expectSigner(authorKey());
-    auto mid2 = world_->urts->load(sdk::buildImage(mid2Spec, authorKey()))
+    auto mid2 = world_->urts->load(sdk::buildImage(mid2Spec, authorKey()),
+                                   mid2Spec.interface)
                     .orThrow("mid2");
     ASSERT_TRUE(world_->urts->associate(mid2, top_).isOk());
     hw::Vaddr mid2Va = mid2->heap().alloc(32);

@@ -89,11 +89,13 @@ TEST(OsKernel, FrameAllocatorExhausts)
 TEST(OsKernel, EnclaveRecordTracksPages)
 {
     World world;
-    auto image = sdk::buildImage(tinySpec("os-rec"), authorKey());
-    auto enclave = world.urts->load(image).orThrow("load");
+    auto spec = tinySpec("os-rec");
+    auto enclave = world.urts->load(sdk::buildImage(spec, authorKey()),
+                                    spec.interface)
+                       .orThrow("load");
     const auto* rec = world.kernel.enclaveRecord(enclave->secsPage());
     ASSERT_NE(rec, nullptr);
-    EXPECT_EQ(rec->pages.size(), image.spec.totalPages());
+    EXPECT_EQ(rec->pages.size(), spec.totalPages());
     EXPECT_EQ(rec->pid, world.pid);
     EXPECT_EQ(world.kernel.enclaveRecord(0x123456), nullptr);
 }
@@ -110,9 +112,11 @@ TEST(OsKernel, AssociateRejectsCrossProcessPairs)
     auto innerSpec = tinySpec("os-xp-inner");
     innerSpec.expectedOuter = expectSigner(authorKey());
 
-    auto outer = world.urts->load(sdk::buildImage(outerSpec, authorKey()))
+    auto outer = world.urts->load(sdk::buildImage(outerSpec, authorKey()),
+                                  outerSpec.interface)
                      .orThrow("outer");
-    auto inner = otherUrts.load(sdk::buildImage(innerSpec, authorKey()))
+    auto inner = otherUrts.load(sdk::buildImage(innerSpec, authorKey()),
+                                innerSpec.interface)
                      .orThrow("inner");
     Status st =
         world.kernel.associate(inner->secsPage(), outer->secsPage());
@@ -122,8 +126,10 @@ TEST(OsKernel, AssociateRejectsCrossProcessPairs)
 TEST(OsKernel, EvictUnknownPageFails)
 {
     World world;
-    auto image = sdk::buildImage(tinySpec("os-ev"), authorKey());
-    auto enclave = world.urts->load(image).orThrow("load");
+    auto spec = tinySpec("os-ev");
+    auto enclave = world.urts->load(sdk::buildImage(spec, authorKey()),
+                                    spec.interface)
+                       .orThrow("load");
     EXPECT_EQ(world.kernel.evictPage(enclave->secsPage(), 0xdead000).code(),
               Err::OsError);
     EXPECT_EQ(world.kernel.reloadPage(enclave->secsPage(), 0xdead000).code(),
@@ -152,9 +158,10 @@ TEST(OsKernel, EvictionCandidatesAreColdestFirstAndDeterministic)
     World world;
     std::vector<sdk::LoadedEnclave*> enclaves;
     for (int i = 0; i < 3; ++i) {
-        auto image =
-            sdk::buildImage(tinySpec("lru-" + std::to_string(i)), authorKey());
-        enclaves.push_back(world.urts->load(image).orThrow("load"));
+        auto spec = tinySpec("lru-" + std::to_string(i));
+        enclaves.push_back(
+            world.urts->load(sdk::buildImage(spec, authorKey()), spec.interface)
+                .orThrow("load"));
     }
 
     // Creation order == use order so far: enclave 0 is coldest.
@@ -176,9 +183,10 @@ TEST(OsKernel, PickEvictVictimHonorsEligibilityAndPublishes)
     World world;
     std::vector<sdk::LoadedEnclave*> enclaves;
     for (int i = 0; i < 3; ++i) {
-        auto image =
-            sdk::buildImage(tinySpec("pick-" + std::to_string(i)), authorKey());
-        enclaves.push_back(world.urts->load(image).orThrow("load"));
+        auto spec = tinySpec("pick-" + std::to_string(i));
+        enclaves.push_back(
+            world.urts->load(sdk::buildImage(spec, authorKey()), spec.interface)
+                .orThrow("load"));
     }
     std::uint64_t picksBefore = world.machine.trace().counters().victimPicks;
 
@@ -209,10 +217,12 @@ TEST(OsKernel, EcallsRefreshLruOrder)
         "ping", [](sdk::TrustedEnv&, ByteView arg) -> Result<Bytes> {
             return Bytes(arg.begin(), arg.end());
         });
-    auto a = world.urts->load(sdk::buildImage(specA, authorKey()))
+    auto specB = tinySpec("lru-ecall-b");
+    auto a = world.urts->load(sdk::buildImage(specA, authorKey()),
+                              specA.interface)
                  .orThrow("a");
-    auto b = world.urts
-                 ->load(sdk::buildImage(tinySpec("lru-ecall-b"), authorKey()))
+    auto b = world.urts->load(sdk::buildImage(specB, authorKey()),
+                              specB.interface)
                  .orThrow("b");
 
     // b was created last, so a is the victim of record...
@@ -231,13 +241,13 @@ TEST(OsKernel, AddPageMeasurementFaultDoesNotLeakEpc)
     auto image = sdk::buildImage(tinySpec("leak-probe"), authorKey());
     hw::Vaddr base = 0x5000'0000'0000ull;
     hw::Paddr secs = world.kernel
-                         .createEnclave(world.pid, base, image.sizeBytes,
-                                        image.spec.attributes)
+                         .createEnclave(world.pid, base, image->sizeBytes,
+                                        image->spec.attributes)
                          .orThrow("create");
 
     std::size_t freeBefore = world.kernel.freeEpcPages();
     world.kernel.failNextEextend();
-    const auto& page = image.pages.front();
+    const auto& page = image->pages.front();
     Status st = world.kernel.addPage(secs, base + page.offset, page.type,
                                      page.perms, ByteView(page.content));
     ASSERT_FALSE(st.isOk());

@@ -84,11 +84,11 @@ TEST(Image, LayoutIsDeterministic)
     auto spec = tinySpec("layout");
     auto a = sdk::buildImage(spec, authorKey());
     auto b = sdk::buildImage(spec, authorKey());
-    EXPECT_EQ(a.mrenclave, b.mrenclave);
-    ASSERT_EQ(a.pages.size(), b.pages.size());
-    for (std::size_t i = 0; i < a.pages.size(); ++i) {
-        EXPECT_EQ(a.pages[i].offset, b.pages[i].offset);
-        EXPECT_EQ(a.pages[i].content, b.pages[i].content);
+    EXPECT_EQ(a->mrenclave, b->mrenclave);
+    ASSERT_EQ(a->pages.size(), b->pages.size());
+    for (std::size_t i = 0; i < a->pages.size(); ++i) {
+        EXPECT_EQ(a->pages[i].offset, b->pages[i].offset);
+        EXPECT_EQ(a->pages[i].content, b->pages[i].content);
     }
 }
 
@@ -97,8 +97,8 @@ TEST(Image, SizeIsPowerOfTwo)
     auto spec = tinySpec("pow2");
     spec.heapPages = 37;
     auto image = sdk::buildImage(spec, authorKey());
-    EXPECT_EQ(image.sizeBytes & (image.sizeBytes - 1), 0u);
-    EXPECT_GE(image.sizeBytes, spec.totalPages() * hw::kPageSize);
+    EXPECT_EQ(image->sizeBytes & (image->sizeBytes - 1), 0u);
+    EXPECT_GE(image->sizeBytes, spec.totalPages() * hw::kPageSize);
 }
 
 TEST(Image, InterfaceChangesMeasurement)
@@ -137,10 +137,70 @@ TEST(Image, HeapRegionInsideELRange)
 {
     auto spec = tinySpec("heap-geom");
     auto image = sdk::buildImage(spec, authorKey());
-    EXPECT_GT(image.heapOffset, 0u);
-    EXPECT_LE(image.heapOffset + image.heapBytes,
+    EXPECT_GT(image->heapOffset, 0u);
+    EXPECT_LE(image->heapOffset + image->heapBytes,
               spec.totalPages() * hw::kPageSize);
-    EXPECT_EQ(image.heapBytes, spec.heapPages * hw::kPageSize);
+    EXPECT_EQ(image->heapBytes, spec.heapPages * hw::kPageSize);
+}
+
+TEST(Image, HoldsNoTrustedFunctions)
+{
+    // An image outlives the instances loaded from it, so it must not pin
+    // the state their functions close over.
+    auto state = std::make_shared<int>(0);
+    std::weak_ptr<int> watch = state;
+    auto spec = tinySpec("stateless");
+    spec.interface->addEcall(
+        "get", [state](sdk::TrustedEnv&, ByteView) -> Result<Bytes> {
+            return Bytes(1, std::uint8_t(*state));
+        });
+    auto image = sdk::buildImage(spec, authorKey());
+    state.reset();
+    spec.interface.reset();
+    EXPECT_TRUE(watch.expired());
+    EXPECT_FALSE(image->surface.empty());
+}
+
+TEST(Image, LoadRefusesABindingThatDiffersFromTheMeasuredInterface)
+{
+    World world;
+    const sdk::TrustedFn echo = [](sdk::TrustedEnv&,
+                                   ByteView arg) -> Result<Bytes> {
+        return Bytes(arg.begin(), arg.end());
+    };
+    auto bind = [&echo](std::initializer_list<const char*> ecalls,
+                        std::initializer_list<const char*> nEcalls) {
+        auto fns = std::make_shared<sdk::EnclaveInterface>();
+        for (const char* name : ecalls) fns->addEcall(name, echo);
+        for (const char* name : nEcalls) fns->addNEcall(name, echo);
+        return fns;
+    };
+    auto spec = tinySpec("bound");
+    spec.interface = bind({"ping"}, {"work"});
+    auto image = sdk::buildImage(spec, authorKey());
+
+    // The host picks the functions a load binds. One n_ecall more, one
+    // fewer, or a renamed ecall is refused typed before ECREATE, so no
+    // EPC page is spent on it.
+    const std::size_t freeBefore = world.kernel.freeEpcPages();
+    const std::shared_ptr<sdk::EnclaveInterface> hostile[] = {
+        bind({"ping"}, {"work", "backdoor"}),
+        bind({"ping"}, {}),
+        bind({"pong"}, {"work"}),
+    };
+    for (const auto& binding : hostile) {
+        auto loaded = world.urts->load(image, binding);
+        ASSERT_FALSE(loaded.isOk());
+        EXPECT_EQ(loaded.code(), Err::InvalidMeasurement);
+        EXPECT_EQ(world.kernel.freeEpcPages(), freeBefore);
+    }
+
+    // Fresh functions that declare the measured surface load and run.
+    auto enclave =
+        world.urts->load(image, bind({"ping"}, {"work"})).orThrow("load");
+    EXPECT_EQ(world.urts->ecall(enclave, "ping", bytesOf("hi")).orThrow("ping"),
+              bytesOf("hi"));
+    EXPECT_EQ(&enclave->image(), image.get());
 }
 
 // --- SIGSTRUCT -------------------------------------------------------------------
@@ -229,9 +289,13 @@ TEST(Interface, DigestReflectsNames)
 TEST(Urts, EnclavesGetDisjointAlignedBases)
 {
     World world;
-    auto a = world.urts->load(sdk::buildImage(tinySpec("ua"), authorKey()))
+    auto aSpec = tinySpec("ua");
+    auto bSpec = tinySpec("ub");
+    auto a = world.urts->load(sdk::buildImage(aSpec, authorKey()),
+                              aSpec.interface)
                  .orThrow("a");
-    auto b = world.urts->load(sdk::buildImage(tinySpec("ub"), authorKey()))
+    auto b = world.urts->load(sdk::buildImage(bSpec, authorKey()),
+                              bSpec.interface)
                  .orThrow("b");
     EXPECT_EQ(a->base() % a->size(), 0u);  // natural alignment
     EXPECT_EQ(b->base() % b->size(), 0u);
@@ -258,7 +322,8 @@ TEST(Urts, ParallelCallsNeedSeparateCoresAndTcs)
                                  return Bytes{};
                              });
     auto enclave =
-        world.urts->load(sdk::buildImage(spec, authorKey())).orThrow("load");
+        world.urts->load(sdk::buildImage(spec, authorKey()), spec.interface)
+            .orThrow("load");
     EXPECT_TRUE(world.urts->ecall(enclave, "busy", {}).isOk());
 }
 
@@ -273,7 +338,8 @@ TEST(Urts, EpcExhaustionSurfacesCleanly)
 
     auto spec = tinySpec("hog");
     spec.heapPages = 256;  // needs far more than 64 pages
-    auto loaded = world.urts->load(sdk::buildImage(spec, authorKey()));
+    auto loaded =
+        world.urts->load(sdk::buildImage(spec, authorKey()), spec.interface);
     EXPECT_FALSE(loaded.isOk());
     EXPECT_EQ(loaded.code(), Err::OsError);
 }

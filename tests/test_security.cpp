@@ -194,12 +194,15 @@ TEST(ChannelSecurity, OuterChannelDefeatsSilentDrop)
     i2.expectedOuter = expectSigner(authorKey());
     outerSpec.allowedInners.push_back(expectSigner(authorKey()));
 
-    auto outer = world.urts->load(sdk::buildImage(outerSpec, authorKey()))
+    auto outer = world.urts->load(sdk::buildImage(outerSpec, authorKey()),
+                                  outerSpec.interface)
                      .orThrow("outer");
     auto inner1 =
-        world.urts->load(sdk::buildImage(i1, authorKey())).orThrow("i1");
+        world.urts->load(sdk::buildImage(i1, authorKey()),
+                         i1.interface).orThrow("i1");
     auto inner2 =
-        world.urts->load(sdk::buildImage(i2, authorKey())).orThrow("i2");
+        world.urts->load(sdk::buildImage(i2, authorKey()),
+                         i2.interface).orThrow("i2");
     ASSERT_TRUE(world.urts->associate(inner1, outer).isOk());
     ASSERT_TRUE(world.urts->associate(inner2, outer).isOk());
 

@@ -95,7 +95,7 @@ class SslRecords : public ::testing::Test {
         auto spec = tinySpec("ssl-host");
         spec.heapPages = 16;
         auto image = sdk::buildImage(spec, authorKey());
-        host_ = world_->urts->load(image).orThrow("load");
+        host_ = world_->urts->load(image, spec.interface).orThrow("load");
         const auto* rec = world_->kernel.enclaveRecord(host_->secsPage());
         for (const auto& [va, pa] : rec->pages) {
             const auto& e = world_->machine.epcm().entry(

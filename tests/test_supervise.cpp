@@ -627,6 +627,80 @@ TEST(Supervisor, DegradedHostEvacuatesTenantsToTheHealthyPeer)
     EXPECT_EQ(c2.failures(), 0u);
 }
 
+/** Degrades `service`'s host (and, in a fleet, every peer the caller
+ *  degraded too), ticks the supervisor through several rungs of
+ *  patience and checks that the ladder topped out: no move, no
+ *  recovery, the tenant still on this host and still refused. */
+void
+expectDegradedTopsOut(World& world, serve::TenantService& service,
+                      supervise::Supervisor& supervisor,
+                      migrate::MigrationEngine& engine)
+{
+    EXPECT_EQ(supervisor.tick(), 0u);  // baseline while healthy
+    service.registry().setDegraded(true);
+    for (int i = 0; i < 6; ++i) {
+        world.machine.charge(1000);
+        (void)supervisor.tick();
+    }
+
+    const auto& stats = supervisor.stats();
+    EXPECT_EQ(stats.wedges, 1u);  // flagged once, never reset
+    EXPECT_EQ(stats.evacuations, 0u);
+    EXPECT_EQ(stats.recoveries, 0u);
+    EXPECT_GE(stats.evacuationFailures, 1u);
+    EXPECT_EQ(stats.subtreeRebuilds, 0u);
+    EXPECT_EQ(engine.stats().gatewayMoves + engine.stats().hostMoves, 0u);
+    EXPECT_EQ(engine.stats().attempts, 0u);
+
+    serve::TenantHandle* tenant = service.registry().find(1);
+    ASSERT_NE(tenant, nullptr);
+    EXPECT_EQ(tenant->migrations, 0u);
+    serve::TenantClient client(1, Workload::Echo, service.sessionKeyFor(1));
+    ASSERT_TRUE(service.submit(1, client.nextRequest()).isOk());
+    service.pump();
+    auto done = service.drain();
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_FALSE(done[0].ok);
+    EXPECT_EQ(done[0].error(), Err::Unavailable);
+}
+
+TEST(Supervisor, DegradedHostWithNoHealthyPeerTopsOutWithoutMoving)
+{
+    supervise::Config cfg;
+    cfg.wedgeTicks = 1;
+    cfg.rungPatience = 1;
+    {
+        SCOPED_TRACE("one host");
+        World world;
+        serve::TenantService service(*world.urts, attestedConfig());
+        ASSERT_TRUE(service.addTenant(1, Workload::Echo).isOk());
+        migrate::MigrationEngine engine;
+        supervise::Supervisor supervisor(service, cfg);
+        supervisor.attachEngine(engine);
+        expectDegradedTopsOut(world, service, supervisor, engine);
+    }
+    {
+        SCOPED_TRACE("two hosts, both degraded");
+        auto config = World::smallConfig();
+        World worldA(config);
+        config.rngSeed = 99;
+        World worldB(config);
+        serve::TenantService serviceA(*worldA.urts, attestedConfig());
+        serve::TenantService serviceB(*worldB.urts, attestedConfig());
+        migrate::Fleet fleet;
+        fleet.addHost(serviceA);
+        fleet.addHost(serviceB);
+        migrate::MigrationEngine engine;
+        ASSERT_TRUE(fleet.addTenant(1, Workload::Echo, 0).isOk());
+        serviceB.registry().setDegraded(true);
+        supervise::Supervisor supervisor(serviceA, cfg);
+        supervisor.attachFleet(fleet, engine, 0);
+        expectDegradedTopsOut(worldA, serviceA, supervisor, engine);
+        EXPECT_EQ(fleet.hostIndexOf(1), 0u);
+        EXPECT_EQ(serviceB.registry().find(1), nullptr);
+    }
+}
+
 // --- satellite: breaker half-open probe vs concurrent recovery ----------
 
 TEST(SupervisionRace, HalfOpenProbesRaceSupervisorRebuildsUnderFourThreads)

@@ -57,9 +57,10 @@ class SealKey : public ::testing::TestWithParam<bool> {};
 TEST_P(SealKey, StableAcrossRebuildsOfTheSameIdentity)
 {
     auto world = makeWorld(GetParam());
-    auto image = sdk::buildImage(sealKeySpec("sk-a"), authorKey());
+    auto spec = sealKeySpec("sk-a");
+    auto image = sdk::buildImage(spec, authorKey());
 
-    auto* first = world->urts->load(image).orThrow("load");
+    auto* first = world->urts->load(image, spec.interface).orThrow("load");
     Bytes key = sealKeyOf(*world, first);
     ASSERT_EQ(key.size(), 32u);
     // The infrastructure view (same root of trust, no enclave entry)
@@ -73,7 +74,7 @@ TEST_P(SealKey, StableAcrossRebuildsOfTheSameIdentity)
     // exact same key — what makes sealed state survive rebuilds and
     // migrations at all.
     ASSERT_TRUE(world->urts->unload(first).isOk());
-    auto* second = world->urts->load(image).orThrow("reload");
+    auto* second = world->urts->load(image, spec.interface).orThrow("reload");
     EXPECT_EQ(sealKeyOf(*world, second), key);
 }
 
@@ -82,12 +83,13 @@ TEST_P(SealKey, DiffersAcrossMeasurements)
     auto world = makeWorld(GetParam());
     auto specB = sealKeySpec("sk-c");
     specB.codePages += 1;  // different content -> different MRENCLAVE
-    auto imageA = sdk::buildImage(sealKeySpec("sk-b"), authorKey());
+    auto specA = sealKeySpec("sk-b");
+    auto imageA = sdk::buildImage(specA, authorKey());
     auto imageB = sdk::buildImage(specB, authorKey());
-    ASSERT_NE(imageA.mrenclave, imageB.mrenclave);
+    ASSERT_NE(imageA->mrenclave, imageB->mrenclave);
 
-    auto* a = world->urts->load(imageA).orThrow("load a");
-    auto* b = world->urts->load(imageB).orThrow("load b");
+    auto* a = world->urts->load(imageA, specA.interface).orThrow("load a");
+    auto* b = world->urts->load(imageB, specB.interface).orThrow("load b");
     EXPECT_NE(sealKeyOf(*world, a), sealKeyOf(*world, b));
 }
 
@@ -97,12 +99,13 @@ TEST_P(SealKey, DiffersAcrossOwners)
     // Identical content, different author: MRENCLAVE matches but the
     // key is bound to MRSIGNER too, so a rival author's byte-identical
     // enclave cannot unseal the original's state.
-    auto imageA = sdk::buildImage(sealKeySpec("sk-d"), authorKey());
-    auto imageB = sdk::buildImage(sealKeySpec("sk-d"), otherAuthorKey());
-    ASSERT_EQ(imageA.mrenclave, imageB.mrenclave);
+    auto spec = sealKeySpec("sk-d");
+    auto imageA = sdk::buildImage(spec, authorKey());
+    auto imageB = sdk::buildImage(spec, otherAuthorKey());
+    ASSERT_EQ(imageA->mrenclave, imageB->mrenclave);
 
-    auto* a = world->urts->load(imageA).orThrow("load a");
-    auto* b = world->urts->load(imageB).orThrow("load b");
+    auto* a = world->urts->load(imageA, spec.interface).orThrow("load a");
+    auto* b = world->urts->load(imageB, spec.interface).orThrow("load b");
     EXPECT_NE(sealKeyOf(*world, a), sealKeyOf(*world, b));
 }
 

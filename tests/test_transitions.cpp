@@ -144,8 +144,10 @@ TEST_F(Transitions, UnknownCallNamesFail)
 TEST_F(Transitions, NeenterRequiresAssociation)
 {
     // An unassociated enclave's TCS is not a valid NEENTER target.
-    auto strangerImage = sdk::buildImage(tinySpec("stranger"), authorKey());
-    auto stranger = world_->urts->load(strangerImage).orThrow("stranger");
+    auto strangerSpec = tinySpec("stranger");
+    auto stranger = world_->urts->load(sdk::buildImage(strangerSpec, authorKey()),
+                                       strangerSpec.interface)
+                        .orThrow("stranger");
     const auto* rec = world_->kernel.enclaveRecord(stranger->secsPage());
     hw::Paddr strangerTcs = 0;
     for (const auto& [va, pa] : rec->pages) {

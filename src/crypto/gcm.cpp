@@ -53,6 +53,10 @@ mulH(std::uint8_t x[16], const std::uint64_t table[16][2])
 #if defined(__x86_64__)
 
 #define NESGX_GCM_TARGET __attribute__((target("aes,pclmul,ssse3,sse4.1")))
+// The wide kernel: the x86 kernel's instructions plus their 256-bit VEX
+// forms, which work on each 128-bit lane of a YMM register separately.
+#define NESGX_GCM_WIDE_TARGET \
+    __attribute__((target("aes,pclmul,ssse3,sse4.1,avx2,vaes,vpclmulqdq")))
 
 // The x86 kernel keeps GHASH values byte-reversed, so a block's x^0
 // coefficient is the register's top bit: the layout PCLMULQDQ multiplies
@@ -63,6 +67,12 @@ reverseBytes(__m128i v)
 {
     return _mm_shuffle_epi8(
         v, _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15));
+}
+
+NESGX_GCM_TARGET inline __m128i
+loadBlock(const AesBlock& b)
+{
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(b.data()));
 }
 
 NESGX_GCM_TARGET inline __m128i
@@ -123,26 +133,24 @@ gfMul(__m128i a, __m128i b)
     return reduce(w);
 }
 
-/** powers[i] = H^(i+1), byte-reversed. */
+/** powers[i] = H^(i+1), byte-reversed, for i < count. */
 NESGX_GCM_TARGET void
-ghashPowersX86(const std::uint8_t h[16], AesBlock powers[4])
+ghashPowersX86(const std::uint8_t h[16], AesBlock powers[], int count)
 {
     const __m128i h1 = loadReversed(h);
     __m128i p = h1;
-    for (int i = 0; i < 4; ++i) {
+    for (int i = 0; i < count; ++i) {
         _mm_storeu_si128(reinterpret_cast<__m128i*>(powers[i].data()), p);
         p = gfMul(p, h1);
     }
 }
 
 NESGX_GCM_TARGET void
-ghashBlocksX86(std::uint8_t y[16], const AesBlock powers[4],
+ghashBlocksX86(std::uint8_t y[16], const AesBlock powers[],
                const std::uint8_t* p, std::size_t count)
 {
     __m128i h[4];
-    for (int i = 0; i < 4; ++i) {
-        h[i] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(powers[i].data()));
-    }
+    for (int i = 0; i < 4; ++i) h[i] = loadBlock(powers[i]);
     __m128i acc = loadReversed(y);
     // Four blocks, one reduction:
     // Y' = (Y + X0)·H^4 + X1·H^3 + X2·H^2 + X3·H.
@@ -182,12 +190,8 @@ ctrX86(const AesBlock roundKeys[15], int rounds, const AesBlock& counter,
        ByteView in, std::uint8_t* out)
 {
     __m128i rk[15];
-    for (int r = 0; r <= rounds; ++r) {
-        rk[r] = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(roundKeys[r].data()));
-    }
-    const __m128i prefix =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(counter.data()));
+    for (int r = 0; r <= rounds; ++r) rk[r] = loadBlock(roundKeys[r]);
+    const __m128i prefix = loadBlock(counter);
     std::uint32_t word = loadBe32(counter.data() + 12);
     const std::uint8_t* src = in.data();
     std::size_t left = in.size();
@@ -228,21 +232,146 @@ ctrX86(const AesBlock roundKeys[15], int rounds, const AesBlock& counter,
     }
 }
 
+/** Two consecutive blocks, each byte-reversed in its own lane. */
+NESGX_GCM_WIDE_TARGET inline __m256i
+loadReversedPair(const std::uint8_t* p)
+{
+    const __m256i reverse = _mm256_broadcastsi128_si256(
+        _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15));
+    return _mm256_shuffle_epi8(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)), reverse);
+}
+
+/** The lanes of a 256-bit partial product, added into one. */
+NESGX_GCM_WIDE_TARGET inline __m128i
+foldLanes(__m256i v)
+{
+    return _mm_xor_si128(_mm256_castsi256_si128(v),
+                         _mm256_extracti128_si256(v, 1));
+}
+
+/**
+ * ghashBlocksX86 sixteen blocks per reduction, two per YMM register:
+ * Y' = (Y + X0)·H^16 + X1·H^15 + ... + X15·H. Under sixteen blocks, and
+ * the last count % 16, run on the x86 loops.
+ */
+NESGX_GCM_WIDE_TARGET void
+ghashBlocksVaes(std::uint8_t y[16], const AesBlock powers[16],
+                const std::uint8_t* p, std::size_t count)
+{
+    if (count >= 16) {
+        // Pair j multiplies blocks 2j and 2j + 1 by H^(16-2j), H^(15-2j).
+        __m256i h[8];
+        for (int j = 0; j < 8; ++j) {
+            h[j] = _mm256_setr_m128i(loadBlock(powers[15 - 2 * j]),
+                                     loadBlock(powers[14 - 2 * j]));
+        }
+        // Y joins block 0 only: the upper lane stays zero.
+        __m256i acc = _mm256_zextsi128_si256(loadReversed(y));
+        for (; count >= 16; count -= 16, p += 256) {
+            __m256i lo = _mm256_setzero_si256();
+            __m256i mid = _mm256_setzero_si256();
+            __m256i hi = _mm256_setzero_si256();
+#pragma GCC unroll 8
+            for (int j = 0; j < 8; ++j) {
+                __m256i x = loadReversedPair(p + 32 * j);
+                if (j == 0) x = _mm256_xor_si256(x, acc);
+                lo = _mm256_xor_si256(lo,
+                                      _mm256_clmulepi64_epi128(x, h[j], 0x00));
+                hi = _mm256_xor_si256(hi,
+                                      _mm256_clmulepi64_epi128(x, h[j], 0x11));
+                mid = _mm256_xor_si256(
+                    mid, _mm256_xor_si256(
+                             _mm256_clmulepi64_epi128(x, h[j], 0x01),
+                             _mm256_clmulepi64_epi128(x, h[j], 0x10)));
+            }
+            WideProduct w;
+            w.lo = foldLanes(lo);
+            w.mid = foldLanes(mid);
+            w.hi = foldLanes(hi);
+            acc = _mm256_zextsi128_si256(reduce(w));
+        }
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(y),
+                         reverseBytes(_mm256_castsi256_si128(acc)));
+    }
+    ghashBlocksX86(y, powers, p, count);
+}
+
+/**
+ * ctrX86 sixteen blocks per iteration, two per YMM register. Under 256
+ * bytes, and the last in.size() % 256, run on ctrX86 from the next
+ * counter.
+ */
+NESGX_GCM_WIDE_TARGET void
+ctrVaes(const AesBlock roundKeys[15], int rounds, const AesBlock& counter,
+        ByteView in, std::uint8_t* out)
+{
+    const std::size_t wide = in.size() - in.size() % 256;
+    std::uint32_t word = loadBe32(counter.data() + 12);
+    if (wide > 0) {
+        __m256i rk[15];
+        for (int r = 0; r <= rounds; ++r) {
+            rk[r] = _mm256_broadcastsi128_si256(loadBlock(roundKeys[r]));
+        }
+        // The counter word stays in host order, so one 32-bit add steps
+        // it mod 2^32 as ctrX86 does; a shuffle makes each block's copy
+        // big-endian. Lane 0 holds the even block, lane 1 the odd one.
+        const __m256i bigEndianWord = _mm256_broadcastsi128_si256(
+            _mm_setr_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 15, 14, 13, 12));
+        const __m256i two = _mm256_setr_epi32(0, 0, 0, 2, 0, 0, 0, 2);
+        __m256i next = _mm256_add_epi32(
+            _mm256_broadcastsi128_si256(
+                _mm_insert_epi32(loadBlock(counter), static_cast<int>(word), 3)),
+            _mm256_setr_epi32(0, 0, 0, 0, 0, 0, 0, 1));
+        const std::uint8_t* src = in.data();
+        std::uint8_t* dst = out;
+        for (std::size_t left = wide; left > 0;
+             left -= 256, src += 256, dst += 256) {
+            __m256i b[8];
+#pragma GCC unroll 8
+            for (int i = 0; i < 8; ++i) {
+                b[i] = _mm256_xor_si256(
+                    _mm256_shuffle_epi8(next, bigEndianWord), rk[0]);
+                next = _mm256_add_epi32(next, two);
+            }
+            for (int r = 1; r < rounds; ++r) {
+#pragma GCC unroll 8
+                for (int i = 0; i < 8; ++i) {
+                    b[i] = _mm256_aesenc_epi128(b[i], rk[r]);
+                }
+            }
+#pragma GCC unroll 8
+            for (int i = 0; i < 8; ++i) {
+                __m256i data = _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i*>(src + 32 * i));
+                _mm256_storeu_si256(
+                    reinterpret_cast<__m256i*>(dst + 32 * i),
+                    _mm256_xor_si256(_mm256_aesenclast_epi128(b[i], rk[rounds]),
+                                     data));
+            }
+        }
+        word += static_cast<std::uint32_t>(wide / 16);
+    }
+    AesBlock rest = counter;
+    storeBe32(rest.data() + 12, word);
+    ctrX86(roundKeys, rounds, rest, in.subspan(wide), out + wide);
+}
+
 #endif  // __x86_64__
 
 }  // namespace
 
 AesGcm::AesGcm(ByteView key, Kernel kernel) : aes_(key), kernel_(kernel)
 {
-    if (kernel != Kernel::Portable && kernel != gcmKernel()) {
+    if (kernel > gcmKernel()) {
         throw std::invalid_argument("AesGcm: the host cannot run this kernel");
     }
     std::uint8_t h[16] = {};
     aes_.encryptBlock(h);
 #if defined(__x86_64__)
-    if (kernel == Kernel::X86) {
+    if (kernel != Kernel::Portable) {
         for (int r = 0; r <= aes_.rounds(); ++r) roundKeys_[r] = aes_.roundKey(r);
-        ghashPowersX86(h, hPowers_);
+        ghashPowersX86(h, hPowers_, kernel == Kernel::Vaes ? 16 : 4);
         return;
     }
 #endif
@@ -270,6 +399,10 @@ void
 AesGcm::ctrXcrypt(const AesBlock& counter, ByteView in, std::uint8_t* out) const
 {
 #if defined(__x86_64__)
+    if (kernel_ == Kernel::Vaes) {
+        ctrVaes(roundKeys_, aes_.rounds(), counter, in, out);
+        return;
+    }
     if (kernel_ == Kernel::X86) {
         ctrX86(roundKeys_, aes_.rounds(), counter, in, out);
         return;
@@ -283,6 +416,10 @@ AesGcm::ghashBlocks(std::uint8_t y[16], const std::uint8_t* blocks,
                     std::size_t count) const
 {
 #if defined(__x86_64__)
+    if (kernel_ == Kernel::Vaes) {
+        ghashBlocksVaes(y, hPowers_, blocks, count);
+        return;
+    }
     if (kernel_ == Kernel::X86) {
         ghashBlocksX86(y, hPowers_, blocks, count);
         return;

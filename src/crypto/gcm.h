@@ -54,10 +54,10 @@ class AesGcm {
     // where H = E(0^128) is the GHASH subkey (Shoup's 4-bit table).
     std::uint64_t hTable_[16][2] = {};
 #if defined(__x86_64__)
-    // X86: the round keys of aes_'s schedule, and H^1..H^4 byte-reversed
-    // for PCLMULQDQ.
+    // X86 and Vaes: the round keys of aes_'s schedule, and H^1..H^4
+    // byte-reversed for PCLMULQDQ; Vaes also fills H^5..H^16.
     AesBlock roundKeys_[15] = {};
-    AesBlock hPowers_[4] = {};
+    AesBlock hPowers_[16] = {};
 #endif
 };
 

@@ -133,7 +133,10 @@ MigrationEngine::migrateToHost(serve::TenantService& src,
     sgx::Machine& dstMachine = dst.registry().urts().machine();
 
     ++stats_.attempts;
-    const std::uint64_t begin = srcMachine.clock().cycles();
+    // The two sides run in sequence, each on its own machine's clock: a
+    // move costs what both clocks advance.
+    const std::uint64_t srcBegin = srcMachine.clock().cycles();
+    const std::uint64_t dstBegin = dstMachine.clock().cycles();
 
     // Destination first: a fully onboarded (attested, under dst's trust
     // path) fresh instance of the source's image, which travels with the
@@ -213,7 +216,8 @@ MigrationEngine::migrateToHost(serve::TenantService& src,
     if (!retired) return abort(retired);
 
     ++stats_.hostMoves;
-    stats_.latency.add(srcMachine.clock().cycles() - begin);
+    stats_.latency.add((srcMachine.clock().cycles() - srcBegin) +
+                       (dstMachine.clock().cycles() - dstBegin));
     dstMachine.trace().publishLight(trace::EventKind::ServeTenantMigrate,
                                     trace::kNoCore, 0, id, 1);
     return Status::ok();

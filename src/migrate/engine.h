@@ -50,7 +50,9 @@ struct MigrationStats {
     std::uint64_t rolledBack = 0;    ///< aborts after staging began
     std::uint64_t pagesDrained = 0;  ///< EWB'd source pages
     std::uint64_t requeued = 0;      ///< queued requests carried across
-    serve::Histogram latency;        ///< cycles per committed move
+    /// Cycles per committed move; a cross-host move adds the advance of
+    /// the source's clock and of the destination's.
+    serve::Histogram latency;
 };
 
 class MigrationEngine {

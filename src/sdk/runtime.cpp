@@ -22,6 +22,25 @@ publishSdk(sgx::Machine& machine, trace::EventKind kind, hw::CoreId core,
     bus.publish(event);
 }
 
+/**
+ * Runs a trusted function. Whatever it throws stops at the enclave
+ * boundary as EnclaveCrashed, so the NEEXIT or EEXIT after the call
+ * still runs and a core that entered for it leaves with every TCS on its
+ * chain free.
+ */
+Result<Bytes>
+runTrusted(const TrustedFn& fn, TrustedEnv& env, ByteView arg)
+{
+    try {
+        return fn(env, arg);
+    } catch (...) {
+#ifdef NESGX_BUG_TRUSTED_THROW_ESCAPES
+        throw;
+#endif
+        return Err::EnclaveCrashed;
+    }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- TrustedEnv
@@ -137,7 +156,7 @@ TrustedEnv::nEcallChain(std::span<LoadedEnclave* const> remaining,
     }
     TrustedEnv nextEnv(urts_, next, core_);
     Result<Bytes> result =
-        fn ? (*fn)(nextEnv, arg)
+        fn ? runTrusted(*fn, nextEnv, arg)
            : nextEnv.nEcallChain(remaining.subspan(1), name, arg);
     Status back = m.neexit(core_);
     publishSdk(m, trace::EventKind::SdkNEcallEnd, core_, name.c_str());
@@ -173,7 +192,7 @@ TrustedEnv::nOcall(const std::string& name, ByteView arg)
         return st;
     }
     TrustedEnv outerEnv(urts_, *outer, core_);
-    Result<Bytes> result = (*fn)(outerEnv, arg);
+    Result<Bytes> result = runTrusted(*fn, outerEnv, arg);
     Status back = m.neenter(core_, callerTcs);
     publishSdk(m, trace::EventKind::SdkNOcallEnd, core_, name.c_str());
     if (!back) return back;
@@ -197,7 +216,7 @@ TrustedEnv::residentCall(const std::string& name, ByteView arg)
     m.charge(m.costs().nEcallDispatch);
     urts_.kernel_.touchEnclave(enclave_.secsPage_);
     publishSdk(m, trace::EventKind::SdkNEcallBegin, core_, name.c_str());
-    Result<Bytes> result = (*fn)(*this, arg);
+    Result<Bytes> result = runTrusted(*fn, *this, arg);
     publishSdk(m, trace::EventKind::SdkNEcallEnd, core_, name.c_str());
     return result;
 }
@@ -422,7 +441,8 @@ Urts::ecallChain(std::span<LoadedEnclave* const> chain,
     }
     TrustedEnv env(*this, root, core);
     Result<Bytes> result =
-        fn ? (*fn)(env, arg) : env.nEcallChain(chain.subspan(1), name, arg);
+        fn ? runTrusted(*fn, env, arg)
+           : env.nEcallChain(chain.subspan(1), name, arg);
     Status back = m.eexit(core);
     publishSdk(m, trace::EventKind::SdkEcallEnd, core, name.c_str());
     if (!back) return back;

@@ -204,7 +204,9 @@ class Urts {
      * hardware-recorded association before any transition. A
      * one-element chain runs `name` as an ecall (an n_ecall entry point
      * also qualifies) and copies the result back out; deeper chains run
-     * it as the leaf's n_ecall (DESIGN §14).
+     * it as the leaf's n_ecall (DESIGN §14). A trusted function that
+     * throws, here or in any n_ecall or n_ocall it makes, fails its call
+     * with EnclaveCrashed and the unwind still runs (DESIGN §11).
      */
     Result<Bytes> ecallChain(std::span<LoadedEnclave* const> chain,
                              const std::string& name, ByteView arg,

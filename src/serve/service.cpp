@@ -15,7 +15,8 @@ constexpr std::uint64_t kAttestNonceSeed = 0x0a77e57;
 
 /** Errors that mean the tenant's inner enclave state can no longer be
  *  trusted or reached: a retry against the same instance is pointless,
- *  only destroy-and-rebuild recovers. */
+ *  only destroy-and-rebuild recovers. A trusted function that threw
+ *  left its enclave in whatever state the throw interrupted. */
 bool
 poisonedStatus(Status st)
 {
@@ -23,6 +24,7 @@ poisonedStatus(Status st)
       case Err::PagingIntegrity:
       case Err::InvalidEpcPage:
       case Err::PageFault:
+      case Err::EnclaveCrashed:
         return true;
       default:
         return false;

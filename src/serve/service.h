@@ -17,7 +17,8 @@
  *
  * The pool is also where the stack self-heals (DESIGN.md §11): every
  * dispatch failure is classified — *poisoned* errors (paging
- * integrity, lost EPC pages) destroy and rebuild the tenant's inner,
+ * integrity, lost EPC pages, a trusted function that threw) destroy
+ * and rebuild the tenant's inner,
  * *transient* ones retry under a capped budget, and a per-tenant
  * circuit breaker quarantines tenants that keep failing so the rest of
  * the fleet is not starved by a broken one.

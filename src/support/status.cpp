@@ -28,6 +28,7 @@ errName(Err e)
       case Err::Deadline: return "Deadline";
       case Err::AttestationFailed: return "AttestationFailed";
       case Err::WrongEpoch: return "WrongEpoch";
+      case Err::EnclaveCrashed: return "EnclaveCrashed";
     }
     return "Unknown";
 }

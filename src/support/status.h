@@ -64,10 +64,14 @@ enum class Err : std::uint32_t {
     /// tenant moved or rebuilt since the client last resolved it. The
     /// client must re-resolve placement and retry (redirect semantics).
     WrongEpoch,
+    /// SDK boundary: a trusted function threw. The call unwound its
+    /// enclave exits and failed; only a rebuild restores the enclave
+    /// (the SGX SDK's SGX_ERROR_ENCLAVE_CRASHED).
+    EnclaveCrashed,
 };
 
 /** Number of Err enumerators (exhaustive errName round-trip tests). */
-constexpr std::size_t kErrCount = std::size_t(Err::WrongEpoch) + 1;
+constexpr std::size_t kErrCount = std::size_t(Err::EnclaveCrashed) + 1;
 
 /** Human-readable name for an error code. */
 const char* errName(Err e);

@@ -9,15 +9,17 @@
  * recorded against the four separate entry walks the SDK used to have;
  * the single walk must reproduce them exactly.
  *
- * The second half is the TCS claim rule (DESIGN §13): worker threads
- * entering one enclave concurrently never share a TCS and never lose a
- * claim to each other.
+ * Then the trusted boundary: a trusted function that throws fails its
+ * call with EnclaveCrashed and every exit after it still runs. Last, the
+ * TCS claim rule (DESIGN §13): worker threads entering one enclave
+ * concurrently never share a TCS and never lose a claim to each other.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <thread>
 
 #include "fault/injector.h"
@@ -158,6 +160,18 @@ golden(std::size_t depth, bool tagged)
     return {};
 }
 
+/** The enclave's TCS pages. */
+std::vector<hw::Paddr>
+tcsPages(World& world, const sdk::LoadedEnclave* e)
+{
+    std::vector<hw::Paddr> out;
+    const auto* rec = world.kernel.enclaveRecord(e->secsPage());
+    for (const auto& [va, pa] : rec->pages) {
+        if (world.machine.tcsAt(pa) != nullptr) out.push_back(pa);
+    }
+    return out;
+}
+
 class ChainWalk
     : public ::testing::TestWithParam<std::tuple<std::size_t, bool>> {
   protected:
@@ -218,20 +232,6 @@ class ChainWalk
     std::vector<sdk::LoadedEnclave*> chain() const
     {
         return {all_.begin(), all_.begin() + std::ptrdiff_t(depth())};
-    }
-
-    std::vector<hw::Paddr> tcsPages(sdk::LoadedEnclave* e)
-    {
-        std::vector<hw::Paddr> out;
-        const auto* rec = world_->kernel.enclaveRecord(e->secsPage());
-        for (const auto& [va, pa] : rec->pages) {
-            if (world_->machine.epcm()
-                    .entry(world_->machine.mem().epcPageIndex(pa))
-                    .type == sgx::PageType::Tcs) {
-                out.push_back(pa);
-            }
-        }
-        return out;
     }
 
     struct Outcome {
@@ -325,7 +325,7 @@ TEST_P(ChainWalk, PinsAccountingForEveryOutcome)
     got.push_back(refused.transcript);
 
     // (d) every root TCS occupied: GeneralProtection before any charge.
-    const std::vector<hw::Paddr> rootTcs = tcsPages(all_[0]);
+    const std::vector<hw::Paddr> rootTcs = tcsPages(*world_, all_[0]);
     for (std::size_t i = 0; i < rootTcs.size(); ++i) {
         ASSERT_TRUE(
             world_->machine.eenter(hw::CoreId(i + 1), rootTcs[i]).isOk());
@@ -365,6 +365,123 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 /**
+ * The trusted boundary: a trusted function that throws ends its call with
+ * EnclaveCrashed, whether the walk enters it at depth 1-3, an n_ocall
+ * runs it in the outer, or a resident core calls it. Every exit after it
+ * still runs: a walk leaves the core outside enclave mode with every TCS
+ * on the chain idle, a resident core stays where it was, and the next
+ * call into the same chain succeeds.
+ */
+class TrustedBoundary : public ::testing::TestWithParam<std::size_t> {
+  protected:
+    void SetUp() override
+    {
+        const auto boom = [](sdk::TrustedEnv&, ByteView) -> Result<Bytes> {
+            throw std::runtime_error("trusted function failed");
+        };
+        for (std::size_t i = 0; i < 3; ++i) {
+            auto spec = tinySpec("boundary-" + std::to_string(i));
+            spec.allowedInners.push_back(expectSigner(authorKey()));
+            if (i > 0) spec.expectedOuter = expectSigner(authorKey());
+            spec.interface->addNEcall("boom", boom);
+            spec.interface->addNOcallTarget("boom", boom);
+            spec.interface->addNEcall(
+                "echo", [](sdk::TrustedEnv&, ByteView arg) {
+                    return Result<Bytes>(Bytes(arg.begin(), arg.end()));
+                });
+            spec.interface->addNEcall(
+                "boom_in_outer", [](sdk::TrustedEnv& env, ByteView arg) {
+                    return env.nOcall("boom", arg);
+                });
+            sdk::LoadedEnclave* e =
+                world_.urts->load(sdk::buildImage(spec, authorKey()),
+                                  spec.interface)
+                    .orThrow("boundary enclave");
+            if (i > 0) {
+                ASSERT_TRUE(world_.urts->associate(e, all_.back()).isOk());
+            }
+            all_.push_back(e);
+        }
+    }
+
+    std::vector<sdk::LoadedEnclave*> chain() const
+    {
+        return {all_.begin(), all_.begin() + std::ptrdiff_t(GetParam())};
+    }
+
+    Result<Bytes> walk(const std::string& name)
+    {
+        return world_.urts->ecallChain(chain(), name, bytesOf("ping"), 0);
+    }
+
+    void expectUnwound()
+    {
+        EXPECT_EQ(world_.machine.core(0).depth(), 0u);
+        EXPECT_FALSE(world_.machine.core(0).inEnclaveMode());
+        for (const sdk::LoadedEnclave* e : chain()) {
+            for (hw::Paddr tcs : tcsPages(world_, e)) {
+                EXPECT_TRUE(world_.machine.tcsIdle(tcs)) << e->name();
+            }
+        }
+    }
+
+    World world_;
+    std::vector<sdk::LoadedEnclave*> all_;
+};
+
+TEST_P(TrustedBoundary, ThrowingFunctionCrashesTypedAndUnwinds)
+{
+    EXPECT_EQ(walk("boom").code(), Err::EnclaveCrashed);
+    expectUnwound();
+    if (GetParam() >= 2) {
+        // The throw happens in the outer, between NEEXIT and NEENTER.
+        EXPECT_EQ(walk("boom_in_outer").code(), Err::EnclaveCrashed);
+        expectUnwound();
+    }
+
+    auto echoed = walk("echo");
+    ASSERT_TRUE(echoed.isOk()) << echoed.status().name();
+    EXPECT_EQ(echoed.value(), bytesOf("ping"));
+    expectUnwound();
+}
+
+TEST_P(TrustedBoundary, ResidentThrowCrashesTypedAndStaysResident)
+{
+    // Park core 1 in the chain's leaf, as an armed ring's poller is.
+    sgx::Machine& m = world_.machine;
+    const std::vector<sdk::LoadedEnclave*> nest = chain();
+    for (std::size_t i = 0; i < nest.size(); ++i) {
+        const hw::Paddr tcs = tcsPages(world_, nest[i]).front();
+        ASSERT_TRUE((i == 0 ? m.eenter(1, tcs) : m.neenter(1, tcs)).isOk());
+    }
+    sdk::TrustedEnv leaf(*world_.urts, *nest.back(), 1);
+
+    EXPECT_EQ(leaf.residentCall("boom", {}).code(), Err::EnclaveCrashed);
+    EXPECT_EQ(m.core(1).depth(), nest.size());
+    EXPECT_EQ(m.core(1).currentSecs(), nest.back()->secsPage());
+    auto echoed = leaf.residentCall("echo", bytesOf("ping"));
+    ASSERT_TRUE(echoed.isOk()) << echoed.status().name();
+    EXPECT_EQ(echoed.value(), bytesOf("ping"));
+
+    for (std::size_t i = nest.size(); i > 0; --i) {
+        ASSERT_TRUE((i == 1 ? m.eexit(1) : m.neexit(1)).isOk());
+    }
+    EXPECT_FALSE(m.core(1).inEnclaveMode());
+    for (const sdk::LoadedEnclave* e : nest) {
+        for (hw::Paddr tcs : tcsPages(world_, e)) {
+            EXPECT_TRUE(m.tcsIdle(tcs)) << e->name();
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Depths, TrustedBoundary,
+                         ::testing::Values(std::size_t(1), std::size_t(2),
+                                           std::size_t(3)),
+                         [](const auto& info) {
+                             return "depth" + std::to_string(info.param);
+                         });
+
+/**
  * Four worker threads hammer one enclave that has four TCSes. Every
  * call must land on a TCS no other thread holds, and none may lose its
  * pick to another thread: with at most three TCSes held by the others,
@@ -393,10 +510,7 @@ TEST(TcsClaim, ConcurrentEcallsNeverShareOrLoseATcs)
     sdk::LoadedEnclave* enclave =
         world.urts->load(sdk::buildImage(spec, authorKey()), spec.interface)
             .orThrow("tcs-claim");
-    const auto* rec = world.kernel.enclaveRecord(enclave->secsPage());
-    for (const auto& [va, pa] : rec->pages) {
-        if (world.machine.tcsAt(pa) != nullptr) occupants[pa];
-    }
+    for (hw::Paddr tcs : tcsPages(world, enclave)) occupants[tcs];
     ASSERT_EQ(occupants.size(), kThreads);
 
     std::atomic<int> failures{0};

@@ -1,8 +1,8 @@
 /**
  * Crypto substrate tests: known-answer vectors for SHA-256, HMAC, AES and
  * AES-GCM (NIST/RFC test vectors), seeded SHA-256 and AES-GCM golden
- * corpora and differentials of each x86 kernel against the portable one,
- * plus property tests for bignum/RSA.
+ * corpora and differentials of each x86 and wide kernel against the
+ * portable one, plus property tests for bignum/RSA.
  */
 #include <gtest/gtest.h>
 
@@ -47,6 +47,36 @@ missingGcmFlag()
 #endif
 }
 
+#if defined(__x86_64__)
+/** Whether the OS saves YMM state: OSXSAVE, and XCR0 bits 1 and 2. */
+bool
+osSavesYmm()
+{
+    if (!__builtin_cpu_supports("osxsave")) return false;
+    unsigned lo = 0, hi = 0;
+    __asm__ volatile("xgetbv" : "=a"(lo), "=d"(hi) : "c"(0));
+    return (lo & 0x6) == 0x6;
+}
+#endif
+
+// What the wide GCM kernel needs that the host lacks, or nullptr. The OS
+// check comes before the flags because the compiler's runtime reports
+// AVX2, VAES and VPCLMULQDQ absent wherever the OS leaves YMM unsaved.
+const char*
+missingGcmVaesFlag()
+{
+    if (const char* flag = missingGcmFlag()) return flag;
+#if defined(__x86_64__)
+    if (!osSavesYmm()) return "YMM state saved by the OS (XCR0 bits 1 and 2)";
+    if (!__builtin_cpu_supports("avx2")) return "avx2";
+    if (!__builtin_cpu_supports("vaes")) return "vaes";
+    if (!__builtin_cpu_supports("vpclmulqdq")) return "vpclmulqdq";
+    return nullptr;
+#else
+    return "x86-64";
+#endif
+}
+
 const char*
 missingSha256Flag()
 {
@@ -62,32 +92,52 @@ missingSha256Flag()
 
 /** Skips, naming the missing flag, where the host cannot run the kernel. */
 template <const char* (*missingFlag)()>
-class X86Kernel : public testing::Test {
+class HostKernel : public testing::Test {
   protected:
     void SetUp() override
     {
         if (const char* flag = missingFlag()) {
-            GTEST_SKIP() << "the x86 kernel needs " << flag
+            GTEST_SKIP() << "this kernel needs " << flag
                          << ", which this host lacks";
         }
     }
 };
 
-using AesGcmX86 = X86Kernel<missingGcmFlag>;
-using Sha256X86 = X86Kernel<missingSha256Flag>;
+using AesGcmX86 = HostKernel<missingGcmFlag>;
+using AesGcmVaes = HostKernel<missingGcmVaesFlag>;
+using Sha256X86 = HostKernel<missingSha256Flag>;
 
 // Defines Suite.Name, run on the portable kernel (the reference, which
-// every host runs), and SuiteX86.Name, run on the x86 kernel. The body
-// that follows the macro sees the kernel as `kernel`.
+// every host runs), SuiteX86.Name, run on the x86 kernel, and where the
+// suite has one, SuiteVaes.Name on the wide kernel. The body that follows
+// the macro sees the kernel as `kernel`.
 #define TEST_ON_EACH_KERNEL(Suite, Name)                                    \
     void Suite##Name##Body(Kernel kernel);                                  \
     TEST(Suite, Name) { Suite##Name##Body(Kernel::Portable); }              \
     TEST_F(Suite##X86, Name) { Suite##Name##Body(Kernel::X86); }            \
+    WIDE_INSTANCE_##Suite(Name)                                             \
     void Suite##Name##Body(Kernel kernel)
+
+// SHA-256 has no wide kernel.
+#define WIDE_INSTANCE_Sha256(Name)
+#define WIDE_INSTANCE_AesGcm(Name)                                          \
+    TEST_F(AesGcmVaes, Name) { AesGcm##Name##Body(Kernel::Vaes); }
+
+/** Every GCM kernel past the portable one that the host runs. */
+std::vector<Kernel>
+hostGcmKernels()
+{
+    std::vector<Kernel> kernels;
+    if (!missingGcmFlag()) kernels.push_back(Kernel::X86);
+    if (!missingGcmVaesFlag()) kernels.push_back(Kernel::Vaes);
+    return kernels;
+}
 
 TEST(CryptoKernel, SelectionFollowsCpuid)
 {
-    EXPECT_EQ(gcmKernel(), missingGcmFlag() ? Kernel::Portable : Kernel::X86);
+    EXPECT_EQ(gcmKernel(), missingGcmFlag()       ? Kernel::Portable
+                           : missingGcmVaesFlag() ? Kernel::X86
+                                                  : Kernel::Vaes);
     EXPECT_EQ(sha256Kernel(),
               missingSha256Flag() ? Kernel::Portable : Kernel::X86);
 
@@ -100,11 +150,18 @@ TEST(CryptoKernel, SelectionFollowsCpuid)
     } else {
         EXPECT_NO_THROW(AesGcm(key, Kernel::X86));
     }
+    if (missingGcmVaesFlag()) {
+        EXPECT_THROW(AesGcm(key, Kernel::Vaes), std::invalid_argument);
+    } else {
+        EXPECT_NO_THROW(AesGcm(key, Kernel::Vaes));
+    }
     if (missingSha256Flag()) {
         EXPECT_THROW(Sha256(Kernel::X86), std::invalid_argument);
     } else {
         EXPECT_NO_THROW(Sha256(Kernel::X86));
     }
+    // SHA-256 has no wide kernel, whatever the host.
+    EXPECT_THROW(Sha256(Kernel::Vaes), std::invalid_argument);
 }
 
 // --- SHA-256 (FIPS 180-4 examples) -------------------------------------
@@ -429,10 +486,11 @@ TEST_ON_EACH_KERNEL(AesGcm, SeededGoldenCorpus)
               "ec628633a63ac1429e6de59284235e83ad8a9192f9bd81f00cedf2c571341c1c");
 }
 
-// Seeded differential of the x86 kernel against the portable reference:
-// both key sizes, plaintexts of 0-9,000 bytes (every CTR and GHASH tail
-// after the 8- and 4-block strides), AAD of 0-79 bytes, and a one-bit
-// tamper the x86 kernel must refuse.
+// Seeded differential of the x86 and wide kernels against the portable
+// reference: both key sizes, plaintexts of 0-9,000 bytes (every CTR tail
+// after the 8- and 16-block strides, every GHASH tail after the 4- and
+// 16-block ones), AAD of 0-79 bytes, and a one-bit tamper each kernel
+// must refuse. A host without the wide kernel compares the x86 one alone.
 TEST(AesGcm, KernelsAgree)
 {
     if (const char* flag = missingGcmFlag()) {
@@ -444,20 +502,65 @@ TEST(AesGcm, KernelsAgree)
         SCOPED_TRACE(i);
         Bytes key = rng.bytes(rng.nextBelow(2) ? 32 : 16);
         AesGcm portable(key, Kernel::Portable);
-        AesGcm x86(key, Kernel::X86);
         Bytes iv = rng.bytes(kGcmIvSize);
         Bytes aad = rng.bytes(rng.nextBelow(80));
         Bytes plain = rng.bytes(rng.nextBelow(9001));
-
         Bytes sealed = portable.seal(iv, aad, plain);
-        ASSERT_EQ(x86.seal(iv, aad, plain), sealed);
-        auto opened = x86.open(iv, aad, sealed);
-        ASSERT_TRUE(opened.isOk());
-        ASSERT_EQ(opened.value(), plain);
-
         std::size_t bit = rng.nextBelow(sealed.size() * 8);
-        sealed[bit / 8] ^= std::uint8_t(1u << (bit % 8));
-        ASSERT_FALSE(x86.open(iv, aad, sealed).isOk());
+        Bytes tampered = sealed;
+        tampered[bit / 8] ^= std::uint8_t(1u << (bit % 8));
+
+        for (Kernel kernel : hostGcmKernels()) {
+            SCOPED_TRACE(int(kernel));
+            AesGcm gcm(key, kernel);
+            ASSERT_EQ(gcm.seal(iv, aad, plain), sealed);
+            auto opened = gcm.open(iv, aad, sealed);
+            ASSERT_TRUE(opened.isOk());
+            ASSERT_EQ(opened.value(), plain);
+            ASSERT_FALSE(gcm.open(iv, aad, tampered).isOk());
+        }
+    }
+}
+
+// The lengths at which a kernel switches loops, each one byte short and
+// over: the 16-byte block, the x86 kernel's 128-byte CTR stride, the wide
+// kernel's 256-byte CTR and 16-block GHASH strides, and an EPC page; then
+// two pages. The 256- and 257-byte AAD run the wide GHASH over AAD too.
+// On both key sizes, every kernel the host runs must seal the portable
+// kernel's bytes, open them and refuse a one-bit tamper.
+TEST(AesGcm, KernelsAgreeAtStrideBoundaries)
+{
+    const std::size_t plainLens[] = {0,   1,   15,   16,   17,   127,  128, 129,
+                                     255, 256, 257, 4095, 4096, 4097, 8192};
+    const std::size_t aadLens[] = {0, 16, 255, 256, 257};
+    Rng rng(0x626f756e);
+    for (std::size_t keyLen : {16, 32}) {
+        for (std::size_t plainLen : plainLens) {
+            for (std::size_t aadLen : aadLens) {
+                SCOPED_TRACE(testing::Message() << "key " << keyLen << " plain "
+                                                << plainLen << " aad " << aadLen);
+                Bytes key = rng.bytes(keyLen);
+                Bytes iv = rng.bytes(kGcmIvSize);
+                Bytes aad = rng.bytes(aadLen);
+                Bytes plain = rng.bytes(plainLen);
+                Bytes sealed = AesGcm(key, Kernel::Portable).seal(iv, aad, plain);
+                Bytes tampered = sealed;
+                std::size_t bit = rng.nextBelow(sealed.size() * 8);
+                tampered[bit / 8] ^= std::uint8_t(1u << (bit % 8));
+
+                std::vector<Kernel> kernels = hostGcmKernels();
+                kernels.insert(kernels.begin(), Kernel::Portable);
+                for (Kernel kernel : kernels) {
+                    SCOPED_TRACE(int(kernel));
+                    AesGcm gcm(key, kernel);
+                    ASSERT_EQ(gcm.seal(iv, aad, plain), sealed);
+                    auto opened = gcm.open(iv, aad, sealed);
+                    ASSERT_TRUE(opened.isOk());
+                    ASSERT_EQ(opened.value(), plain);
+                    ASSERT_FALSE(gcm.open(iv, aad, tampered).isOk());
+                }
+            }
+        }
     }
 }
 

@@ -452,6 +452,26 @@ TEST_P(HostMigration, RebuildsAndMovesLoadTheImageSignedAtOnboarding)
     expectRecordImageLoaded(*worldB_, *moved, onboarded);
 }
 
+TEST_P(HostMigration, HostMoveLatencyCountsBothMachines)
+{
+    ASSERT_TRUE(fleet_.addTenant(6, Workload::Echo, 0).isOk());
+    const std::uint64_t srcBefore = worldA_->machine.clock().cycles();
+    const std::uint64_t dstBefore = worldB_->machine.clock().cycles();
+    ASSERT_TRUE(fleet_.migrateAcross(engine_, 6, 1).isOk());
+    const std::uint64_t srcAdvance =
+        worldA_->machine.clock().cycles() - srcBefore;
+    const std::uint64_t dstAdvance =
+        worldB_->machine.clock().cycles() - dstBefore;
+
+    // Onboarding, attestation, the import and the session-key sealing
+    // run on the destination's clock; export and retirement on the
+    // source's. The move's one sample is both.
+    EXPECT_GT(srcAdvance, 0u);
+    EXPECT_GT(dstAdvance, 0u);
+    ASSERT_EQ(engine_.stats().latency.count(), 1u);
+    EXPECT_EQ(engine_.stats().latency.max(), srcAdvance + dstAdvance);
+}
+
 INSTANTIATE_TEST_SUITE_P(TlbModes, HostMigration, ::testing::Bool(),
                          [](const auto& info) {
                              return info.param ? "taggedTlb" : "flushTlb";

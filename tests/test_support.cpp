@@ -146,7 +146,9 @@ TEST(Status, EveryErrHasADistinctRealName)
         EXPECT_TRUE(seen.insert(name).second)
             << "duplicate errName: " << name;
     }
-    // Out-of-range values get the placeholder, not garbage.
+    // kErrCount follows the newest code; out-of-range values get the
+    // placeholder, not garbage.
+    EXPECT_STREQ(errName(Err(kErrCount - 1)), "EnclaveCrashed");
     EXPECT_STREQ(errName(Err(kErrCount)), "Unknown");
 }
 

@@ -2,44 +2,16 @@
 
 #include "crypto/kdf.h"
 #include "crypto/sha256.h"
+#include "support/wire.h"
 
 namespace nesgx::attest {
-
-namespace {
-
-Bytes
-le32(std::uint32_t v)
-{
-    Bytes out(4);
-    storeLe32(out.data(), v);
-    return out;
-}
-
-void
-appendMeasurement(Bytes& out, const sgx::Measurement& m)
-{
-    append(out, ByteView(m.data(), m.size()));
-}
-
-bool
-takeMeasurement(ByteView blob, std::size_t& off, sgx::Measurement& out)
-{
-    if (blob.size() - off < 32) return false;
-    std::copy(blob.begin() + off, blob.begin() + off + 32, out.begin());
-    off += 32;
-    return true;
-}
-
-}  // namespace
 
 Bytes
 sessionKeyFromSeal(const crypto::Sha256Digest& seal, std::uint32_t tenantId)
 {
-    std::array<std::uint8_t, 4> id{};
-    storeLe32(id.data(), tenantId);
     auto key = crypto::deriveKey128(ByteView(seal.data(), seal.size()),
                                     "tenant-session",
-                                    ByteView(id.data(), id.size()));
+                                    WireWriter(4).u32(tenantId).take());
     return Bytes(key.begin(), key.end());
 }
 
@@ -64,71 +36,30 @@ migrationTransportKey(const crypto::Sha256Digest& seal,
 Bytes
 encodeNestedReport(const sgx::NestedReport& report)
 {
-    Bytes out;
-    appendMeasurement(out, report.base.mrenclave);
-    appendMeasurement(out, report.base.mrsigner);
-    Bytes attr(8);
-    storeLe64(attr.data(), report.base.attributes);
-    append(out, attr);
-    append(out, ByteView(report.base.reportData.data(),
-                         report.base.reportData.size()));
-    append(out, ByteView(report.base.mac.data(), report.base.mac.size()));
-    appendMeasurement(out, report.outerMeasurement);
-    append(out, le32(report.chainDepth));
-    append(out, le32(std::uint32_t(report.outerMeasurements.size())));
-    for (const auto& m : report.outerMeasurements) appendMeasurement(out, m);
-    append(out, le32(std::uint32_t(report.innerMeasurements.size())));
-    for (const auto& m : report.innerMeasurements) appendMeasurement(out, m);
-    append(out, ByteView(report.mac.data(), report.mac.size()));
-    return out;
+    const Bytes body = report.macBody();
+    return WireWriter(body.size() + 64)
+        .bytes(body).bytes(report.base.mac).bytes(report.mac).take();
 }
 
 Result<sgx::NestedReport>
 decodeNestedReport(ByteView blob)
 {
+    // NestedReport::macBody's fields in its order, then the two MACs.
+    WireReader r(blob);
     sgx::NestedReport report;
-    std::size_t off = 0;
-    if (!takeMeasurement(blob, off, report.base.mrenclave) ||
-        !takeMeasurement(blob, off, report.base.mrsigner)) {
-        return Err::BadCallBuffer;
+    r.fill(report.base.mrenclave);
+    r.fill(report.base.mrsigner);
+    report.base.attributes = r.u64();
+    r.fill(report.base.reportData);
+    report.chainDepth = r.u32();
+    r.fill(report.outerMeasurement);
+    for (auto* list : {&report.outerMeasurements, &report.innerMeasurements}) {
+        list->resize(r.count(32));
+        for (auto& m : *list) r.fill(m);
     }
-    if (blob.size() - off < 8) return Err::BadCallBuffer;
-    report.base.attributes = loadLe64(blob.data() + off);
-    off += 8;
-    if (blob.size() - off < sgx::kReportDataSize + 32) {
-        return Err::BadCallBuffer;
-    }
-    std::copy(blob.begin() + off, blob.begin() + off + sgx::kReportDataSize,
-              report.base.reportData.begin());
-    off += sgx::kReportDataSize;
-    std::copy(blob.begin() + off, blob.begin() + off + 32,
-              report.base.mac.begin());
-    off += 32;
-    if (!takeMeasurement(blob, off, report.outerMeasurement)) {
-        return Err::BadCallBuffer;
-    }
-    if (blob.size() - off < 8) return Err::BadCallBuffer;
-    report.chainDepth = loadLe32(blob.data() + off);
-    off += 4;
-    std::uint32_t outers = loadLe32(blob.data() + off);
-    off += 4;
-    // Bound counts by the remaining bytes before allocating.
-    if (outers > (blob.size() - off) / 32) return Err::BadCallBuffer;
-    report.outerMeasurements.resize(outers);
-    for (auto& m : report.outerMeasurements) {
-        if (!takeMeasurement(blob, off, m)) return Err::BadCallBuffer;
-    }
-    if (blob.size() - off < 4) return Err::BadCallBuffer;
-    std::uint32_t inners = loadLe32(blob.data() + off);
-    off += 4;
-    if (inners > (blob.size() - off) / 32) return Err::BadCallBuffer;
-    report.innerMeasurements.resize(inners);
-    for (auto& m : report.innerMeasurements) {
-        if (!takeMeasurement(blob, off, m)) return Err::BadCallBuffer;
-    }
-    if (blob.size() - off != 32) return Err::BadCallBuffer;
-    std::copy(blob.begin() + off, blob.begin() + off + 32,
-              report.mac.begin());
+    r.fill(report.base.mac);
+    r.fill(report.mac);
+    if (!r.done()) return Err::BadCallBuffer;
     return report;
 }
 

@@ -51,7 +51,8 @@ Bytes sessionSealKey(const crypto::Sha256Digest& seal);
 Bytes migrationTransportKey(const crypto::Sha256Digest& seal,
                             const sgx::Measurement& peerMr);
 
-/** Wire codec for NEREPORT evidence (full field set, LE counts). */
+/** Wire codec for NEREPORT evidence: NestedReport::macBody's fields in
+ *  its order, then the report MAC and the NEREPORT MAC. */
 Bytes encodeNestedReport(const sgx::NestedReport& report);
 Result<sgx::NestedReport> decodeNestedReport(ByteView blob);
 

@@ -1,5 +1,7 @@
 #include "serve/client.h"
 
+#include "support/wire.h"
+
 namespace nesgx::serve {
 
 TenantClient::TenantClient(TenantId tenant, Workload workload,
@@ -55,9 +57,9 @@ TenantClient::makePlaintext(std::uint64_t seq, Bytes& expectedResponse)
       }
       case Workload::Svm: {
         Bytes features = rng_.bytes(16);
-        expectedResponse.resize(8);
-        storeLe64(expectedResponse.data(),
-                  std::uint64_t(svmScore(tenant_, features)));
+        expectedResponse =
+            WireWriter(8).u64(std::uint64_t(svmScore(tenant_, features)))
+                .take();
         return features;
       }
     }
@@ -137,7 +139,6 @@ TenantClient::onTenantRebuilt()
     expected_.clear();
     shadowDb_ = db::Database{};
     sqlStep_ = 0;
-    sendSeq_ = 0;
     ++rebuildsSeen_;
 }
 

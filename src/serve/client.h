@@ -67,9 +67,9 @@ class TenantClient {
 
     /** The server rebuilt this tenant's enclave from scratch: resets the
      *  client to mirror it — outstanding expectations can never verify,
-     *  the sql shadow restarts empty, and sealing resumes from seq 1 (a
-     *  fresh server accepts any first sequence). Safe to call once per
-     *  rebuild-marked completion — repeats re-clear already-empty state. */
+     *  the sql shadow restarts empty. The sequence runs on for the key's
+     *  lifetime, which rebuilds do not end (a fresh server accepts any
+     *  first sequence). Safe to call once per rebuild-marked completion. */
     void onTenantRebuilt();
 
     std::uint64_t verified() const { return verified_; }

@@ -1,16 +1,16 @@
 #include "serve/protocol.h"
 
 #include "crypto/sha256.h"
+#include "support/wire.h"
 
 namespace nesgx::serve {
 
 Bytes
 tenantKey(TenantId tenant)
 {
-    Bytes seed = bytesOf("nesgx-serve-tenant-key");
-    seed.resize(seed.size() + 4);
-    storeLe32(seed.data() + seed.size() - 4, tenant);
-    auto digest = crypto::Sha256::hash(seed);
+    WireWriter seed;
+    seed.bytes(bytesOf("nesgx-serve-tenant-key")).u32(tenant);
+    auto digest = crypto::Sha256::hash(seed.take());
     return Bytes(digest.begin(), digest.begin() + 16);
 }
 
@@ -19,20 +19,51 @@ namespace {
 Bytes
 messageIv(std::uint8_t dir, std::uint64_t seq)
 {
-    Bytes iv(crypto::kGcmIvSize, 0);
-    storeLe64(iv.data(), seq);
-    iv[8] = dir;
-    return iv;
+    return WireWriter(crypto::kGcmIvSize)
+        .u64(seq).u8(dir).u8(0).u8(0).u8(0).take();
 }
 
 Bytes
 messageAad(TenantId tenant, std::uint8_t dir, std::uint64_t seq)
 {
-    Bytes aad(13);
-    storeLe32(aad.data(), tenant);
-    aad[4] = dir;
-    storeLe64(aad.data() + 5, seq);
-    return aad;
+    return WireWriter(13).u32(tenant).u8(dir).u64(seq).take();
+}
+
+/** The list both batch directions and the snapshot's journal carry:
+ *  [u32 count] then count x [u32 len][bytes]. */
+template <class Msgs>
+std::size_t
+listBytes(const Msgs& msgs)
+{
+    std::size_t n = 4;
+    for (const auto& m : msgs) n += 4 + m.size();
+    return n;
+}
+
+/** Appends the list and takes the encoding: each list ends its format. */
+template <class Msgs>
+Bytes
+takeWithList(WireWriter& w, const Msgs& msgs)
+{
+    w.u32(std::uint32_t(msgs.size()));
+    for (const auto& m : msgs) w.blob(m);
+    return w.take();
+}
+
+/** Every element takes at least its 4-byte length, which bounds the
+ *  host-written count before anything is allocated for it. */
+template <class Msg>
+std::vector<Msg>
+readList(WireReader& r)
+{
+    std::vector<Msg> out;
+    const std::uint32_t count = r.count(4);
+    out.reserve(count);
+    for (std::uint32_t i = 0; i < count; ++i) {
+        const ByteView m = r.blob();
+        out.emplace_back(m.begin(), m.end());
+    }
+    return out;
 }
 
 }  // namespace
@@ -41,42 +72,39 @@ Bytes
 sealMessage(const crypto::AesGcm& gcm, TenantId tenant, std::uint8_t dir,
             std::uint64_t seq, ByteView plain)
 {
-    Bytes out(8);
-    storeLe64(out.data(), seq);
-    Bytes sealed = gcm.seal(messageIv(dir, seq), messageAad(tenant, dir, seq),
-                            plain);
-    out.insert(out.end(), sealed.begin(), sealed.end());
-    return out;
+    const Bytes sealed = gcm.seal(messageIv(dir, seq),
+                                  messageAad(tenant, dir, seq), plain);
+    return WireWriter(8 + sealed.size()).u64(seq).bytes(sealed).take();
 }
 
 Bytes
 stampEpoch(std::uint64_t epoch, ByteView sealed)
 {
-    Bytes out(8);
-    storeLe64(out.data(), epoch);
-    out.insert(out.end(), sealed.begin(), sealed.end());
-    return out;
+    return WireWriter(8 + sealed.size()).u64(epoch).bytes(sealed).take();
 }
 
 bool
 splitEpoch(ByteView stamped, std::uint64_t* epoch, Bytes* sealed)
 {
-    if (stamped.size() < 8) return false;
-    *epoch = loadLe64(stamped.data());
-    sealed->assign(stamped.begin() + 8, stamped.end());
-    return true;
+    WireReader r(stamped);
+    *epoch = r.u64();
+    const ByteView rest = r.rest();
+    sealed->assign(rest.begin(), rest.end());
+    return r.done();
 }
 
 Result<OpenedMessage>
 openMessage(const crypto::AesGcm& gcm, TenantId tenant, std::uint8_t dir,
             ByteView sealed)
 {
-    if (sealed.size() < 8 + crypto::kGcmTagSize) return Err::BadCallBuffer;
+    WireReader r(sealed);
     OpenedMessage out;
-    out.seq = loadLe64(sealed.data());
+    out.seq = r.u64();
+    const ByteView body = r.rest();
+    if (!r.done()) return Err::BadCallBuffer;
+    // open() refuses a body too short for its tag with the same code.
     auto plain = gcm.open(messageIv(dir, out.seq),
-                          messageAad(tenant, dir, out.seq),
-                          sealed.subspan(8));
+                          messageAad(tenant, dir, out.seq), body);
     if (!plain) return plain.status();
     out.plain = std::move(plain.value());
     return out;
@@ -107,134 +135,56 @@ sqlResultText(bool ok, const std::string& error, std::uint64_t rowsAffected,
 Bytes
 packSnapshot(const TenantSnapshot& snap)
 {
-    Bytes out;
-    out.resize(4);
-    storeLe32(out.data(), std::uint32_t(snap.sessionKey.size()));
-    append(out, snap.sessionKey);
-    std::size_t at = out.size();
-    out.resize(at + 8 + 1 + 4);
-    storeLe64(out.data() + at, snap.lastSeq);
-    out[at + 8] = snap.seenAny ? 1 : 0;
-    storeLe32(out.data() + at + 9, std::uint32_t(snap.sqlJournal.size()));
-    for (const auto& stmt : snap.sqlJournal) {
-        at = out.size();
-        out.resize(at + 4);
-        storeLe32(out.data() + at, std::uint32_t(stmt.size()));
-        append(out, ByteView(
-            reinterpret_cast<const std::uint8_t*>(stmt.data()), stmt.size()));
-    }
-    return out;
+    WireWriter w;
+    w.blob(snap.sessionKey).u64(snap.lastSeq).u8(snap.seenAny ? 1 : 0);
+    return takeWithList(w, snap.sqlJournal);
 }
 
 Result<TenantSnapshot>
 parseSnapshot(ByteView blob)
 {
+    WireReader r(blob);
     TenantSnapshot snap;
-    std::size_t off = 0;
-    if (blob.size() < 4) return Err::BadCallBuffer;
-    const std::uint32_t keyLen = loadLe32(blob.data());
-    off = 4;
-    if (blob.size() - off < keyLen) return Err::BadCallBuffer;
-    snap.sessionKey.assign(blob.begin() + off, blob.begin() + off + keyLen);
-    off += keyLen;
-    if (blob.size() - off < 8 + 1 + 4) return Err::BadCallBuffer;
-    snap.lastSeq = loadLe64(blob.data() + off);
-    snap.seenAny = blob[off + 8] != 0;
-    const std::uint32_t count = loadLe32(blob.data() + off + 9);
-    off += 13;
-    snap.sqlJournal.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-        if (blob.size() - off < 4) return Err::BadCallBuffer;
-        const std::uint32_t len = loadLe32(blob.data() + off);
-        off += 4;
-        if (blob.size() - off < len) return Err::BadCallBuffer;
-        snap.sqlJournal.emplace_back(
-            reinterpret_cast<const char*>(blob.data() + off), len);
-        off += len;
-    }
-    if (off != blob.size()) return Err::BadCallBuffer;
+    const ByteView key = r.blob();
+    snap.sessionKey.assign(key.begin(), key.end());
+    snap.lastSeq = r.u64();
+    snap.seenAny = r.u8() != 0;
+    snap.sqlJournal = readList<std::string>(r);
+    if (!r.done()) return Err::BadCallBuffer;
     return snap;
 }
 
 Bytes
 packBatch(std::uint32_t slot, const std::vector<ByteView>& msgs)
 {
-    std::size_t total = 8;
-    for (ByteView m : msgs) total += 4 + m.size();
-    Bytes out(total);
-    storeLe32(out.data(), slot);
-    storeLe32(out.data() + 4, std::uint32_t(msgs.size()));
-    std::size_t at = 8;
-    for (ByteView m : msgs) {
-        storeLe32(out.data() + at, std::uint32_t(m.size()));
-        at += 4;
-        std::copy(m.begin(), m.end(), out.begin() + at);
-        at += m.size();
-    }
-    return out;
+    WireWriter w(4 + listBytes(msgs));
+    return takeWithList(w.u32(slot), msgs);
 }
 
 Bytes
 packResponses(const std::vector<Bytes>& msgs)
 {
-    std::size_t total = 4;
-    for (const Bytes& m : msgs) total += 4 + m.size();
-    Bytes out(total);
-    storeLe32(out.data(), std::uint32_t(msgs.size()));
-    std::size_t at = 4;
-    for (const Bytes& m : msgs) {
-        storeLe32(out.data() + at, std::uint32_t(m.size()));
-        at += 4;
-        std::copy(m.begin(), m.end(), out.begin() + at);
-        at += m.size();
-    }
-    return out;
+    WireWriter w(listBytes(msgs));
+    return takeWithList(w, msgs);
 }
 
 Result<ParsedBatch>
 parseBatch(ByteView blob)
 {
-    if (blob.size() < 8) return Err::BadCallBuffer;
+    WireReader r(blob);
     ParsedBatch out;
-    out.slot = loadLe32(blob.data());
-    std::uint32_t count = loadLe32(blob.data() + 4);
-    std::size_t at = 8;
-#ifndef NESGX_BUG_BATCH_COUNT_UNCHECKED
-    // The host writes `count`: every message takes at least its 4-byte
-    // length, so refuse a count the blob cannot hold before allocating.
-    if (count > (blob.size() - at) / 4) return Err::BadCallBuffer;
-#endif
-    out.msgs.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-        if (at + 4 > blob.size()) return Err::BadCallBuffer;
-        std::uint32_t len = loadLe32(blob.data() + at);
-        at += 4;
-        if (at + len > blob.size()) return Err::BadCallBuffer;
-        out.msgs.push_back(blob.subspan(at, len));
-        at += len;
-    }
+    out.slot = r.u32();
+    out.msgs = readList<ByteView>(r);
+    if (!r.done()) return Err::BadCallBuffer;
     return out;
 }
 
 Result<std::vector<Bytes>>
 parseResponses(ByteView blob)
 {
-    if (blob.size() < 4) return Err::BadCallBuffer;
-    std::uint32_t count = loadLe32(blob.data());
-    std::size_t at = 4;
-#ifndef NESGX_BUG_BATCH_COUNT_UNCHECKED
-    if (count > (blob.size() - at) / 4) return Err::BadCallBuffer;
-#endif
-    std::vector<Bytes> out;
-    out.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-        if (at + 4 > blob.size()) return Err::BadCallBuffer;
-        std::uint32_t len = loadLe32(blob.data() + at);
-        at += 4;
-        if (at + len > blob.size()) return Err::BadCallBuffer;
-        out.emplace_back(blob.begin() + at, blob.begin() + at + len);
-        at += len;
-    }
+    WireReader r(blob);
+    std::vector<Bytes> out = readList<Bytes>(r);
+    if (!r.done()) return Err::BadCallBuffer;
     return out;
 }
 

@@ -6,6 +6,7 @@
 #include "crypto/sha256.h"
 #include "db/executor.h"
 #include "fault/injector.h"
+#include "support/wire.h"
 #include "trace/bus.h"
 
 namespace nesgx::serve {
@@ -22,6 +23,17 @@ authorExpectation()
     sgx::PeerExpectation e;
     e.mrsigner = core::defaultAuthorKey().pub.signerMeasurement();
     return e;
+}
+
+constexpr std::array<std::uint8_t, attest::kNonceSize> kNoNonce{};
+
+/** tenant_provision's argument (see tenantFunctions). */
+Bytes
+provisionArg(std::uint8_t mode, const sgx::Measurement& verifierMr = {},
+             ByteView nonce = kNoNonce, ByteView sealedKey = {})
+{
+    return WireWriter(1 + 32 + nonce.size() + sealedKey.size())
+        .u8(mode).bytes(verifierMr).bytes(nonce).bytes(sealedKey).take();
 }
 
 /** State logically private to one tenant's inner enclave. */
@@ -59,13 +71,10 @@ struct ServerState {
             return bytesOf(sqlResultText(r.ok, r.error, r.rowsAffected,
                                          r.rows.size()));
           }
-          case Workload::Svm: {
+          case Workload::Svm:
             env.chargeCycles(64 * plain.size() + 128);
-            Bytes out(8);
-            storeLe64(out.data(),
-                      std::uint64_t(svmScore(tenant, plain)));
-            return out;
-          }
+            return WireWriter(8)
+                .u64(std::uint64_t(svmScore(tenant, plain))).take();
         }
         return Err::NoSuchCall;
     }
@@ -178,15 +187,14 @@ TenantRegistry::gatewayFunctions(std::shared_ptr<GatewayState> state) const
         Status st = env.writeBytes(state->stagingVa, arg);
         if (!st) return st;
 
-        Bytes desc(16);
-        storeLe64(desc.data(), state->stagingVa);
-        storeLe64(desc.data() + 8, arg.size());
-        // The single NEENTER of the whole batch.
-        auto respLen = env.nEcall(*inner, "serve_batch", desc);
+        // The single NEENTER of the whole batch: [va, len] in, length out.
+        auto respLen = env.nEcall(
+            *inner, "serve_batch",
+            WireWriter(16).u64(state->stagingVa).u64(arg.size()).take());
         if (!respLen) return respLen.status();
-        if (respLen.value().size() != 8) return Err::BadCallBuffer;
-        std::uint64_t len = loadLe64(respLen.value().data());
-        if (len > state->stagingCap) return Err::BadCallBuffer;
+        WireReader reply(respLen.value());
+        const std::uint64_t len = reply.u64();
+        if (!reply.done() || len > state->stagingCap) return Err::BadCallBuffer;
         return env.readBytes(state->stagingVa, len);
     };
     auto fns = std::make_shared<sdk::EnclaveInterface>();
@@ -288,9 +296,10 @@ TenantRegistry::tenantFunctions(TenantId id, Workload workload)
     fns->addNEcall(
         "serve_batch",
         [server](sdk::TrustedEnv& env, ByteView desc) -> Result<Bytes> {
-            if (desc.size() != 16) return Err::BadCallBuffer;
-            hw::Vaddr va = loadLe64(desc.data());
-            std::uint64_t len = loadLe64(desc.data() + 8);
+            WireReader r(desc);
+            const hw::Vaddr va = r.u64();
+            const std::uint64_t len = r.u64();
+            if (!r.done()) return Err::BadCallBuffer;
             // By-reference read of the gateway's staging region: the
             // EPCM owner is the outer, reached via the closure walk.
             auto blob = env.readBytes(va, len);
@@ -306,9 +315,7 @@ TenantRegistry::tenantFunctions(TenantId id, Workload workload)
             Bytes respBlob = packResponses(responses);
             Status st = env.writeBytes(va, respBlob);
             if (!st) return st;
-            Bytes out(8);
-            storeLe64(out.data(), respBlob.size());
-            return out;
+            return WireWriter(8).u64(respBlob.size()).take();
         });
 
     // Trust-path provisioning: the inner derives its session key from
@@ -323,14 +330,24 @@ TenantRegistry::tenantFunctions(TenantId id, Workload workload)
     fns->addNEcall(
         "tenant_provision",
         [server](sdk::TrustedEnv& env, ByteView arg) -> Result<Bytes> {
-            constexpr std::size_t kFixed = 1 + 32 + attest::kNonceSize;
-            const bool blob = arg.size() > kFixed;
-            if (arg.size() < kFixed || (blob && arg[0] != 0)) {
+            WireReader r(arg);
+            const std::uint8_t mode = r.u8();
+            sgx::TargetInfo target;
+            r.fill(target.mrenclave);
+            const ByteView nonce = r.bytes(attest::kNonceSize);
+            const ByteView blob = r.rest();
+            if (!r.done() || mode > 2 || (mode != 0 && !blob.empty())) {
                 return Err::BadCallBuffer;
             }
+#ifndef NESGX_BUG_SESSION_RESET_LIVE
+            // A session is installed once per instance: one that has
+            // accepted a request (or imported a session that had) keeps
+            // its replay window. Rebuilds and moves provision fresh ones.
+            if (mode != 2 && server->seenAny) return Err::GeneralProtection;
+#endif
             auto seal = env.getSealKeyIdentity();
             if (!seal) return seal.status();
-            if (arg[0] == 2) {
+            if (mode == 2) {
                 // The IV comes from the key it seals, so sealing another
                 // key under this identity never reuses an IV.
                 const ByteView plain(server->sessionKey);
@@ -342,11 +359,11 @@ TenantRegistry::tenantFunctions(TenantId id, Workload workload)
                     server->tenant, kDirSessionKey, iv, plain);
             }
             Bytes key;
-            if (blob) {
-                env.chargeGcm(arg.size() - kFixed);
+            if (!blob.empty()) {
+                env.chargeGcm(blob.size());
                 auto opened = openMessage(
                     crypto::AesGcm(attest::sessionSealKey(seal.value())),
-                    server->tenant, kDirSessionKey, arg.subspan(kFixed));
+                    server->tenant, kDirSessionKey, blob);
                 if (!opened) return opened.status();
                 key = std::move(opened.value().plain);
             } else {
@@ -354,15 +371,9 @@ TenantRegistry::tenantFunctions(TenantId id, Workload workload)
             }
             server->sessionKey = key;
             server->gcm = crypto::AesGcm(key);
-            server->lastSeq = 0;
-            server->seenAny = false;
-            if (arg[0] == 0) return Bytes{};
+            if (mode == 0) return Bytes{};
 
-            sgx::TargetInfo target;
-            std::copy(arg.begin() + 1, arg.begin() + 33,
-                      target.mrenclave.begin());
-            const crypto::Sha256Digest nonceHash =
-                crypto::Sha256::hash(arg.subspan(33, attest::kNonceSize));
+            const crypto::Sha256Digest nonceHash = crypto::Sha256::hash(nonce);
             const crypto::Sha256Digest keyHash =
                 crypto::Sha256::hash(ByteView(key.data(), key.size()));
             sgx::ReportData data{};
@@ -380,9 +391,10 @@ TenantRegistry::tenantFunctions(TenantId id, Workload workload)
     fns->addNEcall(
         "tenant_export",
         [server](sdk::TrustedEnv& env, ByteView arg) -> Result<Bytes> {
-            if (arg.size() != 32) return Err::BadCallBuffer;
+            WireReader r(arg);
             sgx::Measurement dstMr{};
-            std::copy(arg.begin(), arg.end(), dstMr.begin());
+            r.fill(dstMr);
+            if (!r.done()) return Err::BadCallBuffer;
             auto seal = env.getSealKeyIdentity();
             if (!seal) return seal.status();
             Bytes tkey = attest::migrationTransportKey(seal.value(), dstMr);
@@ -402,15 +414,20 @@ TenantRegistry::tenantFunctions(TenantId id, Workload workload)
     fns->addNEcall(
         "tenant_import",
         [server](sdk::TrustedEnv& env, ByteView arg) -> Result<Bytes> {
-            if (arg.size() < 32) return Err::BadCallBuffer;
+            WireReader r(arg);
             sgx::Measurement srcMr{};
-            std::copy(arg.begin(), arg.begin() + 32, srcMr.begin());
+            r.fill(srcMr);
+            const ByteView sealed = r.rest();
+            if (!r.done()) return Err::BadCallBuffer;
+#ifndef NESGX_BUG_SESSION_RESET_LIVE
+            if (server->seenAny) return Err::GeneralProtection;  // as above
+#endif
             auto seal = env.getSealKeyIdentity();
             if (!seal) return seal.status();
             Bytes tkey = attest::migrationTransportKey(seal.value(), srcMr);
-            env.chargeGcm(arg.size() - 32);
+            env.chargeGcm(sealed.size());
             auto opened = openMessage(crypto::AesGcm(tkey), server->tenant,
-                                      kDirMigrate, arg.subspan(32));
+                                      kDirMigrate, sealed);
             if (!opened) return opened.status();
             auto snap = parseSnapshot(opened.value().plain);
             if (!snap) return snap.status();
@@ -679,7 +696,7 @@ TenantRegistry::rebuildInner(TenantHandle& tenant)
     gateway.state->slots[tenant.slot] = inner.value();
     ++tenant.rebuilds;
     // In-enclave state was lost: clients must re-resolve placement (new
-    // epoch) and learn it is a fresh incarnation (reseal from scratch).
+    // epoch) and learn it is a fresh incarnation (reset expectations).
     tenant.epoch.fetch_add(1, std::memory_order_relaxed);
     tenant.incarnation.fetch_add(1, std::memory_order_relaxed);
     urts_->machine().trace().publishLight(
@@ -807,29 +824,25 @@ TenantRegistry::provisionInner(sdk::LoadedEnclave* inner,
 {
     if (!inner) return Err::Unavailable;
     if (nonce.size() != attest::kNonceSize) return Err::BadCallBuffer;
-    Bytes arg(1 + 32 + attest::kNonceSize);
-    arg[0] = 1;
-    std::copy(verifierMr.begin(), verifierMr.end(), arg.begin() + 1);
-    std::copy(nonce.begin(), nonce.end(), arg.begin() + 33);
-    return controlCall(inner, "tenant_provision", arg);
+    return controlCall(inner, "tenant_provision",
+                       provisionArg(1, verifierMr, nonce));
 }
 
 Status
 TenantRegistry::rekeyInner(sdk::LoadedEnclave* inner, ByteView sealedKey)
 {
     if (!inner) return Err::Unavailable;
-    Bytes arg(1 + 32 + attest::kNonceSize, 0);
-    append(arg, sealedKey);
-    return controlCall(inner, "tenant_provision", arg).status();
+    return controlCall(inner, "tenant_provision",
+                       provisionArg(0, {}, kNoNonce, sealedKey))
+        .status();
 }
 
 Status
 TenantRegistry::adoptSessionKey(TenantHandle& tenant, Bytes sessionKey)
 {
     if (!tenant.inner) return Err::Unavailable;
-    Bytes arg(1 + 32 + attest::kNonceSize, 0);
-    arg[0] = 2;
-    auto sealed = controlCall(tenant.inner, "tenant_provision", arg);
+    auto sealed =
+        controlCall(tenant.inner, "tenant_provision", provisionArg(2));
     if (!sealed) return sealed.status();
     tenant.sessionKey = std::move(sessionKey);
     tenant.sealedSessionKey = std::move(sealed.value());
@@ -841,8 +854,8 @@ TenantRegistry::exportInner(sdk::LoadedEnclave* inner,
                             const sgx::Measurement& dstMr)
 {
     if (!inner) return Err::Unavailable;
-    Bytes arg(dstMr.begin(), dstMr.end());
-    return controlCall(inner, "tenant_export", arg);
+    return controlCall(inner, "tenant_export",
+                       WireWriter(32).bytes(dstMr).take());
 }
 
 Status
@@ -850,9 +863,10 @@ TenantRegistry::importInner(sdk::LoadedEnclave* inner,
                             const sgx::Measurement& srcMr, ByteView sealed)
 {
     if (!inner) return Err::Unavailable;
-    Bytes arg(srcMr.begin(), srcMr.end());
-    append(arg, sealed);
-    return controlCall(inner, "tenant_import", arg).status();
+    return controlCall(inner, "tenant_import",
+                       WireWriter(32 + sealed.size())
+                           .bytes(srcMr).bytes(sealed).take())
+        .status();
 }
 
 Result<Bytes>

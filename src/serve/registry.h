@@ -115,7 +115,7 @@ struct TenantHandle {
     std::atomic<std::uint64_t> epoch{1};
     /** Incarnation: bumps only when in-enclave state was lost (tenant or
      *  subtree rebuild), never on a live relocation — re-resolving
-     *  clients use it to decide whether to reseal from scratch. */
+     *  clients use it to decide whether to reset their expectations. */
     std::atomic<std::uint64_t> incarnation{1};
     Counter okServed;   ///< verified-ok completions (supervisor heartbeat)
     Counter wrongEpochs; ///< stale-epoch submits refused
@@ -197,8 +197,8 @@ class TenantRegistry {
     std::uint64_t evictTenant(TenantHandle& tenant);
 
     /** Destroys a poisoned tenant's inner and builds a fresh one into
-     *  the same gateway slot. Sequence state, sql tables, everything
-     *  in-enclave is lost — the client must reseal from scratch. On
+     *  the same gateway slot. The replay window, sql tables, everything
+     *  in-enclave is lost — the client must reset its expectations. On
      *  failure the tenant is left inner-less (`inner == nullptr`) and
      *  quarantined until a later rebuild succeeds. */
     Status rebuildTenant(TenantHandle& tenant);

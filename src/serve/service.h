@@ -84,7 +84,7 @@ struct Completion {
      *  quarantine. Ok iff `ok` is true. */
     Status status;
     /** The tenant's inner was (or is being) rebuilt while this request
-     *  was in flight: the client must reseal from a fresh sequence. */
+     *  was in flight: the client must reset its expectations and reseal. */
     bool tenantRebuilt = false;
 
     Err error() const { return status.code(); }

@@ -64,6 +64,9 @@ struct EvictedPage {
     EnclaveId ownerEid = 0;
     std::uint64_t versionSlot = 0;
     std::uint64_t version = 0;
+
+    /** What EWB seals the page under and ELDU opens it with. */
+    Bytes aad() const;
 };
 
 class Machine {

@@ -11,42 +11,28 @@
 
 #include "crypto/hmac.h"
 #include "crypto/kdf.h"
+#include "support/wire.h"
 
 namespace nesgx::sgx {
 
 Bytes
 Report::macBody() const
 {
-    Bytes out;
-    append(out, ByteView(mrenclave.data(), 32));
-    append(out, ByteView(mrsigner.data(), 32));
-    std::uint8_t attr[8];
-    storeLe64(attr, attributes);
-    append(out, ByteView(attr, 8));
-    append(out, ByteView(reportData.data(), reportData.size()));
-    return out;
+    return WireWriter(32 + 32 + 8 + kReportDataSize)
+        .bytes(mrenclave).bytes(mrsigner).u64(attributes).bytes(reportData)
+        .take();
 }
 
 Bytes
 NestedReport::macBody() const
 {
-    Bytes out = base.macBody();
-    std::uint8_t depth[4];
-    storeLe32(depth, chainDepth);
-    append(out, ByteView(depth, 4));
-    append(out, ByteView(outerMeasurement.data(), 32));
-    std::uint8_t count[4];
-    storeLe32(count, std::uint32_t(outerMeasurements.size()));
-    append(out, ByteView(count, 4));
-    for (const auto& m : outerMeasurements) {
-        append(out, ByteView(m.data(), 32));
+    WireWriter w;
+    w.bytes(base.macBody()).u32(chainDepth).bytes(outerMeasurement);
+    for (const auto* list : {&outerMeasurements, &innerMeasurements}) {
+        w.u32(std::uint32_t(list->size()));
+        for (const auto& m : *list) w.bytes(m);
     }
-    storeLe32(count, std::uint32_t(innerMeasurements.size()));
-    append(out, ByteView(count, 4));
-    for (const auto& m : innerMeasurements) {
-        append(out, ByteView(m.data(), 32));
-    }
-    return out;
+    return w.take();
 }
 
 crypto::Sha256Digest

@@ -7,8 +7,16 @@
  */
 #include "fault/injector.h"
 #include "sgx/machine.h"
+#include "support/wire.h"
 
 namespace nesgx::sgx {
+
+Bytes
+EvictedPage::aad() const
+{
+    return WireWriter(4 * 8)
+        .u64(ownerEid).u64(vaddr).u64(perms.bits()).u64(version).take();
+}
 
 Status
 Machine::eblock(hw::Paddr epcPage)
@@ -109,13 +117,8 @@ Machine::ewbImpl(hw::Paddr epcPage)
     // The page leaves the PRM for untrusted memory: real authenticated
     // encryption binds content to (owner, vaddr, perms, version) so the
     // OS can neither read, modify, swap, nor replay it.
-    Bytes aad(8 * 4);
-    storeLe64(aad.data(), out.ownerEid);
-    storeLe64(aad.data() + 8, out.vaddr);
-    storeLe64(aad.data() + 16, out.perms.bits());
-    storeLe64(aad.data() + 24, out.version);
     out.ciphertext = pagingGcm_->seal(
-        ByteView(out.iv.data(), out.iv.size()), aad,
+        ByteView(out.iv.data(), out.iv.size()), out.aad(),
         ByteView(mem_.raw(epcPage), hw::kPageSize));
 
     mem_.fill(epcPage, 0, hw::kPageSize);
@@ -173,13 +176,8 @@ Machine::elduImpl(hw::Paddr epcPage, hw::Paddr secsPage, const EvictedPage& blob
         return Err::PagingIntegrity;
     }
 
-    Bytes aad(8 * 4);
-    storeLe64(aad.data(), blob.ownerEid);
-    storeLe64(aad.data() + 8, blob.vaddr);
-    storeLe64(aad.data() + 16, blob.perms.bits());
-    storeLe64(aad.data() + 24, blob.version);
     auto plain = pagingGcm_->open(ByteView(blob.iv.data(), blob.iv.size()),
-                                  aad, blob.ciphertext);
+                                  blob.aad(), blob.ciphertext);
     if (!plain) return Err::PagingIntegrity;
     if (plain.value().size() != hw::kPageSize) return Err::PagingIntegrity;
 

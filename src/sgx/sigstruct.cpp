@@ -1,5 +1,7 @@
 #include "sgx/sigstruct.h"
 
+#include "support/wire.h"
+
 namespace nesgx::sgx {
 
 bool
@@ -20,12 +22,12 @@ PeerExpectation::matches(const Measurement& enclave,
 namespace {
 
 void
-appendExpectation(Bytes& out, const PeerExpectation& pe)
+writeExpectation(WireWriter& w, const PeerExpectation& pe)
 {
-    out.push_back(pe.mrenclave ? 1 : 0);
-    if (pe.mrenclave) append(out, ByteView(pe.mrenclave->data(), 32));
-    out.push_back(pe.mrsigner ? 1 : 0);
-    if (pe.mrsigner) append(out, ByteView(pe.mrsigner->data(), 32));
+    for (const auto* m : {&pe.mrenclave, &pe.mrsigner}) {
+        w.u8(*m ? 1 : 0);
+        if (*m) w.bytes(**m);
+    }
 }
 
 }  // namespace
@@ -33,23 +35,14 @@ appendExpectation(Bytes& out, const PeerExpectation& pe)
 Bytes
 SigStruct::signedBody() const
 {
-    Bytes out;
-    append(out, ByteView(enclaveHash.data(), enclaveHash.size()));
-    std::uint8_t attr[8];
-    storeLe64(attr, attributes);
-    append(out, ByteView(attr, 8));
-
-    out.push_back(expectedOuter ? 1 : 0);
-    if (expectedOuter) appendExpectation(out, *expectedOuter);
-
-    std::uint8_t count[4];
-    storeLe32(count, std::uint32_t(allowedInners.size()));
-    append(out, ByteView(count, 4));
-    for (const auto& pe : allowedInners) appendExpectation(out, pe);
-
+    WireWriter w;
+    w.bytes(enclaveHash).u64(attributes).u8(expectedOuter ? 1 : 0);
+    if (expectedOuter) writeExpectation(w, *expectedOuter);
+    w.u32(std::uint32_t(allowedInners.size()));
+    for (const auto& pe : allowedInners) writeExpectation(w, pe);
     // The public key itself is part of the signed identity surface; it is
     // bound via MRSIGNER at EINIT rather than the signature, as in SGX.
-    return out;
+    return w.take();
 }
 
 void

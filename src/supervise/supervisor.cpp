@@ -164,9 +164,15 @@ Supervisor::evacuate(serve::TenantHandle& tenant, Watch& watch)
     }
 
     if (!engine_) return false;  // no engine attached: the ladder tops out
+    std::uint64_t dstCycles = 0;
     if (peer) {
         hop = 1;
+        // The move runs on both machines, each on its own clock: it costs
+        // what both clocks advance.
+        const auto& dst = fleet_->host(*peer)->registry().urts().machine();
+        const std::uint64_t dstBegin = dst.clock().cycles();
         st = fleet_->migrateAcross(*engine_, id, *peer);
+        dstCycles = dst.clock().cycles() - dstBegin;
     } else {
         hop = 0;
         st = engine_->migrateToGateway(*svc_, id);
@@ -178,7 +184,7 @@ Supervisor::evacuate(serve::TenantHandle& tenant, Watch& watch)
         return true;
     }
     ++stats_.evacuations;
-    stats_.evacuationLatency.add(now - begin);
+    stats_.evacuationLatency.add(now - begin + dstCycles);
     machine().trace().publishLight(trace::EventKind::SuperviseEvacuate,
                                    trace::kNoCore, 0, id, hop);
     // The evacuation resolved the wedge: the tenant now lives somewhere
@@ -186,7 +192,7 @@ Supervisor::evacuate(serve::TenantHandle& tenant, Watch& watch)
     // swept when the tenant vanishes from the registry; for a gateway
     // move reset it so the fresh placement starts clean.
     ++stats_.recoveries;
-    stats_.recoveryLatency.add(now - watch.wedgedAtCycles);
+    stats_.recoveryLatency.add(now - watch.wedgedAtCycles + dstCycles);
     watch.wedged = false;
     watch.reason = WedgeReason::None;
     watch.rung = Rung::Healthy;

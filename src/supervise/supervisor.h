@@ -94,7 +94,7 @@ struct SupervisorStats {
     std::uint64_t recoveries = 0;       ///< wedged tenants that recovered
     /** Cycles from last progress to the wedge flag. */
     serve::Histogram detectionLatency;
-    /** Cycles per committed evacuation. */
+    /** Cycles per committed evacuation, on both machines' clocks. */
     serve::Histogram evacuationLatency;
     /** Cycles from wedge flag to the first post-wedge progress. */
     serve::Histogram recoveryLatency;

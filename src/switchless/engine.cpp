@@ -3,6 +3,7 @@
 #include "fault/injector.h"
 #include "hw/types.h"
 #include "support/bytes.h"
+#include "support/wire.h"
 
 namespace nesgx::switchless {
 
@@ -478,19 +479,16 @@ SwitchlessEngine::pumpEnclaveSide(const Chain& chain,
         Hop& next = *hops[i + 1];
         auto req = hop.req.tryPop(m, hop.core);
         if (!req) return req.status();
-        if (req.value().len > kStagingBytes || req.value().len < 4) {
-            return Err::BadCallBuffer;
-        }
+        if (req.value().len > kStagingBytes) return Err::BadCallBuffer;
         // Copy through enclave-validated staging: the hop reads its own
         // staging window with its own access rights, and the payload's
-        // slot header must match the channel.
+        // slot header (its leading u32) must name the channel's slot.
         Bytes payload(req.value().len);
         Status st = m.read(hop.core, hop.stagingVa, payload.data(),
                            payload.size());
         if (!st) return st;
-        if (loadLe32(payload.data()) != ep.slot) {
-            return Err::BadCallBuffer;
-        }
+        WireReader header(payload);
+        if (header.u32() != ep.slot || !header.ok()) return Err::BadCallBuffer;
         st = m.write(hop.core, next.stagingVa, payload.data(),
                      payload.size());
         if (!st) return st;
@@ -504,15 +502,14 @@ SwitchlessEngine::pumpEnclaveSide(const Chain& chain,
     Hop& leaf = *hops.back();
     auto inReq = leaf.req.tryPop(m, leaf.core);
     if (!inReq) return inReq.status();
-    Bytes desc(16);
-    storeLe64(desc.data(), leaf.stagingVa);
-    storeLe64(desc.data() + 8, inReq.value().len);
     sdk::TrustedEnv leafEnv(urts_, *chain.back(), leaf.core);
-    auto servedLen = leafEnv.residentCall(ep.innerCall, desc);
+    auto servedLen = leafEnv.residentCall(
+        ep.innerCall,
+        WireWriter(16).u64(leaf.stagingVa).u64(inReq.value().len).take());
     if (!servedLen) return servedLen.status();
-    if (servedLen.value().size() != 8) return Err::BadCallBuffer;
-    const std::uint64_t respLen = loadLe64(servedLen.value().data());
-    if (respLen > kStagingBytes) return Err::BadCallBuffer;
+    WireReader reply(servedLen.value());
+    const std::uint64_t respLen = reply.u64();
+    if (!reply.done() || respLen > kStagingBytes) return Err::BadCallBuffer;
     leaf.lastActive = now();
 
     Status st = leaf.resp.tryPush(m, leaf.core, respLen);

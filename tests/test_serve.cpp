@@ -441,7 +441,7 @@ rebuildsPoisonedTenant(bool taggedTlb)
     EXPECT_GE(client.rebuildsSeen(), 1u);
 
     // The rebuilt tenant serves verified responses again (the client
-    // reseals from a fresh sequence after the reset).
+    // reseals after the reset; its sequence runs on).
     for (int i = 0; i < 4; ++i) {
         ASSERT_TRUE(service.submit(0, client.nextRequest()).isOk());
     }
@@ -769,7 +769,7 @@ TEST(ServeCvm, SubtreeEvictAndRebuildRoundTrip)
 
     // The recovery of last resort: rebuild the whole gateway subtree.
     // Every tenant in it loses its in-enclave state, so the clients
-    // reseal from fresh sequences.
+    // reset and reseal.
     ASSERT_TRUE(service.registry().rebuildGatewaySubtree(0).isOk());
     c0.onTenantRebuilt();
     c1.onTenantRebuilt();

@@ -11,6 +11,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 
 #include "fault/injector.h"
@@ -57,6 +58,18 @@ struct SuperviseSink : trace::TraceSink {
           case trace::EventKind::ServeWrongEpoch: ++wrongEpochs; break;
           case trace::EventKind::ServeTenantMigrate: ++migrateEvents; break;
           default: break;
+        }
+    }
+};
+
+/** The clock of each committed host move, on the machine it lands on. */
+struct MoveStampSink : trace::TraceSink {
+    std::vector<std::uint64_t> stamps;
+
+    void onEvent(const trace::TraceEvent& event) override
+    {
+        if (event.kind == trace::EventKind::ServeTenantMigrate) {
+            stamps.push_back(event.time);
         }
     }
 };
@@ -593,15 +606,28 @@ TEST(Supervisor, DegradedHostEvacuatesTenantsToTheHealthyPeer)
     serviceA.registry().setDegraded(true);
     worldA.machine.charge(1000);
     SuperviseSink sink;
+    MoveStampSink dstMoves;
     worldA.machine.trace().subscribe(&sink);
+    worldB.machine.trace().subscribe(&dstMoves);
+    const std::uint64_t dstBegin = worldB.machine.clock().cycles();
     EXPECT_GE(supervisor.tick(), 1u);
     EXPECT_GE(supervisor.tick(), 0u);  // second tick sweeps/evacuates rest
     worldA.machine.trace().unsubscribe(&sink);
+    worldB.machine.trace().unsubscribe(&dstMoves);
 
     EXPECT_EQ(supervisor.stats().evacuations, 2u);
     EXPECT_EQ(supervisor.stats().tenantRebuilds, 0u);
     EXPECT_EQ(sink.evacuations, 2u);
     EXPECT_EQ(supervisor.stats().evacuationLatency.count(), 2u);
+    // Each move ran on both machines: its sample holds at least what the
+    // destination's clock advanced for it (only the moves advance it).
+    ASSERT_EQ(dstMoves.stamps.size(), 2u);
+    std::vector<std::uint64_t> dstAdvance = {
+        dstMoves.stamps[0] - dstBegin,
+        dstMoves.stamps[1] - dstMoves.stamps[0]};
+    std::sort(dstAdvance.begin(), dstAdvance.end());
+    EXPECT_GE(supervisor.stats().evacuationLatency.min(), dstAdvance[0]);
+    EXPECT_GE(supervisor.stats().evacuationLatency.max(), dstAdvance[1]);
     EXPECT_EQ(serviceA.registry().find(1), nullptr);
     EXPECT_EQ(serviceA.registry().find(2), nullptr);
     EXPECT_EQ(fleet.hostIndexOf(1), 1u);

@@ -8,6 +8,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "attest/verifier.h"
 #include "core/compose.h"
 #include "harness.h"
@@ -285,7 +287,7 @@ TEST_P(AttestedService, OnboardsServesAndSurvivesRebuildWithSameKey)
     auto* tenant = service.registry().find(3);
     ASSERT_TRUE(service.registry().rebuildTenant(*tenant).isOk());
     EXPECT_EQ(service.sessionKeyFor(3), key);
-    client.onTenantRebuilt();  // sequence restart, same key
+    client.onTenantRebuilt();  // same key, so the sequence runs on
     ASSERT_TRUE(service.submit(3, client.nextRequest()).isOk());
     service.pump();
     for (auto& done : service.drain()) {
@@ -329,6 +331,103 @@ TEST_P(AttestedService, WrongKeyClientCannotRide)
         EXPECT_FALSE(impostor.onResponse(done.sealedResponse));
     }
     EXPECT_GT(impostor.failures(), 0u);
+}
+
+TEST_P(AttestedService, RebuildNeverReusesASequenceNumber)
+{
+    auto world = makeWorld(GetParam());
+    serve::TenantService::Config sc;
+    sc.attestOnboarding = true;
+    serve::TenantService service(*world->urts, sc);
+    ASSERT_TRUE(service.addTenant(3, Workload::Echo).isOk());
+    const Bytes key = service.sessionKeyFor(3);
+    const crypto::AesGcm gcm(key);
+    serve::TenantClient client(3, Workload::Echo, key);
+
+    // A request's sequence number is its GCM IV, and its response's: the
+    // server seals the reply under the request's sequence. The key
+    // outlives the rebuild, so no sequence may come round twice.
+    std::set<std::uint64_t> seqs;
+    auto round = [&] {
+        Bytes request = client.nextRequest();
+        auto opened = serve::openMessage(gcm, 3, serve::kDirRequest, request);
+        ASSERT_TRUE(opened.isOk());
+        EXPECT_TRUE(seqs.insert(opened.value().seq).second)
+            << "sequence " << opened.value().seq << " sealed twice";
+        ASSERT_TRUE(service.submit(3, std::move(request)).isOk());
+        service.pump();
+        for (auto& done : service.drain()) {
+            EXPECT_TRUE(client.onResponse(done.sealedResponse));
+        }
+    };
+    round();
+    round();
+    auto* tenant = service.registry().find(3);
+    ASSERT_TRUE(service.registry().rebuildTenant(*tenant).isOk());
+    ASSERT_EQ(service.sessionKeyFor(3), key);
+    client.onTenantRebuilt();
+    // The fresh instance accepts the running sequence as its first.
+    round();
+    round();
+    EXPECT_EQ(client.verified(), 4u);
+    EXPECT_EQ(client.failures(), 0u);
+}
+
+TEST_P(AttestedService, LiveTenantRefusesSessionReset)
+{
+    auto world = makeWorld(GetParam());
+    serve::TenantService::Config sc;
+    sc.attestOnboarding = true;
+    serve::TenantService service(*world->urts, sc);
+    ASSERT_TRUE(service.addTenant(3, Workload::Echo).isOk());
+    serve::TenantRegistry& registry = service.registry();
+    serve::TenantHandle* tenant = registry.find(3);
+    sdk::LoadedEnclave* inner = tenant->inner;
+
+    // A mode the provisioning call does not define is refused, not run
+    // as an attestation.
+    Bytes badMode(1 + 32 + attest::kNonceSize, 0);
+    badMode[0] = 3;
+    EXPECT_EQ(world->urts
+                  ->ecallChain(world->urts->chainTo(inner),
+                               "tenant_provision", badMode)
+                  .code(),
+              Err::BadCallBuffer);
+
+    // A session snapshot taken before the tenant served anything.
+    auto early = registry.exportInner(inner, inner->mrenclave());
+    ASSERT_TRUE(early.isOk()) << errName(early.code());
+
+    serve::TenantClient client(3, Workload::Echo, service.sessionKeyFor(3));
+    const Bytes captured = client.nextRequest();
+    auto served = [&](const Bytes& request) {
+        EXPECT_TRUE(service.submit(3, request).isOk());
+        service.pump();
+        auto done = service.drain();
+        return done.size() == 1 && done.front().ok;
+    };
+    ASSERT_TRUE(served(captured));
+
+    // The host tries to reopen the replay window: re-derive the session,
+    // attest afresh, or import the early snapshot. The live instance
+    // refuses all three.
+    EXPECT_EQ(registry.rekeyInner(inner, {}).code(), Err::GeneralProtection);
+    attest::TenantVerifier verifier(world->machine);
+    EXPECT_EQ(registry
+                  .provisionInner(inner, verifier.measurement(),
+                                  verifier.nextNonce())
+                  .code(),
+              Err::GeneralProtection);
+    EXPECT_EQ(registry.importInner(inner, inner->mrenclave(), early.value())
+                  .code(),
+              Err::GeneralProtection);
+    // Sealing the live key for later instances resets nothing.
+    EXPECT_TRUE(
+        registry.adoptSessionKey(*tenant, service.sessionKeyFor(3)).isOk());
+
+    // So the captured request is still a replay, and the session goes on.
+    EXPECT_FALSE(served(captured));
+    EXPECT_TRUE(served(client.nextRequest()));
 }
 
 INSTANTIATE_TEST_SUITE_P(TlbModes, AttestedService, ::testing::Bool(),

@@ -27,10 +27,11 @@
  * sealed response still verifies.
  *
  * The thread-scaling section measures the whole request volume for a
- * 24-tenant fleet queued up front, then the parallel worker pool
- * (WorkerPool::runParallel, one OS thread per simulated core) drains it
- * while a wall-clock timer runs — requests/sec at 1, 2 and 4 threads,
- * every response still verified.
+ * 24-tenant fleet queued up front, then the worker pool (WorkerPool::run,
+ * one worker per simulated core) drains it while a wall-clock timer runs
+ * — requests/sec at 1, 2 and 4 workers, every response still verified.
+ * All three run the same loop; worker 0 runs on the caller's thread
+ * and the others as OS threads.
  *
  * The CVM section nests the whole fleet one level deeper (Topology
  * ::Cvm): a depth-1 CVM root hosts every gateway as a depth-2 inner and
@@ -184,7 +185,7 @@ struct ScalingResult {
 
 /**
  * Thread-scaling section: queues the whole request volume for the fleet
- * up front, then wall-clock-times the parallel drain alone. Ample EPC
+ * up front, then wall-clock-times the drain alone. Ample EPC
  * and no switchless, so the measurement isolates the worker pool's
  * real-thread scaling rather than paging or ring behaviour.
  */

@@ -284,12 +284,10 @@ Fleet::placement(serve::TenantId id)
 }
 
 std::size_t
-Fleet::pumpAll(std::size_t maxBatchesPerHost)
+Fleet::pumpAll()
 {
     std::size_t total = 0;
-    for (serve::TenantService* svc : hosts_) {
-        total += svc->pump(maxBatchesPerHost);
-    }
+    for (serve::TenantService* svc : hosts_) total += svc->pump();
     return total;
 }
 

@@ -122,7 +122,7 @@ class Fleet {
     serve::TenantService::Placement placement(serve::TenantId id);
 
     /** Pumps every host's queues; returns total batches. */
-    std::size_t pumpAll(std::size_t maxBatchesPerHost = std::size_t(-1));
+    std::size_t pumpAll();
 
     /** Drains completions from every host. */
     std::vector<serve::Completion> drainAll();

@@ -20,8 +20,6 @@ AdmissionController::submit(TenantId tenant, Bytes sealed)
     }
     req.sealed = std::move(sealed);
     queue.push_back(std::move(req));
-    totalQueued_.fetch_add(1, std::memory_order_relaxed);
-    ++submitted_;
     machine_->trace().publishLight(trace::EventKind::ServeEnqueue,
                                    trace::kNoCore, 0, tenant, queue.size());
     return Status::ok();
@@ -53,7 +51,6 @@ AdmissionController::takeBatch(TenantId tenant, std::size_t max,
             out.push_back(std::move(head));
         }
         queue.pop_front();
-        totalQueued_.fetch_sub(1, std::memory_order_relaxed);
     }
     return out;
 }
@@ -67,34 +64,8 @@ AdmissionController::purge(TenantId tenant)
     if (it == queues_.end()) return out;
     out.reserve(it->second.size());
     for (Request& r : it->second) out.push_back(std::move(r));
-    totalQueued_.fetch_sub(it->second.size(), std::memory_order_relaxed);
     it->second.clear();
     return out;
-}
-
-std::optional<TenantId>
-AdmissionController::nextTenant()
-{
-    if (totalQueued() == 0) return std::nullopt;
-    std::lock_guard<std::mutex> g(m_);
-    // Start scanning just past the previously served tenant, wrapping.
-    auto start = haveLast_ ? queues_.upper_bound(lastTenant_)
-                           : queues_.begin();
-    for (auto it = start; it != queues_.end(); ++it) {
-        if (!it->second.empty()) {
-            lastTenant_ = it->first;
-            haveLast_ = true;
-            return it->first;
-        }
-    }
-    for (auto it = queues_.begin(); it != start; ++it) {
-        if (!it->second.empty()) {
-            lastTenant_ = it->first;
-            haveLast_ = true;
-            return it->first;
-        }
-    }
-    return std::nullopt;
 }
 
 std::size_t
@@ -103,6 +74,15 @@ AdmissionController::depth(TenantId tenant) const
     std::lock_guard<std::mutex> g(m_);
     auto it = queues_.find(tenant);
     return it == queues_.end() ? 0 : it->second.size();
+}
+
+std::size_t
+AdmissionController::totalQueued() const
+{
+    std::lock_guard<std::mutex> g(m_);
+    std::size_t total = 0;
+    for (const auto& [id, queue] : queues_) total += queue.size();
+    return total;
 }
 
 }  // namespace nesgx::serve

@@ -5,17 +5,16 @@
  * Submission into a full queue is refused with Err::Backpressure (the
  * client's signal to back off); queued requests that outlive their
  * deadline are shed at dequeue time — the service never spends an
- * enclave transition on a request whose client has given up. Tenants
- * are drained round-robin so one hot tenant cannot starve the rest.
+ * enclave transition on a request whose client has given up. The
+ * worker pool takes one batch per tenant per sweep, so one hot tenant
+ * cannot starve the rest.
  */
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <mutex>
-#include <optional>
 
 #include "serve/protocol.h"
 #include "sgx/machine.h"
@@ -55,37 +54,27 @@ class AdmissionController {
     std::vector<Request> takeBatch(TenantId tenant, std::size_t max,
                                    std::vector<Request>* shedOut = nullptr);
 
-    /** Round-robin pick of the next tenant with queued work. */
-    std::optional<TenantId> nextTenant();
-
     /** Removes and returns the tenant's entire queue (tenant rebuild:
      *  every queued seal targets the dead server instance). */
     std::vector<Request> purge(TenantId tenant);
 
     std::size_t depth(TenantId tenant) const;
-    std::size_t totalQueued() const
-    {
-        return totalQueued_.load(std::memory_order_relaxed);
-    }
+    /** Requests queued over every tenant. */
+    std::size_t totalQueued() const;
 
-    std::uint64_t submitted() const { return submitted_; }
     std::uint64_t rejected() const { return rejected_; }
     std::uint64_t shed() const { return shed_; }
 
   private:
     sgx::Machine* machine_;
     Config config_;
-    /** One coarse lock over the queue map and cursor: queue ops are
+    /** One coarse lock over the queue map: queue ops are
      *  microseconds next to a batched enclave dispatch, so worker
      *  threads contend here far less than they work. Leaf-level — held
      *  across nothing but the map and the trace publish. */
     mutable std::mutex m_;
     std::map<TenantId, std::deque<Request>> queues_;
-    TenantId lastTenant_ = 0;
-    bool haveLast_ = false;
-    std::atomic<std::size_t> totalQueued_{0};
     std::uint64_t nextId_ = 1;
-    Counter submitted_;
     Counter rejected_;
     Counter shed_;
 };

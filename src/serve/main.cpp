@@ -50,9 +50,11 @@
  * plus two NEENTERs down the validated ancestor chain. The default flat
  * layout is byte-identical to the historical two-level registry.
  *
- * --threads N drains the queues with N real OS worker threads, each
- * pinning one simulated core (see WorkerPool::runParallel). N=1 is the
- * historical serial pump — byte-identical traces and counters.
+ * --threads N drains the queues with N workers, worker t pinning
+ * simulated core t and owning the gateways whose index is t mod N (see
+ * WorkerPool::run). Worker 0 runs on the main thread, the others as
+ * real OS threads, so N=1 is the same loop with one worker on core 0:
+ * its traces and counters are deterministic.
  *
  * --faults arms the deterministic fault injector (src/fault) with a
  * site@trigger spec, e.g. "ewb-corrupt@n=3;eenter-fail@every=40".

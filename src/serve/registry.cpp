@@ -500,7 +500,7 @@ TenantRegistry::ensure(TenantId id, Workload workload,
     tenant->image = std::move(image);
     tenant->id = id;
     tenant->workload = workload;
-    tenant->inner = inner.value();
+    tenant->setInner(inner.value());
     tenant->gatewayIndex = gwIndex.value();
     tenant->slot = claimSlot(gateway, inner.value());
 
@@ -661,12 +661,12 @@ TenantRegistry::unloadInner(TenantHandle& tenant)
     GatewayState& state = *gateways_[tenant.gatewayIndex].state;
     sdk::LoadedEnclave* old = tenant.inner;
     state.slots[tenant.slot] = nullptr;
-    tenant.inner = nullptr;
+    tenant.setInner(nullptr);
     Status st = urts_->unload(old);
     if (!st) {
         // Destroy refused (a page still busy): restore and report; the
         // caller's retry contract takes it from there.
-        tenant.inner = old;
+        tenant.setInner(old);
         state.slots[tenant.slot] = old;
     }
     return st;
@@ -692,7 +692,7 @@ TenantRegistry::rebuildInner(TenantHandle& tenant)
             return rk;
         }
     }
-    tenant.inner = inner.value();
+    tenant.setInner(inner.value());
     gateway.state->slots[tenant.slot] = inner.value();
     ++tenant.rebuilds;
     // In-enclave state was lost: clients must re-resolve placement (new
@@ -936,7 +936,7 @@ TenantRegistry::commitRelocation(TenantHandle& tenant,
     Status st = unloadInner(tenant);
     if (!st) return st;
     releaseSlot(gateways_[tenant.gatewayIndex], tenant.slot);
-    tenant.inner = ticket.inner;
+    tenant.setInner(ticket.inner);
     tenant.gatewayIndex = ticket.gatewayIndex;
     tenant.slot = ticket.slot;
     ++tenant.migrations;
@@ -971,7 +971,7 @@ TenantHandle*
 TenantRegistry::tenantBySecs(hw::Paddr secsPage)
 {
     for (auto& [id, tenant] : tenants_) {
-        if (tenant->inner && tenant->inner->secsPage() == secsPage) {
+        if (tenant->innerSecs.load(std::memory_order_relaxed) == secsPage) {
             return tenant.get();
         }
     }

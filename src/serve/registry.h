@@ -62,8 +62,14 @@ struct TenantHandle {
      *  relocation and host move loads it again, bound to fresh trusted
      *  functions, so nothing is signed twice. */
     std::shared_ptr<const sdk::SignedEnclave> image;
-    /** Inner enclave; nullptr while a poisoned tenant awaits rebuild. */
+    /** Inner enclave; nullptr while a poisoned tenant awaits rebuild.
+     *  Changed only through setInner. */
     sdk::LoadedEnclave* inner = nullptr;
+    /** The inner's SECS page (0 while inner-less), published with
+     *  `inner`: the eviction victim lookup reads this from any worker,
+     *  never another tenant's `inner`, which its owner may be replacing
+     *  (and unloading) meanwhile. */
+    std::atomic<hw::Paddr> innerSecs{0};
     std::size_t gatewayIndex = 0;
     std::uint32_t slot = 0;  ///< slot within the gateway
     /**
@@ -119,6 +125,13 @@ struct TenantHandle {
     std::atomic<std::uint64_t> incarnation{1};
     Counter okServed;   ///< verified-ok completions (supervisor heartbeat)
     Counter wrongEpochs; ///< stale-epoch submits refused
+
+    void setInner(sdk::LoadedEnclave* enclave)
+    {
+        inner = enclave;
+        innerSecs.store(enclave ? enclave->secsPage() : 0,
+                        std::memory_order_relaxed);
+    }
 };
 
 class TenantRegistry {
@@ -297,7 +310,8 @@ class TenantRegistry {
      *  source half of a cross-host move, or an onboarding rejection). */
     Status retireTenant(TenantId id);
 
-    /** Tenant owning this inner SECS, or nullptr (victim filtering). */
+    /** Tenant owning this inner SECS, or nullptr (victim filtering).
+     *  Safe from any worker: it compares published SECS pages only. */
     TenantHandle* tenantBySecs(hw::Paddr secsPage);
 
     // --- failure-domain health markers -----------------------------------

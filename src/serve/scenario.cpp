@@ -213,12 +213,10 @@ runScenario(const Scenario& s)
     }
 
     // The watchdog ticks after every pump, so wedges are detected at
-    // batch granularity and its ladder acts between pumps. The parallel
-    // pool drains its queues completely per call, so maxBatches only
-    // bounds the serial path.
+    // batch granularity and its ladder acts between pumps. maxBatches
+    // bounds each worker.
     auto pump = [&](std::size_t maxBatches) {
-        s.threads > 1 ? service.pumpParallel(s.threads)
-                      : service.pump(maxBatches);
+        service.pool().run(s.threads, maxBatches);
         if (supervisor) supervisor->tick();
     };
     auto drain = [&]() { r.settle(service.drain(), clients); };

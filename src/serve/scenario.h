@@ -33,7 +33,7 @@ struct Scenario {
     std::uint64_t epcPages = 0;    ///< 0 = ample EPC
     std::uint64_t deadline = 0;    ///< relative cycles; 0 = no shedding
     std::size_t queueDepth = 64;
-    std::size_t threads = 1;       ///< real OS worker threads
+    std::size_t threads = 1;       ///< pool workers (WorkerPool::run)
     bool cvm = false;              ///< depth-3 CVM -> gateway -> tenant tree
     bool switchless = false;       ///< exit-less ring dispatch
     bool openLoop = false;         ///< burst arrivals instead of paced

@@ -40,13 +40,16 @@ EpcPressureManager::ensureFree(std::uint64_t pages)
     // excluded so the loop cannot spin on them.
     std::set<hw::Paddr> barren;
     while (kernel_->freeEpcPages() < pages) {
+        // The victim is the tenant the filter accepted last. Resolving
+        // its SECS page again after the pick can miss: the tenant's
+        // owner may have replaced its inner meanwhile.
+        TenantHandle* tenant = nullptr;
         auto victim = kernel_->pickEvictVictim([&](hw::Paddr secs) {
             if (barren.count(secs)) return false;
-            TenantHandle* tenant = registry_->tenantBySecs(secs);
+            tenant = registry_->tenantBySecs(secs);
             return tenant != nullptr && !tenant->busy;
         });
         if (!victim) return Err::OsError;
-        TenantHandle* tenant = registry_->tenantBySecs(victim.value());
         std::uint64_t written = registry_->evictTenant(*tenant);
         if (written == 0) {
             barren.insert(victim.value());
@@ -175,29 +178,12 @@ WorkerPool::rebuildSubtree(std::size_t gatewayIndex)
     return st;
 }
 
-bool
-WorkerPool::step()
-{
-    auto tenantId = admission_->nextTenant();
-    if (!tenantId) return false;
-    processTenant(*tenantId, std::nullopt);
-    return true;
-}
-
-hw::CoreId
-WorkerPool::pickCore()
-{
-    const hw::CoreId core = nextCore_;
-    nextCore_ = (nextCore_ + 1) % cores_;
-    return core;
-}
-
 void
-WorkerPool::processTenant(TenantId tenantId, std::optional<hw::CoreId> pinned)
+WorkerPool::processTenant(TenantHandle& tenant, hw::CoreId core)
 {
     std::vector<Request> shedRequests;
     std::vector<Request> batch =
-        admission_->takeBatch(tenantId, config_.batchSize, &shedRequests);
+        admission_->takeBatch(tenant.id, config_.batchSize, &shedRequests);
 
     // Shed requests complete typed — the client sees Err::Deadline, not
     // silence — even (especially) when every entry at the head expired
@@ -205,10 +191,7 @@ WorkerPool::processTenant(TenantId tenantId, std::optional<hw::CoreId> pinned)
     failTyped(shedRequests, Err::Deadline, false);
     if (batch.empty()) return;  // everything at the head was shed
 
-    TenantHandle* tenant = registry_->find(tenantId);
-    if (!tenant) return;  // submit() guarantees existence
-
-    serveBatch(*tenant, std::move(batch), pinned);
+    serveBatch(tenant, std::move(batch), core);
 
     // Restore the EPC watermark before the next tenant needs pages.
     pressure_->relieve();
@@ -216,7 +199,7 @@ WorkerPool::processTenant(TenantId tenantId, std::optional<hw::CoreId> pinned)
 
 void
 WorkerPool::serveBatch(TenantHandle& tenant, std::vector<Request> batch,
-                       std::optional<hw::CoreId> pinned)
+                       hw::CoreId core)
 {
     sgx::Machine& machine = registry_->urts().machine();
 
@@ -282,8 +265,6 @@ WorkerPool::serveBatch(TenantHandle& tenant, std::vector<Request> batch,
             }
             continue;
         }
-
-        const hw::CoreId core = pinned ? *pinned : pickCore();
 
         std::vector<ByteView> views;
         views.reserve(batch.size());
@@ -388,52 +369,53 @@ WorkerPool::serveBatch(TenantHandle& tenant, std::vector<Request> batch,
 }
 
 std::size_t
-WorkerPool::runParallel(std::size_t threads)
+WorkerPool::run(std::size_t threads, std::size_t maxBatches)
 {
     if (threads == 0) threads = config_.threads;
-    if (threads <= 1) {
-        // Serial fallback: the historical step() loop, same round-robin
-        // core pick, same trace stream, byte for byte.
-        std::size_t steps = 0;
-        while (step()) ++steps;
-        return steps;
-    }
-    threads = std::min<std::size_t>(threads, cores_);
+    threads = std::clamp<std::size_t>(threads, 1, cores_);
 
     // Static ownership: worker t serves every tenant whose gateway index
-    // hashes to t on simulated core t. Disjoint gateways mean disjoint
-    // staging heaps and TCSes per thread; per-tenant FIFO falls out of
-    // one tenant having exactly one server thread.
+    // is t mod threads. Disjoint gateways mean disjoint staging heaps
+    // and TCSes per worker; per-tenant FIFO falls out of one tenant
+    // having exactly one worker.
     std::vector<std::vector<TenantHandle*>> owned(threads);
     for (const auto& [id, tenant] : registry_->tenants()) {
         owned[tenant->gatewayIndex % threads].push_back(tenant.get());
     }
 
-    os::Kernel& kernel = registry_->urts().kernel();
-    const os::Pid pid = registry_->urts().pid();
+    // Worker 0 runs inline on the caller's thread, the rest as OS
+    // threads. Set-up scheduled every core onto the process, and moving
+    // between threads of one process is no context switch, so a worker
+    // just starts dispatching on its core.
     std::atomic<std::size_t> total{0};
+    auto work = [&](std::size_t t) {
+        total.fetch_add(serveOwned(owned[t], hw::CoreId(t), maxBatches),
+                        std::memory_order_relaxed);
+    };
     std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) {
-        workers.emplace_back([this, &owned, &kernel, &total, pid, t] {
-            const hw::CoreId core = hw::CoreId(t);
-            kernel.schedule(core, pid);
-            std::size_t steps = 0;
-            bool progress = true;
-            while (progress) {
-                progress = false;
-                for (TenantHandle* tenant : owned[t]) {
-                    if (admission_->depth(tenant->id) == 0) continue;
-                    processTenant(tenant->id, core);
-                    ++steps;
-                    progress = true;
-                }
-            }
-            total.fetch_add(steps, std::memory_order_relaxed);
-        });
-    }
+    for (std::size_t t = 1; t < threads; ++t) workers.emplace_back(work, t);
+    work(0);
     for (std::thread& w : workers) w.join();
     return total.load(std::memory_order_relaxed);
+}
+
+std::size_t
+WorkerPool::serveOwned(const std::vector<TenantHandle*>& owned,
+                       hw::CoreId core, std::size_t maxBatches)
+{
+    std::size_t batches = 0;
+    bool progress = true;
+    while (progress) {
+        progress = false;
+        for (TenantHandle* tenant : owned) {
+            if (batches == maxBatches) return batches;
+            if (admission_->depth(tenant->id) == 0) continue;
+            processTenant(*tenant, core);
+            ++batches;
+            progress = true;
+        }
+    }
+    return batches;
 }
 
 std::vector<Completion>
@@ -569,14 +551,6 @@ TenantService::submitStamped(TenantId tenant, Bytes stamped)
     }
 #endif
     return admission_.submit(tenant, std::move(sealed));
-}
-
-std::size_t
-TenantService::pump(std::size_t maxBatches)
-{
-    std::size_t steps = 0;
-    while (steps < maxBatches && pool_.step()) ++steps;
-    return steps;
 }
 
 }  // namespace nesgx::serve

@@ -10,10 +10,10 @@
  * victim's next request, so tenants far beyond EPC capacity stay
  * correct — they just pay cold-start reload latency.
  *
- * WorkerPool drains the admission queues batch-at-a-time across the
- * machine's cores: one batch = one EENTER + one NEENTER no matter how
- * many requests it carries, which is the transition amortization
- * bench_serve measures.
+ * WorkerPool drains the admission queues batch-at-a-time with one or
+ * more workers, each pinned to its own simulated core: one batch = one
+ * EENTER + one NEENTER no matter how many requests it carries, which
+ * is the transition amortization bench_serve measures.
  *
  * The pool is also where the stack self-heals (DESIGN.md §11): every
  * dispatch failure is classified — *poisoned* errors (paging
@@ -100,29 +100,28 @@ class WorkerPool {
         std::uint32_t breakerThreshold = 4;
         /** Cooldown before an open breaker admits a half-open probe. */
         std::uint64_t breakerCooldownCycles = 200000;
-        /** OS worker threads for runParallel (1 = the serial step()
-         *  loop, byte-identical to the historical single-thread path). */
+        /** Workers run(0) starts. */
         std::size_t threads = 1;
     };
 
     WorkerPool(TenantRegistry& registry, AdmissionController& admission,
                EpcPressureManager& pressure, Config config);
 
-    /** Serves one tenant batch (round-robin); false when queues are
-     *  empty. Shedding counts as progress. */
-    bool step();
-
     /**
-     * Drains the queues with `threads` real OS worker threads (0 = the
-     * configured default). Thread t pins simulated core t and owns every
-     * tenant whose gateway index hashes to it, so one gateway's staging
-     * heap and TCSes are only ever driven by one thread and a tenant's
-     * batches keep their seal-sequence order. threads <= 1 falls back to
-     * the serial step() loop — byte-identical traces. Returns batches
-     * (steps) processed. All tenants must exist before this is called,
-     * and trace sinks attach or detach only while it is not running.
+     * Drains the queues with `threads` workers (0 = the configured
+     * default), each serving at most `maxBatches` batches. Worker t pins
+     * simulated core t and owns every tenant whose gateway index is t
+     * mod `threads`, so one gateway's staging heap and TCSes are only
+     * ever driven by one worker and a tenant's batches keep their
+     * seal-sequence order. A worker sweeps its tenants in id order,
+     * one batch per tenant with queued work (shedding counts), until a
+     * sweep finds nothing. Worker 0 runs inline on the caller's thread,
+     * the rest as OS threads. Returns batches served. All tenants must
+     * exist before this is called, and trace sinks attach or detach
+     * only while it is not running.
      */
-    std::size_t runParallel(std::size_t threads = 0);
+    std::size_t run(std::size_t threads,
+                    std::size_t maxBatches = std::size_t(-1));
 
     /** Completed requests since the last drain. */
     std::vector<Completion> drain();
@@ -171,27 +170,26 @@ class WorkerPool {
     void quiesceSubtree(std::size_t gatewayIndex,
                         const TenantHandle* skip = nullptr);
 
-    /** Takes + serves one batch for `tenantId`: shed completions, the
-     *  breaker gate, the retry loop, completion delivery, then pressure
-     *  relief. `pinned` fixes the dispatch core (parallel workers);
-     *  without it the historical round-robin picks per attempt. */
-    void processTenant(TenantId tenantId, std::optional<hw::CoreId> pinned);
+    /** One worker's loop over the tenants it owns, on `core`. */
+    std::size_t serveOwned(const std::vector<TenantHandle*>& owned,
+                           hw::CoreId core, std::size_t maxBatches);
+
+    /** Takes + serves one batch for `tenant` on `core`: shed
+     *  completions, the breaker gate, the retry loop, completion
+     *  delivery, then pressure relief. */
+    void processTenant(TenantHandle& tenant, hw::CoreId core);
 
     /** The locked middle of processTenant: everything from the breaker
      *  gate through breaker bookkeeping, under the tenant's own lock
      *  (the breaker is the tenant's, TenantHandle::breaker). */
     void serveBatch(TenantHandle& tenant, std::vector<Request> batch,
-                    std::optional<hw::CoreId> pinned);
-
-    /** Serial-mode round-robin core pick (single-thread only). */
-    hw::CoreId pickCore();
+                    hw::CoreId core);
 
     TenantRegistry* registry_;
     AdmissionController* admission_;
     EpcPressureManager* pressure_;
     Config config_;
-    std::uint32_t cores_;  ///< dispatch cores [0, cores_)
-    hw::CoreId nextCore_ = 0;
+    std::uint32_t cores_;  ///< worker cores [0, cores_)
     /** Completions are pushed by every worker and swapped out by drain. */
     mutable std::mutex completionsM_;
     std::vector<Completion> completions_;
@@ -287,14 +285,18 @@ class TenantService {
      */
     Status submitStamped(TenantId tenant, Bytes stamped);
 
-    /** Runs worker steps until the queues drain (or maxBatches). */
-    std::size_t pump(std::size_t maxBatches = std::size_t(-1));
+    /** Drains the queues with one worker on core 0 (or serves
+     *  maxBatches), see WorkerPool::run. */
+    std::size_t pump(std::size_t maxBatches = std::size_t(-1))
+    {
+        return pool_.run(1, maxBatches);
+    }
 
-    /** Drains the queues with real OS worker threads (see
-     *  WorkerPool::runParallel); threads <= 1 is the serial pump. */
+    /** Drains the queues with `threads` workers (WorkerPool::run);
+     *  pumpParallel(1) is pump(). */
     std::size_t pumpParallel(std::size_t threads)
     {
-        return pool_.runParallel(threads);
+        return pool_.run(threads);
     }
 
     std::vector<Completion> drain() { return pool_.drain(); }

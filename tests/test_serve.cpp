@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "fault/injector.h"
@@ -20,13 +21,14 @@ namespace {
 using serve::TenantId;
 using serve::Workload;
 
-/** Collects the cores ServeBatchEnd events land on (scheduling proof). */
+/** Collects, per tenant, the cores its ServeBatchBegin events land on
+ *  (scheduling proof). */
 struct BatchCoreSink : trace::TraceSink {
-    std::set<hw::CoreId> cores;
+    std::map<TenantId, std::set<hw::CoreId>> cores;
     void onEvent(const trace::TraceEvent& event) override
     {
-        if (event.kind == trace::EventKind::ServeBatchEnd) {
-            cores.insert(event.core);
+        if (event.kind == trace::EventKind::ServeBatchBegin) {
+            cores[TenantId(event.arg0)].insert(event.core);
         }
     }
 };
@@ -188,8 +190,11 @@ TEST(ServeAdmission, DeadlineShedsStaleRequestsAtDequeue)
     EXPECT_EQ(service.admission().totalQueued(), 0u);
 }
 
-/** Interleaved submissions from 4 tenants; batches must round-robin
- *  tenants and spread dispatches over multiple cores. */
+/** Interleaved submissions from 4 tenants, served under the owner
+ *  rule: pump() runs one worker, so every batch lands on core 0;
+ *  pumpParallel(2) serves each tenant on core gatewayIndex % 2, which
+ *  with three tenants per gateway puts tenants 0-2 on core 0 and
+ *  tenant 3 on core 1. */
 void
 interleavedTenantsAcrossCores(bool taggedTlb)
 {
@@ -207,38 +212,55 @@ interleavedTenantsAcrossCores(bool taggedTlb)
         ASSERT_TRUE(service.addTenant(t, mix[t]).isOk());
         clients.push_back(std::make_unique<serve::TenantClient>(t, mix[t]));
     }
+    ASSERT_EQ(service.registry().gatewayCount(), 2u);
 
-    BatchCoreSink cores;
-    world.machine.trace().subscribe(&cores);
-    std::uint64_t verified = 0;
-    for (int round = 0; round < 6; ++round) {
-        for (TenantId t = 0; t < 4; ++t) {
-            ASSERT_TRUE(
-                service.submit(t, clients[t]->nextRequest()).isOk());
-        }
-        if (round % 2 == 1) {
-            service.pump();
+    // Six interleaved rounds, pumped every second round and at the end;
+    // returns the verified responses and the cores each tenant ran on.
+    // threads == 0 drives pump().
+    auto serveRounds = [&](std::size_t threads, BatchCoreSink& cores) {
+        std::uint64_t verified = 0;
+        auto pumpAndSettle = [&] {
+            threads == 0 ? service.pump() : service.pumpParallel(threads);
             for (serve::Completion& done : service.drain()) {
                 if (clients[done.tenant]->onResponse(done.sealedResponse)) {
                     ++verified;
                 }
             }
+        };
+        world.machine.trace().subscribe(&cores);
+        for (int round = 0; round < 6; ++round) {
+            for (TenantId t = 0; t < 4; ++t) {
+                EXPECT_TRUE(
+                    service.submit(t, clients[t]->nextRequest()).isOk());
+            }
+            if (round % 2 == 1) pumpAndSettle();
         }
-    }
-    service.pump();
-    for (serve::Completion& done : service.drain()) {
-        if (clients[done.tenant]->onResponse(done.sealedResponse)) {
-            ++verified;
-        }
-    }
-    world.machine.trace().unsubscribe(&cores);
+        pumpAndSettle();
+        world.machine.trace().unsubscribe(&cores);
+        return verified;
+    };
 
-    EXPECT_EQ(verified, 24u);
+    BatchCoreSink serial;
+    EXPECT_EQ(serveRounds(0, serial), 24u);
+    ASSERT_EQ(serial.cores.size(), 4u);
+    for (const auto& [tenant, cores] : serial.cores) {
+        EXPECT_EQ(cores, std::set<hw::CoreId>{0}) << "tenant " << tenant;
+    }
+
+    BatchCoreSink parallel;
+    EXPECT_EQ(serveRounds(2, parallel), 24u);
+    ASSERT_EQ(parallel.cores.size(), 4u);
+    std::set<hw::CoreId> used;
+    for (const auto& [tenant, cores] : parallel.cores) {
+        const hw::CoreId owner =
+            hw::CoreId(service.registry().find(tenant)->gatewayIndex % 2);
+        EXPECT_EQ(cores, std::set<hw::CoreId>{owner}) << "tenant " << tenant;
+        used.insert(cores.begin(), cores.end());
+    }
+    EXPECT_EQ(used, (std::set<hw::CoreId>{0, 1}));
     for (const auto& client : clients) {
         EXPECT_EQ(client->failures(), 0u);
     }
-    EXPECT_GE(cores.cores.size(), 2u)
-        << "batches all landed on one core";
 }
 
 TEST(ServeWorkerPool, InterleavedTenantsAcrossCoresFlushedTlb)
@@ -249,6 +271,115 @@ TEST(ServeWorkerPool, InterleavedTenantsAcrossCoresFlushedTlb)
 TEST(ServeWorkerPool, InterleavedTenantsAcrossCoresTaggedTlb)
 {
     interleavedTenantsAcrossCores(true);
+}
+
+/** Six tenants over two gateways, three requests queued for each: at
+ *  batch size 2 that is two batches per tenant, twelve in all. */
+struct QueuedFleet {
+    World world;
+    serve::TenantService service;
+    std::vector<std::unique_ptr<serve::TenantClient>> clients;
+
+    QueuedFleet() : service(*world.urts, fleetConfig())
+    {
+        const Workload mix[] = {Workload::Echo, Workload::Sql,
+                                Workload::Svm};
+        for (TenantId t = 0; t < 6; ++t) {
+            EXPECT_TRUE(service.addTenant(t, mix[t % 3]).isOk()) << t;
+            clients.push_back(
+                std::make_unique<serve::TenantClient>(t, mix[t % 3]));
+        }
+        for (int i = 0; i < 3; ++i) {
+            for (TenantId t = 0; t < 6; ++t) {
+                EXPECT_TRUE(
+                    service.submit(t, clients[t]->nextRequest()).isOk());
+            }
+        }
+    }
+
+    static serve::TenantService::Config fleetConfig()
+    {
+        auto sc = smallServiceConfig();
+        sc.pool.batchSize = 2;
+        return sc;
+    }
+
+    /** Drains completions, counting the ones the clients verify. */
+    std::vector<serve::Completion> settle(std::uint64_t* verified)
+    {
+        std::vector<serve::Completion> done = service.drain();
+        for (const serve::Completion& c : done) {
+            if (clients[c.tenant]->onResponse(c.sealedResponse)) {
+                ++*verified;
+            }
+        }
+        return done;
+    }
+};
+
+TEST(ServeWorkerPool, PumpIsPumpParallelWithOneWorker)
+{
+    // One scheduler: pump() and pumpParallel(1) run the same one-worker
+    // loop, so identical fleets deliver the same completions in the
+    // same order, fold the same counters and end on the same cycle.
+    QueuedFleet serial;
+    QueuedFleet parallel;
+    EXPECT_EQ(serial.service.pump(), 12u);
+    EXPECT_EQ(parallel.service.pumpParallel(1), 12u);
+
+    std::uint64_t verified[2] = {0, 0};
+    const auto a = serial.settle(&verified[0]);
+    const auto b = parallel.settle(&verified[1]);
+    EXPECT_EQ(verified[0], 18u);
+    EXPECT_EQ(verified[1], 18u);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].id, b[i].id) << i;
+        EXPECT_EQ(a[i].tenant, b[i].tenant) << i;
+        EXPECT_EQ(a[i].latencyCycles, b[i].latencyCycles) << i;
+        EXPECT_EQ(a[i].sealedResponse, b[i].sealedResponse) << i;
+    }
+
+    auto figures = [](const trace::StatsCounters& c) {
+        return std::vector<std::uint64_t>{
+            c.tlbMisses,    c.tlbHits,      c.nestedChecks,
+            c.eenterCount,  c.eexitCount,   c.neenterCount,
+            c.neexitCount,  c.meeLines,     c.llcHitLines,
+            c.tlbFlushes,   c.flushesAvoided, c.closureCacheHits,
+            c.serveBatches, c.serveBatchedRequests};
+    };
+    EXPECT_EQ(figures(serial.world.machine.trace().counters()),
+              figures(parallel.world.machine.trace().counters()));
+    EXPECT_EQ(serial.world.machine.clock().cycles(),
+              parallel.world.machine.clock().cycles());
+}
+
+TEST(ServeWorkerPool, PumpServesAtMostMaxBatches)
+{
+    // pump(n) stops after n batches with work still queued; the open-
+    // loop scenario's backpressure path relies on it to pace a burst.
+    QueuedFleet fleet;
+    const auto& counters = fleet.world.machine.trace().counters();
+    const std::uint64_t base = counters.serveBatches;
+    std::uint64_t verified = 0;
+
+    EXPECT_EQ(fleet.service.pump(0), 0u);
+    EXPECT_EQ(fleet.service.pump(5), 5u);
+    EXPECT_EQ(counters.serveBatches - base, 5u);
+    // The sweep's first five tenants, one batch of two each.
+    const auto first = fleet.settle(&verified);
+    ASSERT_EQ(first.size(), 10u);
+    for (std::size_t i = 0; i < first.size(); ++i) {
+        EXPECT_EQ(first[i].tenant, TenantId(i / 2)) << i;
+    }
+    EXPECT_EQ(fleet.service.admission().totalQueued(), 8u);
+
+    // Seven batches remain; a larger budget serves exactly those.
+    EXPECT_EQ(fleet.service.pump(100), 7u);
+    EXPECT_EQ(counters.serveBatches - base, 12u);
+    fleet.settle(&verified);
+    EXPECT_EQ(verified, 18u);
+    EXPECT_EQ(fleet.service.admission().totalQueued(), 0u);
 }
 
 TEST(ServePressure, EvictionSkipsTenantWithPendingNeenter)

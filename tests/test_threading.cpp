@@ -2,13 +2,15 @@
  * Real-thread parallelism tests: serial runs stay byte-identical
  * (determinism golden), a 4-thread drain under EPC pressure verifies
  * every response, four workers publishing to an attached sink deliver
- * every event exactly once with per-core time order intact, and
- * parallel workers drive armed switchless rings down a CVM tree end to
- * end.
+ * every event exactly once with per-core time order intact, parallel
+ * workers drive armed switchless rings down a CVM tree end to end, and
+ * the eviction victim lookup runs alongside another tenant's rebuild.
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "harness.h"
@@ -292,6 +294,47 @@ TEST(ThreadingSwitchless, ParallelWorkersDriveArmedCvmRings)
     EXPECT_EQ(service.switchlessEngine()->engineStats().calls.load(),
               2 * kTenants);
     EXPECT_EQ(counters.eenterCount + counters.neenterCount, transitionsBase);
+}
+
+TEST(ThreadingRegistry, VictimLookupRunsAlongsideAnotherTenantsRebuild)
+{
+    // The EPC pressure manager on one worker resolves victim SECS pages
+    // to tenants while another worker rebuilds its own tenant, replacing
+    // and unloading that tenant's inner under only that tenant's lock.
+    // The lookup must read what the owner publishes, never the inner it
+    // is swapping out (ThreadSanitizer referees this).
+    World world;
+    serve::TenantService service(*world.urts, smallServiceConfig());
+    ASSERT_TRUE(service.addTenant(0, Workload::Echo).isOk());
+    ASSERT_TRUE(service.addTenant(1, Workload::Echo).isOk());
+    serve::TenantHandle* rebuilt = service.registry().find(0);
+    serve::TenantHandle* looked = service.registry().find(1);
+    const hw::Paddr lookedSecs = looked->inner->secsPage();
+
+    std::atomic<bool> done{false};
+    std::uint64_t lookups = 0;
+    std::uint64_t mismatches = 0;
+    std::thread lookup([&] {
+        // The map visits tenant 0 before tenant 1, so every lookup reads
+        // the tenant under rebuild.
+        do {
+            if (service.registry().tenantBySecs(lookedSecs) != looked) {
+                ++mismatches;
+            }
+            ++lookups;
+        } while (!done.load());
+    });
+    for (int i = 0; i < 20; ++i) {
+        EXPECT_TRUE(service.pool().rebuildTenant(*rebuilt).isOk()) << i;
+    }
+    done.store(true);
+    lookup.join();
+
+    EXPECT_GT(lookups, 0u);
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_EQ(service.registry().tenantBySecs(rebuilt->inner->secsPage()),
+              rebuilt);
+    EXPECT_EQ(service.registry().tenantBySecs(lookedSecs), looked);
 }
 
 }  // namespace

@@ -797,7 +797,7 @@ main(int argc, char** argv)
                     ++submitted;
                     return true;
                 }
-                c.onDropped();  // that seal never reached a server
+                c.onRefused();  // that seal never reached a server
                 if (st.code() != Err::WrongEpoch) return false;
                 ++redirects;
                 const std::uint64_t backoff = c.onWrongEpoch();

@@ -357,6 +357,18 @@ InvariantOracle::checkEpcAccounting(const sgx::Machine& machine,
                                  " neither free nor EPCM-valid (leaked)"};
         }
     }
+    // EREMOVE trusts each SECS's own page count; the EPCM scan it
+    // replaced is the cross-check.
+    for (const auto& [secsPa, secs] : machine.secsTable()) {
+        const std::uint64_t owned = machine.epcm().countOwnedBy(secsPa);
+        if (secs.epcPages != owned) {
+            return Violation{Rule::EpcAccounting,
+                             "SECS " + hex(secsPa) + " counts " +
+                                 std::to_string(secs.epcPages) +
+                                 " EPC pages but the EPCM gives it " +
+                                 std::to_string(owned)};
+        }
+    }
     return std::nullopt;
 }
 

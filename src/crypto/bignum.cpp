@@ -471,24 +471,34 @@ BigUint::powMod(const BigUint& e, const BigUint& m) const
     std::vector<Word> one(k, 0);
     one[0] = 1;
 
-    // Fixed 4-bit windows, most significant first; table[i] = base^i * R.
-    std::vector<Word> table(16 * k);
+    // Fixed 4-bit windows, most significant first; table[i] = base^i * R,
+    // built only up to the largest digit the exponent has (65537's
+    // digits are 1, 0, 0, 0, 1; a full-width exponent uses all 16).
+    const std::size_t windows = (e.bitLength() + 3) / 4;
+    auto digit = [&e](std::size_t w) {
+        std::size_t idx = 0;
+        for (int i = 3; i >= 0; --i) {
+            idx = (idx << 1) | (e.bit(w * 4 + std::size_t(i)) ? 1 : 0);
+        }
+        return idx;
+    };
+    std::size_t maxDigit = 0;
+    for (std::size_t w = 0; w < windows && maxDigit < 15; ++w) {
+        maxDigit = std::max(maxDigit, digit(w));
+    }
+    std::vector<Word> table((maxDigit + 1) * k);
     mont.mul(r2.data(), one.data(), table.data());
-    for (std::size_t i = 1; i < 16; ++i) {
+    for (std::size_t i = 1; i <= maxDigit; ++i) {
         mont.mul(&table[(i - 1) * k], base.data(), &table[i * k]);
     }
     std::vector<Word> acc(table.begin(), table.begin() + std::ptrdiff_t(k));
-    const std::size_t windows = (e.bitLength() + 3) / 4;
     for (std::size_t w = windows; w-- > 0;) {
         if (w != windows - 1) {
             for (int i = 0; i < 4; ++i) {
                 mont.mul(acc.data(), acc.data(), acc.data());
             }
         }
-        std::size_t idx = 0;
-        for (int i = 3; i >= 0; --i) {
-            idx = (idx << 1) | (e.bit(w * 4 + std::size_t(i)) ? 1 : 0);
-        }
+        const std::size_t idx = digit(w);
         if (idx) mont.mul(acc.data(), &table[idx * k], acc.data());
     }
     mont.mul(acc.data(), one.data(), acc.data());  // leave the domain

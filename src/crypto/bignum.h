@@ -71,8 +71,10 @@ class BigUint {
     /**
      * this^e mod m for an odd m (throws invalid_argument on an even or zero
      * one): 4-bit fixed windows over Montgomery (CIOS) products of 64-bit
-     * words, allocation-free once the window table is built. Not
-     * constant-time.
+     * words, allocation-free once the window table is built. The table
+     * holds base^0..base^d for the exponent's largest 4-bit digit d, so a
+     * public exponent of 65537 (digits 1, 0, 0, 0, 1) builds two entries
+     * and a full-width private one all 16. Not constant-time.
      */
     BigUint powMod(const BigUint& e, const BigUint& m) const;
     /** Modular inverse; m must be coprime with *this. */

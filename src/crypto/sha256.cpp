@@ -168,6 +168,23 @@ Sha256::hash(ByteView data)
     return ctx.finish();
 }
 
+bool
+Sha256::sameState(const Sha256& other) const
+{
+    // The length fixes bufferLen_, so only the buffered bytes remain.
+    return totalLen_ == other.totalLen_ &&
+           std::memcmp(state_, other.state_, sizeof(state_)) == 0 &&
+           std::memcmp(buffer_, other.buffer_, bufferLen_) == 0;
+}
+
+std::uint64_t
+Sha256::stateHash() const
+{
+    std::uint64_t h = totalLen_;
+    for (std::uint32_t word : state_) h = (h ^ word) * 0x100000001b3ull;
+    return h;
+}
+
 void
 Sha256::processBlock(const std::uint8_t* block)
 {

@@ -37,6 +37,17 @@ class Sha256 {
     /** One-shot convenience. */
     static Sha256Digest hash(ByteView data);
 
+    /**
+     * True when both contexts have absorbed the same message so far:
+     * equal chaining words, length and buffered bytes. The kernel is not
+     * part of the state; every kernel computes the same digest.
+     */
+    bool sameState(const Sha256& other) const;
+
+    /** Cheap, non-cryptographic hash of the absorbed state for bucketing
+     *  contexts: contexts for which sameState holds hash equal. */
+    std::uint64_t stateHash() const;
+
   private:
     /** Compresses `count` whole 64-byte blocks on the context's kernel. */
     void compress(const std::uint8_t* blocks, std::size_t count);

@@ -76,12 +76,7 @@ measureLayout(const std::vector<ImagePage>& pages, std::uint64_t sizeBytes)
     for (const auto& page : pages) {
         log.recordAdd(page.offset, page.type, page.perms);
         const Bytes& content = page.content.empty() ? zeroPage : page.content;
-        for (std::uint64_t off = 0; off < hw::kPageSize;
-             off += sgx::kMeasureChunk) {
-            log.recordExtend(page.offset + off,
-                             ByteView(content.data() + off,
-                                      sgx::kMeasureChunk));
-        }
+        log.extendPage(page.offset, content.data());
     }
     return log.finalize();
 }

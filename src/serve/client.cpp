@@ -72,9 +72,18 @@ TenantClient::nextRequest()
 {
     const std::uint64_t seq = ++sendSeq_;
     Bytes expectedResponse;
-    Bytes plain = makePlaintext(seq, expectedResponse);
+    Bytes plain;
+    if (refused_) {
+        plain = std::move(refused_->plain);
+        expectedResponse = std::move(refused_->expected);
+        refused_.reset();
+    } else {
+        plain = makePlaintext(seq, expectedResponse);
+    }
     expected_[seq] = std::move(expectedResponse);
-    return sealMessage(gcm_, tenant_, kDirRequest, seq, plain);
+    Bytes sealed = sealMessage(gcm_, tenant_, kDirRequest, seq, plain);
+    lastPlain_ = std::move(plain);
+    return sealed;
 }
 
 Bytes
@@ -134,8 +143,19 @@ TenantClient::onDropped()
 }
 
 void
+TenantClient::onRefused()
+{
+    auto it = expected_.find(sendSeq_);
+    if (it == expected_.end()) return;
+    refused_ = Refused{std::move(lastPlain_), std::move(it->second)};
+    expected_.erase(it);
+}
+
+void
 TenantClient::onTenantRebuilt()
 {
+    // A refused sql statement ran on the shadow that restarts here.
+    refused_.reset();
     expected_.clear();
     shadowDb_ = db::Database{};
     sqlStep_ = 0;

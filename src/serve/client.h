@@ -12,6 +12,7 @@
 #pragma once
 
 #include <map>
+#include <optional>
 
 #include "db/executor.h"
 #include "serve/protocol.h"
@@ -31,7 +32,8 @@ class TenantClient {
     Workload workload() const { return workload_; }
 
     /** Builds and seals the next request (seq advances every call, even
-     *  if the service later sheds it). */
+     *  if the service later sheds it). After onRefused it seals the
+     *  refused request's plaintext again instead of a new one. */
     Bytes nextRequest();
 
     // --- epoch fencing (placement-aware clients) ---------------------
@@ -61,9 +63,18 @@ class TenantClient {
      *  those separately with `onDropped`. */
     bool onResponse(ByteView sealedResponse);
 
-    /** Records that a request was shed/rejected (drops its pending
-     *  expectation so bookkeeping stays bounded). */
+    /** Records that an accepted request completed without a response
+     *  (shed or failed typed): drops the oldest pending expectation so
+     *  bookkeeping stays bounded. */
     void onDropped();
+
+    /** The service refused the submit of the request nextRequest() just
+     *  sealed, so no server saw it. Its expectation leaves the pending
+     *  set, and the next nextRequest() seals the same plaintext with the
+     *  same expectation under the next sequence number: an sql shadow
+     *  that already ran the statement stays in step, and no (key, IV)
+     *  pair repeats. */
+    void onRefused();
 
     /** The server rebuilt this tenant's enclave from scratch: resets the
      *  client to mirror it — outstanding expectations can never verify,
@@ -87,6 +98,14 @@ class TenantClient {
     std::uint64_t sendSeq_ = 0;
     /** seq -> expected response plaintext, FIFO-dropped via onDropped. */
     std::map<std::uint64_t, Bytes> expected_;
+    /** Plaintext of the newest sealed request, kept for onRefused. */
+    Bytes lastPlain_;
+    /** A refused request, waiting for nextRequest() to seal it again. */
+    struct Refused {
+        Bytes plain;
+        Bytes expected;
+    };
+    std::optional<Refused> refused_;
     db::Database shadowDb_;
     std::uint64_t sqlStep_ = 0;
     std::uint64_t verified_ = 0;

@@ -756,26 +756,41 @@ TenantRegistry::evictSubtree(std::size_t gatewayIndex)
     return written + writeOut(gateways_[gatewayIndex].outer);
 }
 
+std::optional<TenantRegistry::SubtreeLocks>
+TenantRegistry::trySiblingLocks(const TenantHandle& held)
+{
+    SubtreeLocks owned;
+    for (auto& [id, tenant] : tenants_) {
+        if (tenant->gatewayIndex != held.gatewayIndex ||
+            tenant.get() == &held) {
+            continue;
+        }
+        owned.emplace_back(tenant->m, std::try_to_lock);
+        if (!owned.back().owns_lock()) return std::nullopt;
+    }
+    return owned;
+}
+
 Status
 TenantRegistry::rebuildGatewaySubtree(std::size_t gatewayIndex,
-                                      TenantHandle* alreadyLocked)
+                                      bool membersLocked)
 {
     if (gatewayIndex >= gateways_.size()) return Err::NotFound;
     Gateway& gateway = gateways_[gatewayIndex];
 
     // Own every tenant of the subtree for the whole teardown/rebuild so
     // the pressure manager (which try_locks from evictTenant) can never
-    // page a half-dead enclave. The caller's own tenant is already held.
+    // page a half-dead enclave.
     std::vector<TenantHandle*> members;
     for (auto& [id, tenant] : tenants_) {
         if (tenant->gatewayIndex == gatewayIndex) {
             members.push_back(tenant.get());
         }
     }
-    std::vector<std::unique_lock<std::mutex>> owned;
-    owned.reserve(members.size());
-    for (TenantHandle* tenant : members) {
-        if (tenant != alreadyLocked) owned.emplace_back(tenant->m);
+    SubtreeLocks owned;
+    if (!membersLocked) {
+        owned.reserve(members.size());
+        for (TenantHandle* tenant : members) owned.emplace_back(tenant->m);
     }
     // After the tenant mutexes (lock order: tenant before gateway):
     // the gateway layer must not be torn down while a sibling's

@@ -232,14 +232,26 @@ class TenantRegistry {
      * the casualty — every tenant of the subtree loses its in-enclave
      * state exactly as rebuildTenant would lose one.
      *
-     * `alreadyLocked` names a tenant whose `m` the caller holds (the
-     * worker mid-batch); every other tenant of the subtree is locked
-     * here so the pressure manager cannot evict a half-dead enclave.
-     * On partial failure affected tenants are left inner-less and are
-     * retried lazily, same contract as rebuildTenant.
+     * Every tenant of the subtree is locked here, in id order, so the
+     * pressure manager cannot evict a half-dead enclave; with
+     * `membersLocked` the caller already holds them all (the escalating
+     * worker, through trySiblingLocks). On partial failure affected
+     * tenants are left inner-less and are retried lazily, same contract
+     * as rebuildTenant.
      */
     Status rebuildGatewaySubtree(std::size_t gatewayIndex,
-                                 TenantHandle* alreadyLocked = nullptr);
+                                 bool membersLocked = false);
+
+    /** The `m` locks of some tenants, released on destruction. */
+    using SubtreeLocks = std::vector<std::unique_lock<std::mutex>>;
+
+    /**
+     * Tries the lock of every other tenant on `held`'s gateway, for a
+     * caller that holds `held.m`. Blocking there could invert the id
+     * order in which a supervisor's subtree rung locks them, so one
+     * held sibling releases what was taken and returns nothing.
+     */
+    std::optional<SubtreeLocks> trySiblingLocks(const TenantHandle& held);
 
     // --- trust path / migration (registry side) --------------------------
 

@@ -231,7 +231,7 @@ runScenario(const Scenario& s)
         Status st = service.submit(t, clients[t]->nextRequest());
         if (st.code() == Err::Backpressure) {
             ++r.backpressured;
-            clients[t]->onDropped();
+            clients[t]->onRefused();
             pump(4);  // let the pool catch up, then move on
             drain();
             continue;
@@ -268,7 +268,7 @@ runScenario(const Scenario& s)
                 const std::uint64_t was = clients[t]->verified();
                 Status st =
                     service.submit(TenantId(t), clients[t]->nextRequest());
-                if (!st) clients[t]->onDropped();
+                if (!st) clients[t]->onRefused();
                 pump(std::size_t(-1));
                 drain();
                 if (clients[t]->verified() > was) {

@@ -140,9 +140,15 @@ WorkerPool::rebuildTenantNow(TenantHandle& tenant)
         // Cvm escalation: the tenant refused to come back on its own —
         // the gateway layer itself may be the casualty, so rebuild the
         // whole subtree, quiescing the siblings exactly like the
-        // caller's own tenant first.
-        quiesceSubtree(tenant.gatewayIndex, &tenant);
-        st = registry_->rebuildGatewaySubtree(tenant.gatewayIndex, &tenant);
+        // caller's own tenant first. The caller holds this tenant's
+        // lock, so the siblings' are only tried; a held one fails the
+        // rung typed before anything is quiesced or torn down.
+        if (auto siblings = registry_->trySiblingLocks(tenant)) {
+            quiesceSubtree(tenant.gatewayIndex, &tenant);
+            st = registry_->rebuildGatewaySubtree(tenant.gatewayIndex, true);
+        } else {
+            st = Err::Unavailable;
+        }
         ++subtreeRebuilds_;
         machine.trace().publishLight(trace::EventKind::ServeTenantRebuild,
                                      trace::kNoCore, 0, tenant.id,

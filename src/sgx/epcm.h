@@ -44,7 +44,9 @@ class Epcm {
 
     std::uint64_t pageCount() const { return entries_.size(); }
 
-    /** Number of valid entries owned by the given SECS. */
+    /** Number of valid entries owned by the given SECS, by a full scan.
+     *  Leaves read `Secs::epcPages` instead; the checker's oracle
+     *  cross-checks the two. */
     std::uint64_t countOwnedBy(hw::Paddr secsPa) const;
 
     /**

@@ -140,6 +140,11 @@ class Machine {
     const std::map<hw::Paddr, Secs>& secsTable() const { return secsTable_; }
     const std::map<hw::Paddr, Tcs>& tcsTable() const { return tcsTable_; }
 
+    /** EEXTEND page folds replayed from the machine's memo rather than
+     *  hashed again (sgx/measurement.h). Host work only: a replayed fold
+     *  measures and charges exactly what a hashed one does. */
+    std::uint64_t pageFoldHits() const { return pageFolds_.hits(); }
+
     /** Charges `cycles` on the simulated clock. */
     void charge(std::uint64_t cycles) { clock_.advance(cycles); }
 
@@ -486,6 +491,9 @@ class Machine {
      *  std::map for node stability: returned references survive
      *  insertion of other keys. */
     mutable std::map<hw::Paddr, std::vector<hw::Paddr>> closureCache_;
+    /** EEXTEND's page-fold memo, shared by every enclave this machine
+     *  measures; guarded by the exclusive state lock EEXTEND holds. */
+    PageFoldMemo pageFolds_;
     /** Armed fault injector (src/fault), or null. Never owned. */
     fault::FaultInjector* faultInjector_ = nullptr;
 

@@ -61,6 +61,7 @@ Machine::ecreateImpl(hw::Paddr secsPage, hw::Vaddr baseAddr, std::uint64_t size,
     secs.baseAddr = baseAddr;
     secs.size = size;
     secs.attributes = attributes;
+    secs.epcPages = 1;  // the SECS page itself
     secs.measurementLog.recordCreate(size);
     secsTable_[secsPage] = std::move(secs);
     return Status::ok();
@@ -109,6 +110,7 @@ Machine::eaddImpl(hw::Paddr secsPage, hw::Paddr epcPage, hw::Vaddr vaddr,
         entry.perms = (type == PageType::Tcs) ? PagePerms{false, false, false}
                                               : perms;
     }
+    ++secs->epcPages;
 
     if (src.empty()) {
         mem_.fill(epcPage, 0, hw::kPageSize);
@@ -144,13 +146,14 @@ Machine::eextendImpl(hw::Paddr secsPage, hw::Paddr epcPage)
     }
 
     // Real EEXTEND measures one 256-byte chunk per invocation; the model
-    // folds the whole page (16 chunks) and charges per chunk.
-    std::uint64_t pageOffset = entry.vaddr - secs->baseAddr;
+    // folds the whole page (16 chunks) and charges per chunk. The memo
+    // replays the host work of a fold it has seen byte for byte after
+    // the same prefix; the measurement and the charges are the same.
     for (std::uint64_t off = 0; off < hw::kPageSize; off += kMeasureChunk) {
         charge(costs_.eextendChunk);
-        secs->measurementLog.recordExtend(
-            pageOffset + off, ByteView(mem_.raw(epcPage + off), kMeasureChunk));
     }
+    pageFolds_.extendPage(secs->measurementLog, entry.vaddr - secs->baseAddr,
+                          mem_.raw(epcPage));
     return Status::ok();
 }
 
@@ -211,8 +214,8 @@ Machine::eremoveImpl(hw::Paddr epcPage)
         // *inner* associations, and no core may be executing in the
         // enclave. An inner enclave with outers may leave: its edges are
         // detached here, which is the association-teardown path.
-        if (epcm_.countOwnedBy(epcPage) > 1) return Err::PageInUse;
         Secs* secs = secsAt(epcPage);
+        if (secs && secs->epcPages > 1) return Err::PageInUse;
         if (secs && !secs->innerEids.empty()) return Err::PageInUse;
         if (!trackedCores(epcPage).empty()) return Err::PageInUse;
         if (secs) {
@@ -260,6 +263,7 @@ Machine::eremoveImpl(hw::Paddr epcPage)
                 tcsTable_.erase(it);
             }
         }
+        if (Secs* owner = secsAt(entry.ownerSecs)) --owner->epcPages;
     }
     {
         auto stripe = epcm_.lockFrame(index);

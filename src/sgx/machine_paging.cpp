@@ -126,6 +126,9 @@ Machine::ewbImpl(hw::Paddr epcPage)
         auto stripe = epcm_.lockFrame(mem_.epcPageIndex(epcPage));
         entry = EpcmEntry{};
     }
+#ifndef NESGX_BUG_SECS_PAGES_STALE
+    --secs->epcPages;
+#endif
     // Belt and braces: the frame is zeroed and free; no core may keep a
     // translation into it (EBLOCK already swept, but an ELDU between
     // EBLOCK and EWB could have revalidated in another context).
@@ -192,6 +195,7 @@ Machine::elduImpl(hw::Paddr epcPage, hw::Paddr secsPage, const EvictedPage& blob
         entry.vaddr = blob.vaddr;
         entry.perms = blob.perms;
     }
+    ++secs->epcPages;
     return Status::ok();
 }
 

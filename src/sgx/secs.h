@@ -64,6 +64,11 @@ struct Secs {
     // --- microcode-internal bookkeeping --------------------------------
     /** Measurement accumulation before EINIT. */
     MeasurementLog measurementLog;
+    /** Valid EPCM entries this SECS owns, its own page included: what
+     *  `Epcm::countOwnedBy` finds by scanning. ECREATE, EADD, EREMOVE,
+     *  EWB and ELDU keep it, each under the exclusive state lock, so
+     *  EREMOVE of a SECS need not scan the EPCM. */
+    std::uint64_t epcPages = 0;
     /** Cores whose stale translations ETRACK is still waiting on. */
     std::set<hw::CoreId> trackingSet;
     bool trackingActive = false;

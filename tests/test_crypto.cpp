@@ -656,8 +656,11 @@ TEST(BigUint, PowModMatchesSquareAndMultiply)
                                         : BigUint::randomBits(rng, bits + 40);
             std::size_t eBits = 1 + rng.nextBelow(std::min<std::size_t>(
                                         bits + 64, 320));
+            // 3 and 65537 build a two-entry window table, 0x20102 a
+            // three-entry one (its largest 4-bit digit is 2).
             for (const BigUint& e :
-                 {BigUint(), BigUint(1), BigUint::randomBits(rng, eBits)}) {
+                 {BigUint(), BigUint(1), BigUint(3), BigUint(65537),
+                  BigUint(0x20102), BigUint::randomBits(rng, eBits)}) {
                 EXPECT_EQ(base.powMod(e, m).toHex(),
                           referencePowMod(base, e, m).toHex())
                     << "m=" << m.toHex() << " base=" << base.toHex()

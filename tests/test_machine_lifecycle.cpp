@@ -25,6 +25,16 @@ TEST(Lifecycle, LoadSignedEnclave)
     // Hardware-measured MRENCLAVE equals the toolchain prediction.
     EXPECT_EQ(secs->mrenclave, image->mrenclave);
     EXPECT_EQ(secs->mrsigner, image->mrsigner);
+
+    // A second load on the same machine replays every page fold from the
+    // EEXTEND memo and still measures the same MRENCLAVE.
+    const std::uint64_t hitsBefore = world.machine.pageFoldHits();
+    auto again = world.urts->load(image, spec.interface);
+    ASSERT_TRUE(again.isOk()) << again.status().name();
+    const sgx::Secs* secs2 = world.machine.secsAt(again.value()->secsPage());
+    ASSERT_NE(secs2, nullptr);
+    EXPECT_EQ(secs2->mrenclave, image->mrenclave);
+    EXPECT_EQ(world.machine.pageFoldHits() - hitsBefore, image->pages.size());
 }
 
 TEST(Lifecycle, DifferentCodeDifferentMeasurement)
@@ -48,8 +58,15 @@ TEST(Lifecycle, EinitRejectsTamperedContent)
 {
     World world;
     auto spec = tinySpec("tampered");
-    auto image = std::make_shared<sdk::SignedEnclave>(
-        *sdk::buildImage(spec, authorKey()));
+    auto genuine = sdk::buildImage(spec, authorKey());
+    // The genuine image loads and unloads first, so the EEXTEND memo holds
+    // the fold of every page the tampered copy measures after the same
+    // prefix: only the byte compare tells the two apart.
+    auto first = world.urts->load(genuine, spec.interface);
+    ASSERT_TRUE(first.isOk()) << first.status().name();
+    ASSERT_TRUE(world.urts->unload(first.value()).isOk());
+
+    auto image = std::make_shared<sdk::SignedEnclave>(*genuine);
     // OS flips one byte of a code page before loading.
     image->pages[image->spec.tcsCount].content[0] ^= 0xff;
     auto loaded = world.urts->load(image, spec.interface);

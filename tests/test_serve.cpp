@@ -151,6 +151,55 @@ TEST(ServeAdmission, BackpressureRefusesWhenQueueFull)
     EXPECT_TRUE(service.submit(0, client.nextRequest()).isOk());
 }
 
+TEST(ServeAdmission, RefusedSubmitsResealAndEveryAcceptedResponseVerifies)
+{
+    World world;
+    auto sc = smallServiceConfig();
+    sc.admission.maxQueueDepth = 2;
+    serve::TenantService service(*world.urts, sc);
+    const Workload workloads[] = {Workload::Echo, Workload::Sql};
+    std::vector<std::unique_ptr<serve::TenantClient>> clients;
+    for (TenantId t = 0; t < 2; ++t) {
+        ASSERT_TRUE(service.addTenant(t, workloads[t]).isOk());
+        clients.push_back(
+            std::make_unique<serve::TenantClient>(t, workloads[t]));
+    }
+
+    // Three submits per tenant per round against a queue of two: the
+    // third is refused, and the client seals its plaintext again as the
+    // first request of the next round.
+    std::uint64_t accepted = 0;
+    std::uint64_t refused = 0;
+    std::uint64_t verified = 0;
+    for (int round = 0; round < 6; ++round) {
+        for (TenantId t = 0; t < 2; ++t) {
+            for (int i = 0; i < 3; ++i) {
+                Status st = service.submit(t, clients[t]->nextRequest());
+                if (st.isOk()) {
+                    ++accepted;
+                } else {
+                    ASSERT_EQ(st.code(), Err::Backpressure);
+                    clients[t]->onRefused();
+                    ++refused;
+                }
+            }
+        }
+        service.pump();
+        for (serve::Completion& done : service.drain()) {
+            ASSERT_TRUE(done.ok) << done.status.name();
+            EXPECT_TRUE(clients[done.tenant]->onResponse(done.sealedResponse))
+                << "tenant " << done.tenant << " round " << round;
+            ++verified;
+        }
+    }
+    EXPECT_EQ(refused, 12u);
+    EXPECT_EQ(verified, accepted);
+    for (const auto& client : clients) {
+        EXPECT_EQ(client->failures(), 0u);
+        EXPECT_EQ(client->pending(), 0u);
+    }
+}
+
 TEST(ServeAdmission, DeadlineShedsStaleRequestsAtDequeue)
 {
     World world;
